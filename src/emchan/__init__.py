@@ -7,8 +7,7 @@ spatial non-stationarity, a grouped tri-polarized estimation protocol, and
 water-filling capacity analysis, all driven by a reproducible scenario CLI.
 """
 
-from .capacity import (CapacityResult, EnsembleStats, capacity_equal_power,
-                       capacity_waterfilling, empirical_cdf, ergodic_capacity)
+from .capacity import CapacityResult, capacity_equal_power, capacity_waterfilling
 from .cdl import (CDL_B_SPREADS_DEG, CDL_B_XPR_DB, ClusterRow, ClusterTable, bundled_cdl_b,
                   load_cluster_table, mixture_from_clusters)
 from .emcore import (FAR, RADIATING_NEAR, REACTIVE_NEAR, SPEED_OF_LIGHT, VACUUM_PERMEABILITY,
@@ -30,7 +29,7 @@ from .results import (Column, ResultTable, read_result_csv, read_result_json, re
 from .scenario import (DenselySpacedScenario, EmCoreValidationScenario, NearFieldScenario,
                        TriPolScenario, load_scenario, save_scenario, scenario_from_dict,
                        scenario_hash, serialize_scenario, validate_scenario)
-from .seeds import STUDY_IDS, realization_rng, study_rng
+from .seeds import STUDY_IDS, realization_rng
 from .studies import VERSION, axes_note, manifest_text, run_study
 from .tripol import (NormalizationRecord, PortGrouping, TriPolChannel, TriPolEstimate,
                      benchmark_uplink_only, combining_reference, downlink_measure,

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .seeds import realization_rng
 
 
 @dataclass(frozen=True)
@@ -68,49 +66,3 @@ def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> Ca
     alloc[:active] = level - inv[:active]
     cap = float(np.sum(np.log2(1.0 + alloc[:active] * positive[:active] / noise_power)))
     return CapacityResult(capacity=cap, allocation=alloc, eigenvalues=lam)
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Monte Carlo capacity ensemble with its empirical CDF."""
-
-    capacities: np.ndarray
-    mean: float
-    cdf_levels: np.ndarray
-    cdf_probs: np.ndarray
-
-
-def empirical_cdf(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    levels = np.sort(np.asarray(samples, dtype=float))
-    probs = np.arange(1, levels.size + 1) / levels.size
-    return levels, probs
-
-
-def ergodic_capacity(generator: Callable[[np.random.Generator], np.ndarray],
-                     realizations: int, power: float, noise_power: float,
-                     allocation: str = "equal", master_seed: int = 0,
-                     study_id: int = 0) -> EnsembleStats:
-    """Mean/CDF of capacity over seeded channel draws.
-
-    Realization i draws from an RNG derived from (master_seed, study_id, i),
-    so results do not depend on evaluation order.
-    """
-    if realizations < 1:
-        raise DomainError("need at least one realization")
-    if allocation == "equal":
-        evaluate = capacity_equal_power
-    elif allocation == "waterfilling":
-        evaluate = capacity_waterfilling
-    else:
-        raise DomainError("allocation must be 'equal' or 'waterfilling'")
-    caps = np.empty(realizations)
-    for i in range(realizations):
-        rng = realization_rng(master_seed, study_id, i)
-        try:
-            g = generator(rng)
-        except Exception as exc:
-            raise RuntimeError(f"channel generator failed at realization {i}") from exc
-        caps[i] = evaluate(g, power, noise_power).capacity
-    levels, probs = empirical_cdf(caps)
-    return EnsembleStats(capacities=caps, mean=float(caps.mean()),
-                         cdf_levels=levels, cdf_probs=probs)

@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
         return 1
     seed = scn.master_seed if args.seed is None else args.seed
     try:
-        tables = run_study(scn, seed=args.seed, scale=args.scale, jobs=args.jobs)
+        tables = run_study(scn, seed=seed, scale=args.scale, jobs=args.jobs)
     except ValidationError as exc:
         for message in exc.messages:
             print(f"invalid: {message}", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .cdl import ClusterTable
 from .emcore import SPEED_OF_LIGHT, WaveContext
@@ -130,10 +129,6 @@ class Tap:
 # LOS
 
 
-def _pattern_gains(patterns: PatternSet, index, theta, phi):
-    return patterns.element(index).gains(theta, phi)
-
-
 def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveContext):
     rate = direction @ motion.velocity / ctx.wavelength
     return np.exp(2j * np.pi * rate * t)
@@ -152,8 +147,8 @@ def los_coefficient(u: int, s: int, t: float, geom: ArrayGeometry,
     arr_dir = sep / d_us
     th_r, ph_r = angles_from_vector(arr_dir)
     th_t, ph_t = angles_from_vector(-arr_dir)
-    fr = np.array(_pattern_gains(geom.rx_patterns, u, th_r, ph_r))
-    ft = np.array(_pattern_gains(geom.tx_patterns, s, th_t, ph_t))
+    fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
+    ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
     gain = fr @ LOS_POLARIZATION @ ft
     lam = ctx.wavelength
     phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
@@ -184,10 +179,10 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
         dop = np.full(rx.shape[0], _doppler(arr_dir, motion, t, ctx))
         gains = np.empty((rx.shape[0], tx.shape[0]), dtype=complex)
         for s in range(tx.shape[0]):
-            ft = np.array(_pattern_gains(geom.tx_patterns, s, th_t, ph_t))
+            ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
             col = LOS_POLARIZATION @ ft
             for u in range(rx.shape[0]):
-                fr = np.array(_pattern_gains(geom.rx_patterns, u, th_r, ph_r))
+                fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
                 gains[u, s] = fr @ col
         return gains * phase * dop[:, None]
     out = np.empty((rx.shape[0], tx.shape[0]), dtype=complex)
@@ -301,8 +296,8 @@ def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
                      t: float, geom: ArrayGeometry, motion: MotionState,
                      ctx: WaveContext) -> complex:
     """One bounce-ray entry: pattern/XPR contraction times phase offsets."""
-    fr = np.array(_pattern_gains(geom.rx_patterns, u, bounce.rx_theta[u], bounce.rx_phi[u]))
-    ft = np.array(_pattern_gains(geom.tx_patterns, s, bounce.tx_theta[s], bounce.tx_phi[s]))
+    fr = np.array(geom.rx_patterns.element(u).gains(bounce.rx_theta[u], bounce.rx_phi[u]))
+    ft = np.array(geom.tx_patterns.element(s).gains(bounce.tx_theta[s], bounce.tx_phi[s]))
     gain = fr @ _ray_pol_matrix(ray) @ ft
     lam = ctx.wavelength
     phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances[u]) / lam)
@@ -325,12 +320,6 @@ def _nlos_matrix(ray: ClusterRay, bounce: BounceGeometry, t: float, geom: ArrayG
 # visibility and attenuation
 
 
-def _as_seed_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 def visibility_probability(power: float, max_power: float, model: VisibilityModel,
                            rng_seed) -> float:
     """V = clamp(A exp(-(maxP - P)/decay) + floor + jitter, 0, 1)."""
@@ -338,27 +327,30 @@ def visibility_probability(power: float, max_power: float, model: VisibilityMode
         raise DomainError("cluster power cannot exceed the maximum power")
     jitter = 0.0
     if model.jitter_std > 0.0:
-        jitter = float(_as_seed_rng(rng_seed).normal(0.0, model.jitter_std))
+        jitter = float(np.random.default_rng(rng_seed).normal(0.0, model.jitter_std))
     raw = model.amplitude * np.exp(-(max_power - power) / model.decay) + model.floor + jitter
     return float(np.clip(raw, 0.0, 1.0))
+
+
+def _logistic(x):
+    """1 / (1 + exp(-x)), written so that no argument overflows."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def attenuation_factor(delta_d: float, rolloff: float) -> float:
     """Logistic roll-off 1 / (1 + exp(delta_d * rolloff))."""
     if rolloff <= 0.0:
         raise DomainError("rolloff coefficient must be positive")
-    return float(expit(-np.asarray(delta_d, dtype=float) * rolloff))
+    return float(_logistic(-delta_d * rolloff))
 
 
 def _element_attenuation(tx_distances: np.ndarray, d_min: float, d_max: float,
                          visibility: float, rolloff: float) -> np.ndarray:
     if d_max <= d_min:
-        norm = np.full_like(tx_distances, 0.0)
-        delta = norm - visibility
+        norm = np.zeros_like(tx_distances)
     else:
         norm = (tx_distances - d_min) / (d_max - d_min)
-        delta = norm - visibility
-    return expit(-delta * rolloff)
+    return _logistic(-(norm - visibility) * rolloff)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +487,7 @@ def cluster_rays(table: ClusterTable, delay_spread: float, los_delay: float,
         raise DomainError(f"rays_per_cluster must be even and at most {2 * RAY_OFFSETS.size}")
     if delay_spread < 0.0 or los_delay < 0.0 or delay_margin <= 0.0:
         raise DomainError("delays must be nonnegative and the margin positive")
-    rng = _as_seed_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     offsets = np.concatenate([RAY_OFFSETS[: rays_per_cluster // 2],
                               -RAY_OFFSETS[: rays_per_cluster // 2]])
     asd, asa, zsd, zsa = (np.radians(s) for s in table.spreads_deg)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import NumericalError, ShapeError, ValidationError
 
 SCHEMA_VERSION = "1.0"
 
@@ -56,9 +57,14 @@ class ResultTable:
                 raise ShapeError("row width must match the column count")
 
     def append(self, *values):
+        """Add one row; a NaN or infinite cell raises NumericalError."""
         if len(values) != len(self.columns):
             raise ShapeError("row width must match the column count")
-        self.rows.append(tuple(_plain(v) for v in values))
+        row = tuple(_plain(v) for v in values)
+        for column, v in zip(self.columns, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericalError(f"column {column.name}: non-finite value {v!r}")
+        self.rows.append(row)
 
     def column(self, name: str) -> list:
         for i, c in enumerate(self.columns):

@@ -30,7 +30,6 @@ class DenselySpacedScenario:
 
     name: str = DENSELY_SPACED
     master_seed: int = 0
-    frequency_hz: float = 4.7e9
     tx_side_wavelengths: float = 4.0
     rx_side_wavelengths: float = 1.0
     tx_spacing_wavelengths: float = 0.5
@@ -68,11 +67,6 @@ class NearFieldScenario:
     profile_elements: int = 64
     profile_aperture_m: float = 1.4
     profile_distance_m: float = 20.0
-    visibility_amplitude: float = 0.6
-    visibility_decay: float = 10.0
-    visibility_floor: float = 0.4
-    visibility_jitter_std: float = 0.05
-    visibility_rolloff: float = 10.0
 
     study = NEAR_FIELD
 
@@ -83,17 +77,10 @@ class TriPolScenario:
 
     name: str = TRI_POL
     master_seed: int = 0
-    frequency_hz: float = 6.7e9
     cells: int = 3
     ues_per_cell: int = 50
     bs_ports: int = 256
-    bs_panel_width_m: float = 0.33
-    bs_panel_height_m: float = 1.5
-    bs_height_m: float = 25.0
-    bs_power_dbm: float = 39.64
-    indoor_fraction: float = 0.8
     ue_ports: int = 8
-    ue_spacing_wavelengths: float = 0.5
     z_gain_db: float = -10.0
     xpr_db: float = 8.0
     pilot_snr_db: float = 10.0
@@ -114,7 +101,6 @@ class EmCoreValidationScenario:
 
     name: str = EM_CORE_VALIDATION
     master_seed: int = 0
-    frequency_hz: float = 4.7e9
     samples: int = 1000
     k0r_min: float = 0.1
     k0r_max: float = 1.0e4
@@ -172,8 +158,6 @@ def _coerce(field: dataclasses.Field, value, errors: list) -> object:
 def _positive(scn, names, errors, strict=True):
     for n in names:
         v = getattr(scn, n)
-        if v is None:
-            continue
         if strict and not v > 0:
             errors.append(f"{n}: must be positive, got {v!r}")
         if not strict and v < 0:
@@ -189,8 +173,6 @@ def _counts(scn, names, errors):
 def validate_scenario(scn) -> list[str]:
     """Every violated invariant as one message; empty list when valid."""
     errors: list[str] = []
-    if scn.study in (DENSELY_SPACED, NEAR_FIELD, TRI_POL, EM_CORE_VALIDATION):
-        _positive(scn, ["frequency_hz"], errors)
     if isinstance(scn, DenselySpacedScenario):
         _counts(scn, ["realizations", "quadrature_order"], errors)
         _positive(scn, ["tx_side_wavelengths", "rx_side_wavelengths",
@@ -225,12 +207,9 @@ def validate_scenario(scn) -> list[str]:
                     errors.append(f"cluster_weights: weights must sum to 1, got {total!r}")
     elif isinstance(scn, NearFieldScenario):
         _counts(scn, ["bs_elements", "ue_elements", "profile_elements"], errors)
-        _positive(scn, ["aperture_m", "ue_spacing_wavelengths", "profile_aperture_m",
-                        "profile_distance_m", "visibility_decay", "visibility_rolloff"], errors)
-        _positive(scn, ["visibility_amplitude", "visibility_jitter_std", "time_s"],
-                  errors, strict=False)
-        if not 0.0 <= scn.visibility_floor <= 1.0:
-            errors.append(f"visibility_floor: must lie in [0, 1], got {scn.visibility_floor!r}")
+        _positive(scn, ["frequency_hz", "aperture_m", "ue_spacing_wavelengths",
+                        "profile_aperture_m", "profile_distance_m"], errors)
+        _positive(scn, ["time_s"], errors, strict=False)
         if not scn.drop_distances_m:
             errors.append("drop_distances_m: need at least one distance")
         for d in scn.drop_distances_m:
@@ -242,12 +221,8 @@ def validate_scenario(scn) -> list[str]:
             errors.append("velocity_mps: expected three finite components")
     elif isinstance(scn, TriPolScenario):
         _counts(scn, ["cells", "ues_per_cell", "bs_ports"], errors)
-        _positive(scn, ["bs_panel_width_m", "bs_panel_height_m", "bs_height_m",
-                        "ue_spacing_wavelengths"], errors)
         if scn.ue_ports not in (8, 12):
             errors.append(f"ue_ports: must be 8 or 12, got {scn.ue_ports!r}")
-        if not 0.0 <= scn.indoor_fraction <= 1.0:
-            errors.append(f"indoor_fraction: must lie in [0, 1], got {scn.indoor_fraction!r}")
         if not scn.percentiles:
             errors.append("percentiles: need at least one percentile")
         for p in scn.percentiles:

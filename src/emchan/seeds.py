@@ -21,8 +21,3 @@ def realization_rng(master_seed: int, study_id: int, index: int) -> np.random.Ge
     """RNG for one realization, a pure function of (seed, study, index)."""
     seq = np.random.SeedSequence([int(master_seed), int(study_id), int(index)])
     return np.random.default_rng(seq)
-
-
-def study_rng(master_seed: int, study_id: int) -> np.random.Generator:
-    """RNG for one-off draws that are not tied to a realization index."""
-    return realization_rng(master_seed, study_id, 2**31 - 1)

@@ -269,15 +269,9 @@ def coupling_variances(support_r: WavenumberSupport, support_s: WavenumberSuppor
 # coefficient sampling and polarization
 
 
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 def sample_wavenumber_channel(variances: CouplingVariances, rng_seed) -> np.ndarray:
     """Draw H_a entrywise from CN(mean, variance)."""
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     shape = variances.variances.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return variances.means + np.sqrt(variances.variances / 2.0) * noise
@@ -315,7 +309,7 @@ def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
     h_a = np.asarray(h_a, dtype=complex)
     if not np.all(np.isfinite(h_a)):
         raise DomainError("wavenumber coefficients must be finite")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4,) + h_a.shape))
     xpr_db = rng.normal(mu_xpr_db, sigma_xpr_db, size=h_a.shape)
     inv_sqrt_kappa = 10.0 ** (-xpr_db / 20.0)

@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from emchan import (
     ArrayGeometry,
@@ -28,6 +29,7 @@ from emchan import (
     visibility_probability,
 )
 from emchan.emcore import SPEED_OF_LIGHT
+from emchan.nearfield import _logistic
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
@@ -218,6 +220,17 @@ def test_attenuation_factor_values():
     assert attenuation_factor(-50.0, 10.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         attenuation_factor(0.0, 0.0)
+
+
+def test_logistic_matches_expit_without_overflow():
+    x = np.concatenate([np.linspace(-50.0, 50.0, 100_001), [-800.0, 800.0]])
+    want = expit(x)
+    with np.errstate(over="raise", invalid="raise"):
+        got = _logistic(x)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert got[-2] == 0.0 and got[-1] == 1.0
+    assert attenuation_factor(80.0, 10.0) == 0.0
+    assert attenuation_factor(-80.0, 10.0) == 1.0
 
 
 def test_impulse_response_tap_structure():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -9,9 +11,11 @@ from emchan import (
     DenselySpacedScenario,
     EmCoreValidationScenario,
     NearFieldScenario,
+    NumericalError,
     ResultTable,
     TriPolScenario,
     ValidationError,
+    bundled_cdl_b,
     load_scenario,
     read_result_csv,
     read_result_json,
@@ -24,13 +28,14 @@ from emchan import (
     validate_scenario,
     write_results,
 )
+from emchan import studies
 from emchan.cli import main
 
 
 def test_minimal_payload_gets_defaults():
     scn = scenario_from_dict({"study": "densely-spaced", "name": "d"})
     assert isinstance(scn, DenselySpacedScenario)
-    assert scn.frequency_hz == 4.7e9
+    assert scn.tx_side_wavelengths == 4.0
     assert scn.rx_spacing_wavelengths == (0.5, 0.25, 0.125)
     assert scn.schemes == ("ideal", "ni", "ni-pd", "proposed")
     for study, typ in (("near-field", NearFieldScenario), ("tri-pol", TriPolScenario),
@@ -60,11 +65,11 @@ def test_all_violations_collected():
     with pytest.raises(ValidationError) as exc:
         scenario_from_dict({
             "study": "densely-spaced", "name": "",
-            "frequency_hz": -1.0, "realizations": 0, "master_seed": -4,
+            "tx_side_wavelengths": -1.0, "realizations": 0, "master_seed": -4,
         })
     msgs = "\n".join(exc.value.messages)
     assert len(exc.value.messages) >= 4
-    for field in ("name", "frequency_hz", "realizations", "master_seed"):
+    for field in ("name", "tx_side_wavelengths", "realizations", "master_seed"):
         assert field in msgs
 
 
@@ -239,3 +244,144 @@ def test_cli_run_unwritable_output_exit_two(tmp_path, capsys):
     target.write_text("file, not a directory")
     assert main(["run", str(scn_path), "--out", str(target)]) == 2
     assert capsys.readouterr().err != ""
+
+
+# small, fast bases for the tests below
+SMALL_BASES = {
+    DenselySpacedScenario: dict(tx_side_wavelengths=1.0, rx_side_wavelengths=0.5,
+                                rx_spacing_wavelengths=(0.5,), realizations=2,
+                                schemes=("ideal", "proposed"), quadrature_order=4),
+    NearFieldScenario: dict(bs_elements=8, ue_elements=2, drop_distances_m=(5.0, 20.0),
+                            profile_elements=4),
+    TriPolScenario: dict(cells=1, ues_per_cell=2, bs_ports=8, percentiles=(10.0, 50.0)),
+    EmCoreValidationScenario: dict(samples=50),
+}
+
+
+def test_result_table_rejects_non_finite_cells():
+    table = ResultTable(columns=(Column("label"), Column("value")))
+    for bad in (float("nan"), np.inf, -np.inf, np.float64("nan")):
+        with pytest.raises(NumericalError):
+            table.append("x", bad)
+    assert table.rows == []
+
+
+def test_cli_run_non_finite_capacity_exit_two_writes_nothing(tmp_path, capsys, monkeypatch):
+    real = studies.capacity_equal_power
+
+    def nan_capacity(g, power, noise_power):
+        return dataclasses.replace(real(g, power, noise_power), capacity=float("nan"))
+
+    monkeypatch.setattr(studies, "capacity_equal_power", nan_capacity)
+    scn = DenselySpacedScenario(name="nan", **SMALL_BASES[DenselySpacedScenario])
+    scn_path = save_scenario(scn, tmp_path / "nan.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(scn_path), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _field_perturbations(tmp_path) -> dict:
+    """One perturbation per settable field: {type: {field: (base overrides, value)}}."""
+    table = tmp_path / "one_cluster.csv"
+    table.write_text("cluster,delay_norm,power_db,aod_deg,aoa_deg,zod_deg,zoa_deg\n"
+                     "1,0.0,0.0,20.0,160.0,80.0,100.0\n")
+    n_clusters = bundled_cdl_b().count
+    return {
+        DenselySpacedScenario: {
+            "name": ({}, "renamed"),
+            "master_seed": ({}, 3),
+            "tx_side_wavelengths": ({}, 1.5),
+            "rx_side_wavelengths": ({}, 1.0),
+            "tx_spacing_wavelengths": ({}, 0.25),
+            "rx_spacing_wavelengths": ({}, (0.25,)),
+            "realizations": ({}, 3),
+            "snr_db": ({}, 10.0),
+            "xpr_mu_db": ({}, 2.0),
+            "xpr_sigma_db": ({}, 0.0),
+            "element_efficiency": ({}, 0.5),
+            "schemes": ({}, ("ideal",)),
+            "tx_boresight": ({}, "+y"),
+            "rx_boresight": ({}, "+y"),
+            "cluster_table": ({}, str(table)),
+            "cluster_weights": ({}, (1.0,) + (0.0,) * (n_clusters - 1)),
+            "quadrature_order": ({}, 6),
+        },
+        NearFieldScenario: {
+            "name": ({}, "renamed"),
+            "master_seed": ({}, 3),
+            "frequency_hz": ({}, 15e9),
+            "aperture_m": ({}, 0.5),
+            "bs_elements": ({}, 9),
+            "ue_elements": ({}, 3),
+            "ue_spacing_wavelengths": ({}, 2.0),
+            "drop_distances_m": ({}, (7.0,)),
+            "include_far_field_check": ({}, False),
+            "time_s": ({"velocity_mps": (0.0, 30.0, 0.0)}, 0.01),
+            "velocity_mps": ({"time_s": 0.01}, (0.0, 30.0, 0.0)),
+            "profile_elements": ({}, 5),
+            "profile_aperture_m": ({}, 0.7),
+            "profile_distance_m": ({}, 3.0),
+        },
+        TriPolScenario: {
+            "name": ({}, "renamed"),
+            "master_seed": ({}, 3),
+            "cells": ({}, 2),
+            "ues_per_cell": ({}, 3),
+            "bs_ports": ({}, 12),
+            "ue_ports": ({}, 12),
+            "z_gain_db": ({}, -3.0),
+            "xpr_db": ({}, 2.0),
+            "pilot_snr_db": ({}, 0.0),
+            "percentiles": ({}, (10.0, 90.0)),
+        },
+        EmCoreValidationScenario: {
+            "name": ({}, "renamed"),
+            "master_seed": ({}, 3),
+            "samples": ({}, 100),
+            "k0r_min": ({}, 0.5),
+            "k0r_max": ({}, 1.0e3),
+            "region_cases": ({}, ((28e9, 0.3),)),
+        },
+    }
+
+
+def _outcome(scn) -> tuple[dict, dict]:
+    tables = run_study(scn)
+    rows = {key: t.rows for key, t in tables.items()}
+    meta = {key: {k: v for k, v in t.metadata.items() if k != "scenario_hash"}
+            for key, t in tables.items()}
+    return rows, meta
+
+
+def _rows_differ(a: dict, b: dict) -> bool:
+    if a.keys() != b.keys():
+        return True
+    for key in a:
+        if len(a[key]) != len(b[key]):
+            return True
+        for row_a, row_b in zip(a[key], b[key]):
+            for x, y in zip(row_a, row_b):
+                numeric = all(isinstance(v, (int, float)) for v in (x, y))
+                if (not math.isclose(x, y, rel_tol=1e-9, abs_tol=0.0)) if numeric else x != y:
+                    return True
+    return False
+
+
+def test_every_scenario_field_changes_the_result(tmp_path):
+    outcomes = {}  # bases repeat across fields; run each once
+
+    def outcome(scn):
+        assert validate_scenario(scn) == []
+        if scn not in outcomes:
+            outcomes[scn] = _outcome(scn)
+        return outcomes[scn]
+
+    for cls, perturbations in _field_perturbations(tmp_path).items():
+        assert set(perturbations) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        for name, (overrides, value) in perturbations.items():
+            base = cls(**{**SMALL_BASES[cls], **overrides})
+            rows_a, meta_a = outcome(base)
+            rows_b, meta_b = outcome(dataclasses.replace(base, **{name: value}))
+            assert _rows_differ(rows_a, rows_b) or meta_a != meta_b, f"{cls.__name__}.{name}"
