@@ -111,10 +111,14 @@ class PortFunction:
 
 
 def _max_pairwise_distance(pts: np.ndarray) -> float:
-    if pts.shape[0] == 1:
-        return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff**2).sum(-1)).max())
+    """Largest point-to-point distance, in row blocks of about 2**18 pairs each."""
+    n = pts.shape[0]
+    rows = max(1, 2**18 // n)
+    best = 0.0
+    for start in range(0, n, rows):
+        diff = pts[start:start + rows, None, :] - pts[None, :, :]
+        best = max(best, float(np.sqrt((diff**2).sum(-1)).max()))
+    return best
 
 
 def scalar_green(p, ctx: WaveContext) -> complex:

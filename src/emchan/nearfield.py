@@ -52,6 +52,10 @@ class ArrayGeometry:
             if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
                 raise ShapeError(f"{name} must have shape (n, 3) with n >= 1")
             object.__setattr__(self, name, pos)
+        for side, n in (("tx", self.n_tx), ("rx", self.n_rx)):
+            count = getattr(self, f"{side}_patterns").count()
+            if count not in (None, n):
+                raise ShapeError(f"{side}_patterns holds {count} patterns for {n} elements")
 
     @property
     def n_tx(self) -> int:
@@ -134,25 +138,21 @@ def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveCont
     return np.exp(2j * np.pi * rate * t)
 
 
+def _element_gains(patterns: PatternSet, theta, phi) -> np.ndarray:
+    """(F_theta, F_phi) on a new last axis, one pattern call per element (one if shared).
+
+    Axis 0 of the angle arrays is the element index.
+    """
+    if patterns.shared:
+        return np.stack(patterns.patterns[0].gains(theta, phi), axis=-1)
+    return np.stack([np.stack(p.gains(th, ph), axis=-1)
+                     for p, th, ph in zip(patterns.patterns, theta, phi)])
+
+
 def los_coefficient(u: int, s: int, t: float, geom: ArrayGeometry,
                     motion: MotionState, ctx: WaveContext) -> complex:
     """Exact-geometry LOS entry for receive element u and transmit element s."""
-    rx = geom.rx_positions[u]
-    tx = geom.tx_positions[s]
-    sep = tx - rx
-    d_us = float(np.linalg.norm(sep))
-    if d_us == 0.0:
-        raise DomainError("coincident transmit and receive elements")
-    d_ref = float(np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0]))
-    arr_dir = sep / d_us
-    th_r, ph_r = angles_from_vector(arr_dir)
-    th_t, ph_t = angles_from_vector(-arr_dir)
-    fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
-    ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
-    gain = fr @ LOS_POLARIZATION @ ft
-    lam = ctx.wavelength
-    phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
-    return complex(gain * phase * _doppler(arr_dir, motion, t, ctx))
+    return complex(_los_matrix(geom, t, motion, ctx, planar=False)[u, s])
 
 
 def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveContext,
@@ -160,6 +160,7 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
     rx = geom.rx_positions
     tx = geom.tx_positions
     lam = ctx.wavelength
+    d_ref = float(np.linalg.norm(tx[0] - rx[0]))
     if planar:
         # expansion directions from the array centroids, absolute phase
         # anchored at the element-0 pair
@@ -168,28 +169,29 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
         if dist == 0.0:
             raise DomainError("coincident array centroids")
         arr_dir = axis / dist  # arrival direction, points from Rx toward Tx
-        d_ref = float(np.linalg.norm(tx[0] - rx[0]))
         lin = (rx - rx[0]) @ arr_dir
         lin_t = (tx - tx[0]) @ (-arr_dir)
         phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(
             2j * np.pi * (lin[:, None] + lin_t[None, :]) / lam
         )
-        th_r, ph_r = angles_from_vector(arr_dir)
-        th_t, ph_t = angles_from_vector(-arr_dir)
-        dop = np.full(rx.shape[0], _doppler(arr_dir, motion, t, ctx))
-        gains = np.empty((rx.shape[0], tx.shape[0]), dtype=complex)
-        for s in range(tx.shape[0]):
-            ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
-            col = LOS_POLARIZATION @ ft
-            for u in range(rx.shape[0]):
-                fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
-                gains[u, s] = fr @ col
-        return gains * phase * dop[:, None]
-    out = np.empty((rx.shape[0], tx.shape[0]), dtype=complex)
-    for u in range(rx.shape[0]):
-        for s in range(tx.shape[0]):
-            out[u, s] = los_coefficient(u, s, t, geom, motion, ctx)
-    return out
+        th_r, ph_r = angles_from_vector(np.broadcast_to(arr_dir, rx.shape))
+        th_t, ph_t = angles_from_vector(np.broadcast_to(-arr_dir, tx.shape))
+        fr = _element_gains(geom.rx_patterns, th_r, ph_r)
+        ft = _element_gains(geom.tx_patterns, th_t, ph_t)
+        gains = fr @ (LOS_POLARIZATION @ ft.T)
+        return gains * phase * _doppler(arr_dir, motion, t, ctx)
+    sep = tx[None, :, :] - rx[:, None, :]  # (n_rx, n_tx, 3)
+    d_us = np.linalg.norm(sep, axis=-1)
+    if np.any(d_us == 0.0):
+        raise DomainError("coincident transmit and receive elements")
+    arr_dir = sep / d_us[..., None]
+    th_r, ph_r = angles_from_vector(arr_dir)
+    th_t, ph_t = angles_from_vector(-arr_dir)
+    fr = _element_gains(geom.rx_patterns, th_r, ph_r)
+    ft = _element_gains(geom.tx_patterns, th_t.T, ph_t.T).transpose(1, 0, 2)
+    gain = np.einsum("...i,ij,...j->...", fr, LOS_POLARIZATION, ft)
+    phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
+    return gain * phase * _doppler(arr_dir, motion, t, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +298,20 @@ def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
                      t: float, geom: ArrayGeometry, motion: MotionState,
                      ctx: WaveContext) -> complex:
     """One bounce-ray entry: pattern/XPR contraction times phase offsets."""
-    fr = np.array(geom.rx_patterns.element(u).gains(bounce.rx_theta[u], bounce.rx_phi[u]))
-    ft = np.array(geom.tx_patterns.element(s).gains(bounce.tx_theta[s], bounce.tx_phi[s]))
-    gain = fr @ _ray_pol_matrix(ray) @ ft
-    lam = ctx.wavelength
-    phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances[u]) / lam)
-    phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[0] - bounce.tx_distances[s]) / lam)
-    arr_dir = unit_vector(bounce.rx_theta[u], bounce.rx_phi[u])
-    amp = np.sqrt(ray.power / ray.ray_count)
-    return complex(amp * gain * phase_rx * phase_tx * _doppler(arr_dir, motion, t, ctx))
+    return complex(_nlos_matrix(ray, bounce, t, geom, motion, ctx)[u, s])
 
 
 def _nlos_matrix(ray: ClusterRay, bounce: BounceGeometry, t: float, geom: ArrayGeometry,
                  motion: MotionState, ctx: WaveContext) -> np.ndarray:
-    out = np.empty((geom.n_rx, geom.n_tx), dtype=complex)
-    for u in range(geom.n_rx):
-        for s in range(geom.n_tx):
-            out[u, s] = nlos_coefficient(u, s, ray, bounce, t, geom, motion, ctx)
-    return out
+    fr = _element_gains(geom.rx_patterns, bounce.rx_theta, bounce.rx_phi)
+    ft = _element_gains(geom.tx_patterns, bounce.tx_theta, bounce.tx_phi)
+    gain = fr @ _ray_pol_matrix(ray) @ ft.T
+    lam = ctx.wavelength
+    phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances) / lam)
+    phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[0] - bounce.tx_distances) / lam)
+    doppler = _doppler(unit_vector(bounce.rx_theta, bounce.rx_phi), motion, t, ctx)
+    amp = np.sqrt(ray.power / ray.ray_count)
+    return amp * gain * phase_rx[:, None] * phase_tx[None, :] * doppler[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +369,8 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
                    planar: bool) -> list[Tap]:
     w_los, w_nlos = _k_weights(k_factor)
     rays = list(rays) if rays is not None else []
-    bounces = {}
-    for ray in rays:
-        bounces[(ray.cluster, ray.ray)] = (
-            _planar_bounce(ray, geom, ctx) if planar else locate_bounce_scatterers(ray, geom, ctx)
-        )
+    locate = _planar_bounce if planar else locate_bounce_scatterers
+    bounces = [locate(ray, geom, ctx) for ray in rays]
 
     # per-cluster visibility draws and distance spans across rays and elements
     vis_state = {}
@@ -388,7 +383,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
             seed = np.random.SeedSequence([int(visibility_seed), int(n)])
             v_n = visibility_probability(p, max_power, visibility, seed)
             span = np.concatenate(
-                [bounces[(r.cluster, r.ray)].tx_distances for r in rays if r.cluster == n]
+                [b.tx_distances for r, b in zip(rays, bounces) if r.cluster == n]
             )
             vis_state[n] = (v_n, float(span.min()), float(span.max()))
 
@@ -411,8 +406,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
         )
     taps[0] = Tap(delay=d_ref / SPEED_OF_LIGHT, coefficients=w_los * alpha_los[None, :] * los)
 
-    for ray in rays:
-        bounce = bounces[(ray.cluster, ray.ray)]
+    for ray, bounce in zip(rays, bounces):
         if visibility is None:
             alpha = np.ones(geom.n_tx)
         else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from emchan import (
     reactive_boundary,
     scalar_green,
 )
+from emchan.emcore import _max_pairwise_distance
 
 CTX = WaveContext.from_frequency(4.7e9)
 
@@ -260,6 +263,25 @@ def test_aperture_validation():
         Aperture(points=pts, weights=np.ones(2), dimensionality=4)
     with pytest.raises(DomainError):
         Aperture(points=pts, weights=np.ones(2), dimensionality=1, extent=2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 600])
+def test_blocked_extent_equals_all_pairs(n):
+    pts = np.random.default_rng(n).normal(size=(n, 3))
+    diff = pts[:, None, :] - pts[None, :, :]
+    assert _max_pairwise_distance(pts) == float(np.sqrt((diff**2).sum(-1)).max())
+
+
+def test_large_aperture_extent_memory_is_bounded():
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5000, 3))
+    tracemalloc.start()
+    try:
+        ap = Aperture(points=pts, weights=np.ones(5000), dimensionality=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert 0.0 < ap.extent <= 2.0 * np.sqrt(3.0)
 
 
 def test_port_kind_enforcement():

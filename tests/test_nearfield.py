@@ -13,6 +13,7 @@ from emchan import (
     ShapeError,
     VisibilityModel,
     WaveContext,
+    angles_from_vector,
     attenuation_factor,
     bundled_cdl_b,
     channel_impulse_response,
@@ -22,14 +23,18 @@ from emchan import (
     los_coefficient,
     narrowband_channel,
     nlos_coefficient,
+    patch,
     planar_wave_channel,
     rayleigh_distance,
     spatial_correlation,
+    unit_vector,
     vertical,
     visibility_probability,
 )
+from emchan import nearfield
 from emchan.emcore import SPEED_OF_LIGHT
-from emchan.nearfield import _logistic
+from emchan.nearfield import (LOS_POLARIZATION, _logistic, _los_matrix, _nlos_matrix,
+                              _planar_bounce)
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
@@ -48,6 +53,139 @@ def bs_ue_geometry(n_bs=64, aperture=1.4, dist=20.0, n_ue=1, ue_spacing=None):
         tx = np.stack([np.full(n_ue, dist), ty, np.zeros(n_ue)], axis=1)
     return ArrayGeometry(tx_positions=tx, rx_positions=rx)
 
+
+# Per-entry reference implementations: one pattern call per side and entry.
+
+
+def los_oracle(u, s, t, geom, motion, ctx):
+    """Exact-geometry LOS entry for receive element u and transmit element s."""
+    sep = geom.tx_positions[s] - geom.rx_positions[u]
+    d_us = float(np.linalg.norm(sep))
+    d_ref = float(np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0]))
+    arr_dir = sep / d_us
+    th_r, ph_r = angles_from_vector(arr_dir)
+    th_t, ph_t = angles_from_vector(-arr_dir)
+    fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
+    ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
+    gain = fr @ LOS_POLARIZATION @ ft
+    lam = ctx.wavelength
+    phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
+    doppler = np.exp(2j * np.pi * (arr_dir @ motion.velocity) / lam * t)
+    return complex(gain * phase * doppler)
+
+
+def planar_los_oracle(u, s, t, geom, motion, ctx):
+    """Planar-wave LOS entry: centroid direction, phase anchored at element 0."""
+    rx, tx = geom.rx_positions, geom.tx_positions
+    axis = tx.mean(axis=0) - rx.mean(axis=0)
+    arr_dir = axis / np.linalg.norm(axis)
+    d_ref = float(np.linalg.norm(tx[0] - rx[0]))
+    lam = ctx.wavelength
+    lin = (rx[u] - rx[0]) @ arr_dir + (tx[s] - tx[0]) @ (-arr_dir)
+    phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * lin / lam)
+    th_r, ph_r = angles_from_vector(arr_dir)
+    th_t, ph_t = angles_from_vector(-arr_dir)
+    fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
+    ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
+    doppler = np.exp(2j * np.pi * (arr_dir @ motion.velocity) / lam * t)
+    return complex(fr @ LOS_POLARIZATION @ ft * phase * doppler)
+
+
+def nlos_oracle(u, s, ray, bounce, t, geom, motion, ctx):
+    """One bounce-ray entry: pattern/XPR contraction times phase offsets."""
+    fr = np.array(geom.rx_patterns.element(u).gains(bounce.rx_theta[u], bounce.rx_phi[u]))
+    ft = np.array(geom.tx_patterns.element(s).gains(bounce.tx_theta[s], bounce.tx_phi[s]))
+    inv = 1.0 / np.sqrt(ray.xpr)
+    p_tt, p_tp, p_pt, p_pp = ray.phases
+    pol = np.array([[np.exp(1j * p_tt), inv * np.exp(1j * p_tp)],
+                    [inv * np.exp(1j * p_pt), np.exp(1j * p_pp)]])
+    gain = fr @ pol @ ft
+    lam = ctx.wavelength
+    phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances[u]) / lam)
+    phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[0] - bounce.tx_distances[s]) / lam)
+    arr_dir = unit_vector(bounce.rx_theta[u], bounce.rx_phi[u])
+    doppler = np.exp(2j * np.pi * (arr_dir @ motion.velocity) / lam * t)
+    amp = np.sqrt(ray.power / ray.ray_count)
+    return complex(amp * gain * phase_rx * phase_tx * doppler)
+
+
+def oracle_matrix(entry, geom, *args):
+    return np.array([[entry(u, s, *args) for s in range(geom.n_tx)]
+                     for u in range(geom.n_rx)])
+
+
+def mixed_pattern_geometry(seed=0, n_tx=5, n_rx=6):
+    """Random non-collinear arrays a few meters apart with mixed per-element patterns."""
+    rng = np.random.default_rng(seed)
+    tx = np.array([4.0, 1.0, 0.5]) + rng.uniform(-0.3, 0.3, size=(n_tx, 3))
+    rx = rng.uniform(-0.3, 0.3, size=(n_rx, 3))
+    kinds = (dipole("x"), dipole("y"), dipole("z"), patch(70.0), patch(120.0))
+    return ArrayGeometry(
+        tx_positions=tx, rx_positions=rx,
+        tx_patterns=PatternSet.per_element([kinds[s % 5] for s in range(n_tx)]),
+        rx_patterns=PatternSet.per_element([kinds[(u + 2) % 5] for u in range(n_rx)]),
+    )
+
+
+def assert_matches_oracle(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_los_matrix_matches_per_entry_oracle():
+    geom = mixed_pattern_geometry()
+    moving = MotionState(velocity=np.array([4.0, -2.5, 1.0]))
+    t = 7e-3
+    assert_matches_oracle(_los_matrix(geom, t, moving, CTX, planar=False),
+                          oracle_matrix(los_oracle, geom, t, geom, moving, CTX))
+    assert_matches_oracle(_los_matrix(geom, t, moving, CTX, planar=True),
+                          oracle_matrix(planar_los_oracle, geom, t, geom, moving, CTX))
+
+
+def test_nlos_matrix_matches_per_entry_oracle():
+    geom = mixed_pattern_geometry(seed=1)
+    moving = MotionState(velocity=np.array([-3.0, 1.5, 0.5]))
+    t = 4e-3
+    direct = np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0])
+    rays = cluster_rays(bundled_cdl_b(), 100e-9, direct / SPEED_OF_LIGHT, rng_seed=4,
+                        rays_per_cluster=2)
+    assert len(rays) >= 20
+    for ray in rays:
+        for bounce in (locate_bounce_scatterers(ray, geom, CTX), _planar_bounce(ray, geom, CTX)):
+            assert_matches_oracle(
+                _nlos_matrix(ray, bounce, t, geom, moving, CTX),
+                oracle_matrix(nlos_oracle, geom, ray, bounce, t, geom, moving, CTX),
+            )
+
+
+def test_responses_make_no_per_entry_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-entry coefficient called")
+
+    monkeypatch.setattr(nearfield, "los_coefficient", refuse)
+    monkeypatch.setattr(nearfield, "nlos_coefficient", refuse)
+    geom = mixed_pattern_geometry(seed=2)
+    direct = np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0])
+    rays = cluster_rays(bundled_cdl_b(), 100e-9, direct / SPEED_OF_LIGHT, rng_seed=6,
+                        rays_per_cluster=2)
+    kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), t=1e-3,
+                  motion=MotionState(velocity=np.array([1.0, 2.0, 0.0])), ctx=CTX)
+    for response in (channel_impulse_response, planar_wave_channel):
+        taps = response(geom, rays, **kwargs)
+        assert len(taps) == len(rays) + 1
+
+
+def test_per_element_pattern_count_must_match_elements():
+    tx = np.array([[10.0, 0.0, 0.0], [10.0, 0.1, 0.0], [10.0, 0.2, 0.0]])
+    rx = np.zeros((1, 3))
+    for count in (2, 4):
+        patterns = PatternSet.per_element([dipole("x")] * count)
+        with pytest.raises(ShapeError):
+            ArrayGeometry(tx_positions=tx, rx_positions=rx, tx_patterns=patterns)
+        with pytest.raises(ShapeError):
+            ArrayGeometry(tx_positions=rx, rx_positions=tx, rx_patterns=patterns)
+    ArrayGeometry(tx_positions=tx, rx_positions=rx,
+                  tx_patterns=PatternSet.per_element([dipole("x")] * 3))
 
 def test_los_reference_pair_phase():
     geom = bs_ue_geometry(n_bs=4, aperture=0.3)
@@ -242,6 +380,10 @@ def test_impulse_response_tap_structure():
     assert taps[0].delay == pytest.approx(direct / SPEED_OF_LIGHT)
     assert taps[1].delay == rays[0].delay and taps[2].delay == rays[1].delay
     assert taps[0].coefficients.shape == (3, 2)
+    # both rays carry the same (cluster, ray) ids; each tap still uses its own bounce
+    for tap, ray in zip(taps[1:], rays):
+        own = _nlos_matrix(ray, locate_bounce_scatterers(ray, geom, CTX), 0.0, geom, STILL, CTX)
+        assert np.allclose(tap.coefficients, own / np.sqrt(2.0), rtol=0.0, atol=1e-14)
 
     # K = 1 splits power evenly between the LOS and NLOS branches
     los_only = channel_impulse_response(geom, [], k_factor=np.inf, ctx=CTX)
