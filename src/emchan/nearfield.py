@@ -138,17 +138,6 @@ def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveCont
     return np.exp(2j * np.pi * rate * t)
 
 
-def _element_gains(patterns: PatternSet, theta, phi) -> np.ndarray:
-    """(F_theta, F_phi) on a new last axis, one pattern call per element (one if shared).
-
-    Axis 0 of the angle arrays is the element index.
-    """
-    if patterns.shared:
-        return np.stack(patterns.patterns[0].gains(theta, phi), axis=-1)
-    return np.stack([np.stack(p.gains(th, ph), axis=-1)
-                     for p, th, ph in zip(patterns.patterns, theta, phi)])
-
-
 def los_coefficient(u: int, s: int, t: float, geom: ArrayGeometry,
                     motion: MotionState, ctx: WaveContext) -> complex:
     """Exact-geometry LOS entry for receive element u and transmit element s."""
@@ -176,8 +165,8 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
         )
         th_r, ph_r = angles_from_vector(np.broadcast_to(arr_dir, rx.shape))
         th_t, ph_t = angles_from_vector(np.broadcast_to(-arr_dir, tx.shape))
-        fr = _element_gains(geom.rx_patterns, th_r, ph_r)
-        ft = _element_gains(geom.tx_patterns, th_t, ph_t)
+        fr = geom.rx_patterns.element_gains(th_r, ph_r)
+        ft = geom.tx_patterns.element_gains(th_t, ph_t)
         gains = fr @ (LOS_POLARIZATION @ ft.T)
         return gains * phase * _doppler(arr_dir, motion, t, ctx)
     sep = tx[None, :, :] - rx[:, None, :]  # (n_rx, n_tx, 3)
@@ -187,8 +176,8 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
     arr_dir = sep / d_us[..., None]
     th_r, ph_r = angles_from_vector(arr_dir)
     th_t, ph_t = angles_from_vector(-arr_dir)
-    fr = _element_gains(geom.rx_patterns, th_r, ph_r)
-    ft = _element_gains(geom.tx_patterns, th_t.T, ph_t.T).transpose(1, 0, 2)
+    fr = geom.rx_patterns.element_gains(th_r, ph_r)
+    ft = geom.tx_patterns.element_gains(th_t.T, ph_t.T).transpose(1, 0, 2)
     gain = np.einsum("...i,ij,...j->...", fr, LOS_POLARIZATION, ft)
     phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
     return gain * phase * _doppler(arr_dir, motion, t, ctx)
@@ -303,8 +292,8 @@ def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
 
 def _nlos_matrix(ray: ClusterRay, bounce: BounceGeometry, t: float, geom: ArrayGeometry,
                  motion: MotionState, ctx: WaveContext) -> np.ndarray:
-    fr = _element_gains(geom.rx_patterns, bounce.rx_theta, bounce.rx_phi)
-    ft = _element_gains(geom.tx_patterns, bounce.tx_theta, bounce.tx_phi)
+    fr = geom.rx_patterns.element_gains(bounce.rx_theta, bounce.rx_phi)
+    ft = geom.tx_patterns.element_gains(bounce.tx_theta, bounce.tx_phi)
     gain = fr @ _ray_pol_matrix(ray) @ ft.T
     lam = ctx.wavelength
     phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances) / lam)

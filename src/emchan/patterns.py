@@ -170,3 +170,13 @@ class PatternSet:
 
     def count(self) -> int | None:
         return None if self.shared else len(self.patterns)
+
+    def element_gains(self, theta, phi) -> np.ndarray:
+        """(F_theta, F_phi) on a new last axis; axis 0 of the angles is the element
+        index. One ``gains`` call if shared, else one per element on its angles."""
+        if self.shared:
+            return np.stack(self.patterns[0].gains(theta, phi), axis=-1)
+        if len(theta) != len(self.patterns):
+            raise ShapeError(f"{len(self.patterns)} per-element patterns for {len(theta)} elements")
+        return np.stack([np.stack(p.gains(th, ph), axis=-1)
+                         for p, th, ph in zip(self.patterns, theta, phi)])

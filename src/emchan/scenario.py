@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .emcore import WaveContext
+from .errors import DomainError, ValidationError
+from .wavenumber import grid_intervals
 
 DENSELY_SPACED = "densely-spaced"
 NEAR_FIELD = "near-field"
@@ -22,6 +24,11 @@ EM_CORE_VALIDATION = "em-core-validation"
 STUDIES = (DENSELY_SPACED, NEAR_FIELD, TRI_POL, EM_CORE_VALIDATION)
 
 _BORESIGHTS = ("+x", "-x", "+y", "-y", "+z", "-z")
+
+# carrier of the densely-spaced and em-core studies. Their inputs are lengths
+# in wavelengths and normalized distances k0*r, so their results do not depend
+# on it; it only sets the length scale of the geometry they build.
+REFERENCE_FREQUENCY_HZ = 4.7e9
 
 
 @dataclass(frozen=True)
@@ -195,12 +202,26 @@ def validate_scenario(scn) -> list[str]:
             errors.append(f"tx_boresight: unknown boresight {scn.tx_boresight!r}")
         if scn.rx_boresight not in _BORESIGHTS:
             errors.append(f"rx_boresight: unknown boresight {scn.rx_boresight!r}")
-        if scn.cluster_table is not None and not Path(scn.cluster_table).is_file():
+        # the study's own grid rule, on the lengths in metres it builds arrays with
+        lam = WaveContext.from_frequency(REFERENCE_FREQUENCY_HZ).wavelength
+        for side, spacings in (("tx", (scn.tx_spacing_wavelengths,)),
+                               ("rx", scn.rx_spacing_wavelengths)):
+            length = getattr(scn, f"{side}_side_wavelengths")
+            for s in spacings:
+                try:
+                    if length > 0 and isinstance(s, (int, float)) and s > 0:
+                        grid_intervals(length * lam, s * lam)
+                except DomainError as exc:
+                    errors.append(f"{side}_spacing_wavelengths: {exc} "
+                                  f"(side {length!r}, spacing {s!r})")
+        if scn.cluster_table is not None and not (isinstance(scn.cluster_table, str)
+                                                  and Path(scn.cluster_table).is_file()):
             errors.append(f"cluster_table: file not found: {scn.cluster_table!r}")
         if scn.cluster_weights is not None:
             ws = scn.cluster_weights
-            if any(not isinstance(w, (int, float)) or w < 0 for w in ws):
-                errors.append("cluster_weights: weights must be nonnegative numbers")
+            if not isinstance(ws, tuple) or any(not isinstance(w, (int, float)) or w < 0
+                                                for w in ws):
+                errors.append(f"cluster_weights: expected nonnegative numbers, got {ws!r}")
             else:
                 total = float(sum(ws))
                 if abs(total - 1.0) > 1e-6:

@@ -31,11 +31,6 @@ from .wavenumber import (RECEIVER, TRANSMITTER, CouplingVariances, EfficiencyMat
 
 VERSION = "1.0.0"
 
-# carrier of the densely-spaced and em-core studies. Their inputs are lengths
-# in wavelengths and normalized distances k0*r, so their results do not depend
-# on it; it only sets the length scale of the geometry they build.
-_REFERENCE_FREQUENCY_HZ = 4.7e9
-
 
 def _map_indices(func, count: int, jobs: int) -> list:
     if jobs <= 1:
@@ -100,7 +95,7 @@ def _densely_spaced_realization(i: int, payload) -> list:
 
 def _run_densely_spaced(scn: sc.DenselySpacedScenario, seed: int, scale: float,
                         jobs: int) -> dict[str, ResultTable]:
-    ctx = WaveContext.from_frequency(_REFERENCE_FREQUENCY_HZ)
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
     lam = ctx.wavelength
     l_s = scn.tx_side_wavelengths * lam
     l_r = scn.rx_side_wavelengths * lam
@@ -257,7 +252,7 @@ def _tri_pol_trial(i: int, payload) -> tuple:
     r = min(h.shape)
     caps = []
     for estimate in (est.assembled, bench):
-        _, _, vh = np.linalg.svd(estimate)
+        _, _, vh = np.linalg.svd(estimate, full_matrices=False)
         v_r = vh[:r].conj().T
         caps.append(capacity_waterfilling(h @ v_r, power, 1.0).capacity)
     return caps[0], caps[1], err_joint**2, err_bench**2
@@ -302,7 +297,7 @@ def _run_tri_pol(scn: sc.TriPolScenario, seed: int, scale: float,
 
 def _run_em_core(scn: sc.EmCoreValidationScenario, seed: int, scale: float,
                  jobs: int) -> dict[str, ResultTable]:
-    ctx = WaveContext.from_frequency(_REFERENCE_FREQUENCY_HZ)
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
     rng = realization_rng(seed, STUDY_IDS[sc.EM_CORE_VALIDATION], 0)
     k0 = ctx.wavenumber
     sweep = np.geomspace(scn.k0r_min, scn.k0r_max, 25)

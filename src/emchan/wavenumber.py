@@ -144,41 +144,38 @@ def wavenumber_to_angles(l_x: int, l_y: int, length_x: float, length_y: float,
 # coupling variances
 
 
-def _cell_measure(l_x: int, l_y: int, length_x: float, length_y: float,
-                  aps: VmfMixture, ctx: WaveContext, order: int) -> float:
-    """Integral of the spectrum over one lattice cell clipped to the disk.
+def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
+                aps: VmfMixture, ctx: WaveContext, order: int) -> np.ndarray:
+    """Integral of the spectrum over each lattice cell |l_x| <= nx, |l_y| <= ny
+    clipped to the disk, indexed [l_x + nx, l_y + ny].
 
     Work in (k_x, u) with k_y = B sin(u), B = sqrt(k0^2 - k_x^2); the
-    substitution absorbs the 1/k_z area factor so the rim is regular.
+    substitution absorbs the 1/k_z area factor so the rim is regular. One pass
+    per k_x node serves every column at once: memory is O(cells x order).
     """
     k0 = ctx.wavenumber
     xg, xw = leggauss(order)
-    kx_lo = max(2.0 * np.pi * (l_x - 0.5) / length_x, -k0)
-    kx_hi = min(2.0 * np.pi * (l_x + 0.5) / length_x, k0)
-    if kx_hi <= kx_lo:
-        return 0.0
-    kx = 0.5 * (kx_hi + kx_lo) + 0.5 * (kx_hi - kx_lo) * xg
-    wx = 0.5 * (kx_hi - kx_lo) * xw
-    total = 0.0
-    for kxi, wxi in zip(kx, wx):
-        b2 = k0**2 - kxi**2
-        if b2 <= 0.0:
-            continue
-        b = np.sqrt(b2)
-        ky_lo = max(2.0 * np.pi * (l_y - 0.5) / length_y, -b)
-        ky_hi = min(2.0 * np.pi * (l_y + 0.5) / length_y, b)
-        if ky_hi <= ky_lo:
-            continue
+    l_x = np.arange(-nx, nx + 1)[:, None, None]
+    l_y = np.arange(-ny, ny + 1)[None, :, None]
+    kx_lo = np.maximum(2.0 * np.pi * (l_x - 0.5) / length_x, -k0)
+    kx_hi = np.minimum(2.0 * np.pi * (l_x + 0.5) / length_x, k0)
+    total = np.zeros((l_x.size, l_y.size, 1))
+    for g, w in zip(xg, xw):
+        kx = 0.5 * (kx_hi + kx_lo) + 0.5 * (kx_hi - kx_lo) * g
+        b2 = k0**2 - kx**2
+        live = (kx_hi > kx_lo) & (b2 > 0.0)
+        b = np.sqrt(np.where(live, b2, 1.0))
+        ky_lo = np.maximum(2.0 * np.pi * (l_y - 0.5) / length_y, -b)
+        ky_hi = np.minimum(2.0 * np.pi * (l_y + 0.5) / length_y, b)
         u_lo = np.arcsin(np.clip(ky_lo / b, -1.0, 1.0))
         u_hi = np.arcsin(np.clip(ky_hi / b, -1.0, 1.0))
         u = 0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * xg
         wu = 0.5 * (u_hi - u_lo) * xw
-        ky = b * np.sin(u)
-        kz = b * np.cos(u)
-        theta = np.arccos(np.clip(kz / k0, -1.0, 1.0))
-        phi = np.arctan2(ky, kxi)
-        total += wxi * float(np.sum(wu * aps.pdf(theta, phi))) / k0
-    return total
+        theta = np.arccos(np.clip(b * np.cos(u) / k0, -1.0, 1.0))
+        phi = np.arctan2(b * np.sin(u), kx)
+        mass = 0.5 * (kx_hi - kx_lo) * w * np.sum(wu * aps.pdf(theta, phi), -1, keepdims=True) / k0
+        total += np.where(live & (ky_hi > ky_lo), mass, 0.0)
+    return total[..., 0]
 
 
 def _hemisphere_mass(aps: VmfMixture, n_theta: int = 128, n_phi: int = 256) -> float:
@@ -201,33 +198,23 @@ def cell_power_fractions(support: WavenumberSupport, aps: VmfMixture,
     the hemisphere; the result is normalized by an independently computed
     hemisphere mass.
     """
-    values = {
-        idx: _cell_measure(idx[0], idx[1], support.length_x, support.length_y, aps, ctx, order)
-        for idx in support.indices
-    }
-    in_support = set(support.indices)
-    lam = support.wavelength
-    nx = int(np.ceil(support.length_x / lam)) + 2
-    ny = int(np.ceil(support.length_y / lam)) + 2
-    for lx in range(-nx, nx + 1):
-        for ly in range(-ny, ny + 1):
-            if (lx, ly) in in_support:
-                continue
-            mass = _cell_measure(lx, ly, support.length_x, support.length_y, aps, ctx, order)
-            if mass <= 0.0:
-                continue
-            dists = [
-                (((lx - sx) / support.length_x) ** 2 + ((ly - sy) / support.length_y) ** 2, (sx, sy))
-                for sx, sy in support.indices
-            ]
-            dmin = min(dists)[0]
-            nearest = [s for d, s in dists if d <= dmin * (1.0 + 1e-12)]
-            for s in nearest:
-                values[s] += mass / len(nearest)
+    nx = int(np.ceil(support.length_x / support.wavelength)) + 2
+    ny = int(np.ceil(support.length_y / support.wavelength)) + 2
+    masses = _box_masses(support.length_x, support.length_y, nx, ny, aps, ctx, order)
+    idx = np.array(support.indices)
+    cells = (idx[:, 0] + nx, idx[:, 1] + ny)
+    values = masses[cells]
+    rim = masses > 0.0
+    rim[cells] = False
+    for cx, cy in zip(*np.nonzero(rim)):
+        dists = (((cx - cells[0]) / support.length_x) ** 2
+                 + ((cy - cells[1]) / support.length_y) ** 2)
+        nearest = dists <= dists.min() * (1.0 + 1e-12)
+        values[nearest] += masses[cx, cy] / np.count_nonzero(nearest)
     hemi = _hemisphere_mass(aps)
     if not np.isfinite(hemi) or hemi <= 0.0:
         raise NumericalError(f"hemisphere power quadrature failed (mass={hemi!r})")
-    fractions = np.array([values[idx] for idx in support.indices]) / hemi
+    fractions = values / hemi
     if not np.all(np.isfinite(fractions)) or np.any(fractions < 0.0):
         raise NumericalError("cell quadrature produced invalid fractions")
     return fractions
@@ -354,13 +341,19 @@ class PlanarArray:
         return self.element_positions.shape[0]
 
 
+def grid_intervals(length: float, spacing: float) -> int:
+    """Spacings along one aperture side, which must be a whole multiple of the spacing."""
+    n = int(round(length / spacing))
+    if abs(n * spacing - length) > 1e-9:
+        raise DomainError("aperture length must be an integer multiple of the spacing")
+    return n
+
+
 def uniform_planar_array(length_x: float, length_y: float, spacing_x: float,
                          spacing_y: float, z: float = 0.0) -> PlanarArray:
     """Edge-inclusive uniform grid: L/spacing + 1 elements per side."""
-    nx = int(round(length_x / spacing_x))
-    ny = int(round(length_y / spacing_y))
-    if abs(nx * spacing_x - length_x) > 1e-9 or abs(ny * spacing_y - length_y) > 1e-9:
-        raise DomainError("aperture length must be an integer multiple of the spacing")
+    nx = grid_intervals(length_x, spacing_x)
+    ny = grid_intervals(length_y, spacing_y)
     xs = np.arange(nx + 1) * spacing_x
     ys = np.arange(ny + 1) * spacing_y
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -384,22 +377,12 @@ def fourier_harmonics(array: PlanarArray, support: WavenumberSupport,
     theta = np.arccos(np.clip(gamma / k0, -1.0, 1.0))
     phi = np.arctan2(k_y, k_x)
     pos = array.element_positions
-    n = array.count
     phase = np.exp(
         1j * (np.outer(pos[:, 0], k_x) + np.outer(pos[:, 1], k_y) + np.outer(pos[:, 2], gamma))
-    ) / np.sqrt(n)
-    if patterns.shared:
-        ft, fp = patterns.element(0).gains(theta, phi)
-        return phase * ft[None, :], phase * fp[None, :]
-    if patterns.count() != n:
-        raise ShapeError("per-element pattern count must match the array")
-    psi_t = np.empty_like(phase)
-    psi_p = np.empty_like(phase)
-    for q in range(n):
-        ft, fp = patterns.element(q).gains(theta, phi)
-        psi_t[q] = phase[q] * ft
-        psi_p[q] = phase[q] * fp
-    return psi_t, psi_p
+    ) / np.sqrt(array.count)
+    gains = patterns.element_gains(np.broadcast_to(theta, phase.shape),
+                                   np.broadcast_to(phi, phase.shape))
+    return phase * gains[..., 0], phase * gains[..., 1]
 
 
 def hannan_efficiency(spacing_x: float, spacing_y: float, ctx: WaveContext) -> float:

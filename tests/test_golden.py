@@ -1,6 +1,8 @@
-"""Golden-table gate for the near-field engine.
+"""Golden-table gate for the study engines.
 
-Fresh runs must match the committed tables in ``tests/golden/`` within
+The reference scenarios run at the scales in ``SCENARIOS``; the densely-spaced
+study runs at a reduced scale so that tier-1 stays fast. Fresh runs must match
+the committed tables in ``tests/golden/`` within
 ``|a - b| <= 1e-12 + 1e-9 * max(|a|, |b|)`` on numeric cells (the benchmark's
 correctness rule) and exactly on all other cells. Regenerate the tables with
 
@@ -15,15 +17,24 @@ import numpy as np
 import pytest
 
 from emchan import (ArrayGeometry, MotionState, PatternSet, VisibilityModel, WaveContext,
-                    bundled_cdl_b, channel_impulse_response, cluster_rays, dipole,
-                    load_scenario, narrowband_channel, planar_wave_channel, read_result_csv,
-                    run_study, spatial_correlation, write_results)
+                    bundled_cdl_b, cell_power_fractions, channel_impulse_response,
+                    cluster_rays, dipole, isotropic_mixture, load_scenario,
+                    mixture_from_clusters, narrowband_channel, planar_wave_channel,
+                    read_result_csv, run_study, spatial_correlation, wavenumber_support,
+                    write_results)
 from emchan.emcore import SPEED_OF_LIGHT
 from emchan.results import Column, ResultTable
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
-NEAR_FIELD_SCENARIOS = ("nearfield_6p7ghz.json", "nearfield_15ghz.json")
+# scenario file -> run scale
+SCENARIOS = {
+    "nearfield_6p7ghz.json": 1.0,
+    "nearfield_15ghz.json": 1.0,
+    "densely_spaced.json": 0.05,
+    "tripol.json": 1.0,
+    "emcore_validation.json": 1.0,
+}
 RTOL = 1e-9
 ATOL = 1e-12
 
@@ -64,14 +75,41 @@ def nlos_summary() -> ResultTable:
     return table
 
 
+def wavenumber_fractions() -> ResultTable:
+    """Cell power fractions of the densely-spaced study's supports and spectra,
+    plus a non-square support."""
+    ctx = WaveContext.from_frequency(4.7e9)
+    lam = ctx.wavelength
+    table = bundled_cdl_b()
+    iso = isotropic_mixture()
+    arrival = mixture_from_clusters(table, "arrival", "-x")
+    departure = mixture_from_clusters(table, "departure", "+x")
+    cases = (
+        ("rx-1x1-iso", 1.0, 1.0, iso),
+        ("tx-4x4-iso", 4.0, 4.0, iso),
+        ("rx-1x1-cdl", 1.0, 1.0, arrival),
+        ("tx-4x4-cdl", 4.0, 4.0, departure),
+        ("rx-2.5x1-cdl", 2.5, 1.0, arrival),
+    )
+    out = ResultTable(columns=(Column("case"), Column("l_x"), Column("l_y"),
+                               Column("fraction")))
+    for case, side_x, side_y, mixture in cases:
+        support = wavenumber_support(side_x * lam, side_y * lam, ctx)
+        fractions = cell_power_fractions(support, mixture, ctx, order=16)
+        for (l_x, l_y), fraction in zip(support.indices, fractions):
+            out.append(case, l_x, l_y, float(fraction))
+    return out
+
+
 def fresh_tables() -> dict[str, ResultTable]:
     """Every golden table, keyed by its file name, computed now."""
     tables = {}
-    for name in NEAR_FIELD_SCENARIOS:
+    for name, scale in SCENARIOS.items():
         scn = load_scenario(ROOT / "scenarios" / name)
-        for key, table in run_study(scn).items():
+        for key, table in run_study(scn, scale=scale).items():
             tables[f"{scn.name}_{key}.csv"] = table
     tables["nearfield-nlos_summary.csv"] = nlos_summary()
+    tables["wavenumber-fractions.csv"] = wavenumber_fractions()
     return tables
 
 
@@ -93,6 +131,12 @@ def fresh():
     "nearfield-15ghz_correlation.csv",
     "nearfield-15ghz_phase_profile.csv",
     "nearfield-nlos_summary.csv",
+    "densely-spaced_capacity.csv",
+    "tripol_capacity_cdf.csv",
+    "tripol_summary.csv",
+    "emcore-validation_decomposition.csv",
+    "emcore-validation_regions.csv",
+    "wavenumber-fractions.csv",
 ])
 def test_matches_golden(fresh, tmp_path, filename):
     # write and read back, so the comparison sees exactly what a run writes

@@ -61,6 +61,33 @@ def test_cluster_weights_sum_reported():
     assert any("cluster_weights" in m and "sum to 1" in m for m in exc.value.messages)
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"cluster_table": 5}, "cluster_table"),
+    ({"cluster_weights": 5}, "cluster_weights"),
+    ({"rx_spacing_wavelengths": [0.5, 0.3]}, "rx_spacing_wavelengths"),
+    ({"tx_spacing_wavelengths": 0.3}, "tx_spacing_wavelengths"),
+])
+def test_densely_spaced_type_and_grid_errors_name_the_field(overrides, field):
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict({"study": "densely-spaced", "name": "d", **overrides})
+    assert len(exc.value.messages) == 1
+    assert exc.value.messages[0].startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides", [
+    {"cluster_table": 5}, {"cluster_weights": 5}, {"rx_spacing_wavelengths": [0.3]},
+])
+def test_cli_densely_spaced_field_errors_exit_one(tmp_path, capsys, command, overrides):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"study": "densely-spaced", "name": "d", **overrides}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {next(iter(overrides))}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_all_violations_collected():
     with pytest.raises(ValidationError) as exc:
         scenario_from_dict({

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -12,12 +14,15 @@ from emchan import (
     WaveContext,
     apply_polarization,
     assemble_channel,
+    bundled_cdl_b,
     cell_power_fractions,
     coupling_variances,
     dipole,
     fourier_harmonics,
     hannan_efficiency,
     isotropic_mixture,
+    mixture_from_clusters,
+    patch,
     sample_wavenumber_channel,
     uniform_planar_array,
     unit_gain,
@@ -25,6 +30,7 @@ from emchan import (
     wavenumber_support,
     wavenumber_to_angles,
 )
+from emchan.wavenumber import _hemisphere_mass
 
 CTX = WaveContext.from_frequency(4.7e9)
 LAM = CTX.wavelength
@@ -86,6 +92,100 @@ def test_vmf_mixture_weight_check():
         VmfMixture(clusters=(c,))
     with pytest.raises(DomainError):
         VmfCluster(weight=1.0, mean_theta=0.0, mean_phi=0.0, concentration=-1.0)
+
+
+def cell_measure_oracle(l_x, l_y, length_x, length_y, aps, ctx, order):
+    """Integral of the spectrum over one lattice cell clipped to the disk, one
+    Python step per k_x node: the reference for the array-valued quadrature."""
+    k0 = ctx.wavenumber
+    xg, xw = leggauss(order)
+    kx_lo = max(2.0 * np.pi * (l_x - 0.5) / length_x, -k0)
+    kx_hi = min(2.0 * np.pi * (l_x + 0.5) / length_x, k0)
+    if kx_hi <= kx_lo:
+        return 0.0
+    kx = 0.5 * (kx_hi + kx_lo) + 0.5 * (kx_hi - kx_lo) * xg
+    wx = 0.5 * (kx_hi - kx_lo) * xw
+    total = 0.0
+    for kxi, wxi in zip(kx, wx):
+        b2 = k0**2 - kxi**2
+        if b2 <= 0.0:
+            continue
+        b = np.sqrt(b2)
+        ky_lo = max(2.0 * np.pi * (l_y - 0.5) / length_y, -b)
+        ky_hi = min(2.0 * np.pi * (l_y + 0.5) / length_y, b)
+        if ky_hi <= ky_lo:
+            continue
+        u_lo = np.arcsin(np.clip(ky_lo / b, -1.0, 1.0))
+        u_hi = np.arcsin(np.clip(ky_hi / b, -1.0, 1.0))
+        u = 0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * xg
+        wu = 0.5 * (u_hi - u_lo) * xw
+        ky = b * np.sin(u)
+        kz = b * np.cos(u)
+        theta = np.arccos(np.clip(kz / k0, -1.0, 1.0))
+        phi = np.arctan2(ky, kxi)
+        total += wxi * float(np.sum(wu * aps.pdf(theta, phi))) / k0
+    return total
+
+
+def cell_fractions_oracle(support, aps, ctx, order):
+    """Per-cell fractions from one oracle call per cell, rim slivers merged
+    into the nearest support cells in row-major order."""
+    lengths = (support.length_x, support.length_y)
+    values = {idx: cell_measure_oracle(*idx, *lengths, aps, ctx, order) for idx in support.indices}
+    in_support = set(support.indices)
+    nx = int(np.ceil(support.length_x / support.wavelength)) + 2
+    ny = int(np.ceil(support.length_y / support.wavelength)) + 2
+    for lx in range(-nx, nx + 1):
+        for ly in range(-ny, ny + 1):
+            if (lx, ly) in in_support:
+                continue
+            mass = cell_measure_oracle(lx, ly, *lengths, aps, ctx, order)
+            if mass <= 0.0:
+                continue
+            dists = [
+                (((lx - sx) / lengths[0]) ** 2 + ((ly - sy) / lengths[1]) ** 2, (sx, sy))
+                for sx, sy in support.indices
+            ]
+            dmin = min(dists)[0]
+            nearest = [s for d, s in dists if d <= dmin * (1.0 + 1e-12)]
+            for s in nearest:
+                values[s] += mass / len(nearest)
+    return np.array([values[idx] for idx in support.indices]) / _hemisphere_mass(aps)
+
+
+ORACLE_SPECTRA = {
+    "isotropic": isotropic_mixture(),
+    "cdl-b": mixture_from_clusters(bundled_cdl_b(), "arrival", "-x"),
+    "rim-cluster": VmfMixture(clusters=(VmfCluster(1.0, np.radians(88.0), 0.3, 200.0),)),
+    "two-cluster": VmfMixture(clusters=(VmfCluster(0.7, 0.4, -1.2, 12.0),
+                                        VmfCluster(0.3, 1.3, 2.0, 3.0))),
+}
+ORACLE_SUPPORTS = ((1.0, 1.0), (4.0, 4.0), (0.6, 0.6), (7.3, 7.3), (2.5, 1.0), (4.0, 0.6))
+
+
+@pytest.mark.parametrize("order", [4, 16])
+@pytest.mark.parametrize("spectrum", sorted(ORACLE_SPECTRA))
+def test_cell_fractions_match_per_cell_oracle(spectrum, order):
+    aps = ORACLE_SPECTRA[spectrum]
+    for side_x, side_y in ORACLE_SUPPORTS:
+        sup = wavenumber_support(side_x * LAM, side_y * LAM, CTX)
+        np.testing.assert_allclose(cell_power_fractions(sup, aps, CTX, order),
+                                   cell_fractions_oracle(sup, aps, CTX, order),
+                                   rtol=1e-13, atol=0, err_msg=f"{side_x}x{side_y} wavelengths")
+
+
+def test_cell_fractions_memory_is_linear_in_order():
+    # 300 Gauss nodes per axis on a 4-wavelength support (169 box cells): a
+    # (cells, order, order) array takes 122 MB, a (cells, order) one 0.4 MB
+    sup = wavenumber_support(4 * LAM, 4 * LAM, CTX)
+    tracemalloc.start()
+    try:
+        f = cell_power_fractions(sup, isotropic_mixture(), CTX, order=300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert abs(f.sum() - 1.0) < 1e-3
 
 
 def test_cell_fractions_partition_of_unity():
@@ -200,6 +300,32 @@ def test_harmonics_reference_column_and_entry_oracle():
             want = np.exp(1j * (kx * x + ky * y + gamma * z)) / np.sqrt(n)
             assert abs(psi_t[q, i] - want * complex(ft)) < 1e-14
             assert abs(psi_p[q, i] - want * complex(fp)) < 1e-14
+
+
+def test_per_element_harmonics_entry_oracle_and_count():
+    sup = wavenumber_support(2 * LAM, LAM, CTX)
+    arr = uniform_planar_array(2 * LAM, LAM, LAM / 2, LAM / 2, z=0.1 * LAM)
+    kinds = (dipole("x"), dipole("y"), dipole("z"), patch(70.0), unit_gain())
+    pats = PatternSet.per_element([kinds[q % len(kinds)] for q in range(arr.count)])
+    psi_t, psi_p = fourier_harmonics(arr, sup, pats, CTX)
+    assert psi_t.shape == psi_p.shape == (arr.count, sup.count)
+    k0 = CTX.wavenumber
+    n = arr.count
+    for q in range(n):
+        for i, (lx, ly) in enumerate(sup.indices):
+            kx = 2 * np.pi * lx / (2 * LAM)
+            ky = 2 * np.pi * ly / LAM
+            gamma = np.sqrt(max(k0**2 - kx**2 - ky**2, 0.0))
+            ft, fp = pats.element(q).gains(np.arccos(gamma / k0), np.arctan2(ky, kx))
+            x, y, z = arr.element_positions[q]
+            want = np.exp(1j * (kx * x + ky * y + gamma * z)) / np.sqrt(n)
+            assert abs(psi_t[q, i] - want * complex(ft)) < 1e-14
+            assert abs(psi_p[q, i] - want * complex(fp)) < 1e-14
+
+    for count in (n - 1, n + 1):
+        wrong = PatternSet.per_element([dipole()] * count)
+        with pytest.raises(ShapeError):
+            fourier_harmonics(arr, sup, wrong, CTX)
 
 
 def test_wavenumber_angles_roundtrip_and_domain():
