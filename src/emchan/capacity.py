@@ -15,35 +15,48 @@ class CapacityResult:
 
     ``eigenvalues`` are those of G^H G sorted descending; ``allocation`` is
     aligned with them and sums to the power budget (zero for a zero channel).
+    For a stack of channels every field gains the stack's leading axes.
     """
 
-    capacity: float
+    capacity: float | np.ndarray
     allocation: np.ndarray
     eigenvalues: np.ndarray
 
 
-def _channel_eigenvalues(g: np.ndarray) -> np.ndarray:
+def _channel_eigenvalues(g: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Eigenvalues of G^H G, descending along the last axis; `stacked` admits
+    leading axes, one matrix per index.
+
+    They come from the smaller Gram matrix (G G^H for a wide G), whose
+    nonzero eigenvalues are the same; the rest are zero.
+    """
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 2:
+    if g.ndim < 2 or (g.ndim > 2 and not stacked):
         raise DomainError("channel matrix must be 2-D")
     if not np.all(np.isfinite(g)):
         raise DomainError("channel matrix entries must be finite")
-    k = g.shape[1]
-    sv = np.linalg.svd(g, compute_uv=False)
-    lam = np.zeros(k)
-    lam[: sv.size] = sv**2
-    return np.sort(lam)[::-1]
+    m, k = g.shape[-2:]
+    gh = g.conj().swapaxes(-1, -2)
+    gram = g @ gh if m < k else gh @ g
+    lam = np.zeros(g.shape[:-2] + (k,))
+    lam[..., : min(m, k)] = np.clip(np.linalg.eigvalsh(gram)[..., ::-1], 0.0, None)
+    return lam
 
 
 def capacity_equal_power(g: np.ndarray, power: float, noise_power: float) -> CapacityResult:
-    """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams."""
+    """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams.
+
+    G may carry leading stack axes; the capacity, allocation and eigenvalues
+    then carry them too, and each matrix gives exactly what it gives alone.
+    """
     if noise_power <= 0.0:
         raise DomainError("noise power must be positive")
-    lam = _channel_eigenvalues(g)
-    k = lam.size
+    lam = _channel_eigenvalues(g, stacked=True)
+    k = lam.shape[-1]
     coef = power / (k * noise_power)
-    cap = float(np.sum(np.log2(1.0 + coef * lam)))
-    return CapacityResult(capacity=cap, allocation=np.full(k, power / k), eigenvalues=lam)
+    cap = np.sum(np.log2(1.0 + coef * lam), axis=-1)
+    return CapacityResult(capacity=float(cap) if cap.ndim == 0 else cap,
+                          allocation=np.full(lam.shape, power / k), eigenvalues=lam)
 
 
 def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> CapacityResult:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .cdl import bundled_cdl_b, load_cluster_table
 from .emcore import WaveContext
 from .errors import DomainError, ValidationError
 from .wavenumber import grid_intervals
@@ -29,6 +30,10 @@ _BORESIGHTS = ("+x", "-x", "+y", "-y", "+z", "-z")
 # in wavelengths and normalized distances k0*r, so their results do not depend
 # on it; it only sets the length scale of the geometry they build.
 REFERENCE_FREQUENCY_HZ = 4.7e9
+
+# Gauss-Legendre nodes of order n come from an n x n companion matrix
+# (7.7 MB and 0.3 s at n = 1000), so larger orders are refused.
+MAX_QUADRATURE_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,21 @@ def _counts(scn, names, errors):
             errors.append(f"{n}: count must be >= 1, got {getattr(scn, n)!r}")
 
 
+def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
+    """Clusters in the table the study loads: the bundled CDL-B one or
+    `cluster_table`. None, with the reason in `errors`, if it cannot be read."""
+    if scn.cluster_table is None:
+        return bundled_cdl_b().count
+    if not (isinstance(scn.cluster_table, str) and Path(scn.cluster_table).is_file()):
+        errors.append(f"cluster_table: file not found: {scn.cluster_table!r}")
+        return None
+    try:
+        return load_cluster_table(scn.cluster_table).count
+    except (OSError, ValueError, TypeError, DomainError) as exc:
+        errors.append(f"cluster_table: cannot read {scn.cluster_table!r}: {exc}")
+        return None
+
+
 def validate_scenario(scn) -> list[str]:
     """Every violated invariant as one message; empty list when valid."""
     errors: list[str] = []
@@ -185,6 +205,9 @@ def validate_scenario(scn) -> list[str]:
         _positive(scn, ["tx_side_wavelengths", "rx_side_wavelengths",
                         "tx_spacing_wavelengths"], errors)
         _positive(scn, ["xpr_sigma_db"], errors, strict=False)
+        if scn.quadrature_order > MAX_QUADRATURE_ORDER:
+            errors.append(f"quadrature_order: must be at most {MAX_QUADRATURE_ORDER}, "
+                          f"got {scn.quadrature_order!r}")
         if not scn.rx_spacing_wavelengths:
             errors.append("rx_spacing_wavelengths: need at least one spacing")
         for s in scn.rx_spacing_wavelengths:
@@ -214,9 +237,7 @@ def validate_scenario(scn) -> list[str]:
                 except DomainError as exc:
                     errors.append(f"{side}_spacing_wavelengths: {exc} "
                                   f"(side {length!r}, spacing {s!r})")
-        if scn.cluster_table is not None and not (isinstance(scn.cluster_table, str)
-                                                  and Path(scn.cluster_table).is_file()):
-            errors.append(f"cluster_table: file not found: {scn.cluster_table!r}")
+        clusters = _cluster_count(scn, errors)
         if scn.cluster_weights is not None:
             ws = scn.cluster_weights
             if not isinstance(ws, tuple) or any(not isinstance(w, (int, float)) or w < 0
@@ -226,6 +247,8 @@ def validate_scenario(scn) -> list[str]:
                 total = float(sum(ws))
                 if abs(total - 1.0) > 1e-6:
                     errors.append(f"cluster_weights: weights must sum to 1, got {total!r}")
+                if clusters is not None and len(ws) != clusters:
+                    errors.append(f"cluster_weights: expected {clusters} weights, got {len(ws)}")
     elif isinstance(scn, NearFieldScenario):
         _counts(scn, ["bs_elements", "ue_elements", "profile_elements"], errors)
         _positive(scn, ["frequency_hz", "aperture_m", "ue_spacing_wavelengths",

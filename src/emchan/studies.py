@@ -1,13 +1,16 @@
 """Study runners: wire the channel modules into reproducible batch runs.
 
 Realization i of a study always derives its generator from
-(master seed, study id, i), so results are independent of evaluation order
-and of the worker count.
+(master seed, study id, i), so results are independent of evaluation order,
+of the worker count and of the chunk size.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,20 +27,70 @@ from .scenario import scenario_hash, validate_scenario
 from .seeds import STUDY_IDS, realization_rng
 from .tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
                      simulate_tripol_channel)
-from .wavenumber import (RECEIVER, TRANSMITTER, CouplingVariances, EfficiencyMatrix, VmfCluster,
-                         VmfMixture, apply_polarization, assemble_channel, coupling_variances,
-                         fourier_harmonics, isotropic_mixture, sample_wavenumber_channel,
-                         uniform_planar_array, wavenumber_support)
+from .wavenumber import (RECEIVER, TRANSMITTER, EfficiencyMatrix, PolarizedWavenumberChannel,
+                         VmfCluster, VmfMixture, apply_polarization, assemble_channel,
+                         coupling_variances, fourier_harmonics, isotropic_mixture,
+                         sample_wavenumber_channel, uniform_planar_array, wavenumber_support)
 
 VERSION = "1.0.0"
 
 
-def _map_indices(func, count: int, jobs: int) -> list:
+# Realizations (or trials) per chunk. Each chunk of the densely-spaced study
+# makes one stacked assemble_channel and capacity_equal_power call per
+# (scheme, rx spacing); larger chunks run no faster and hold more memory.
+# Results do not depend on it.
+_CHUNK = 8
+
+# BLAS thread setters, tried in turn on every loaded lib*blas* library
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _pin_blas_threads() -> None:
+    """Limit every loaded BLAS library to one thread (worker initializer).
+
+    Workers run side by side, so BLAS threads of their own would only
+    oversubscribe the cores. Libraries are found in /proc/self/maps; where
+    that or a known setter symbol is missing, nothing changes. In a forked
+    worker, OpenBLAS's setter first restarts the thread pool that the fork
+    stopped, and its idle threads spin beside the other workers' work for a
+    while, so the pool is stopped again once the count is 1.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return
+    for path in sorted(paths):
+        if not (path.startswith("/") and re.match(r"lib.*blas", os.path.basename(path).lower())):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setters = [getattr(lib, symbol) for symbol in _BLAS_THREAD_SETTERS
+                   if hasattr(lib, symbol)]
+        for setter in setters:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+        if setters and hasattr(lib, "blas_thread_shutdown_"):
+            lib.blas_thread_shutdown_.argtypes = []
+            lib.blas_thread_shutdown_.restype = ctypes.c_int
+            lib.blas_thread_shutdown_()
+
+
+def _map_chunks(func, count: int, jobs: int) -> np.ndarray:
+    """Rows of func(start, stop) for consecutive chunks of range(count), in order."""
+    starts = range(0, count, _CHUNK)
+    stops = [min(start + _CHUNK, count) for start in starts]
     if jobs <= 1:
-        return [func(i) for i in range(count)]
-    chunk = max(1, count // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, range(count), chunksize=chunk))
+        parts = list(map(func, starts, stops))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
+            parts = list(pool.map(func, starts, stops,
+                                  chunksize=max(1, len(stops) // (jobs * 4))))
+    return np.concatenate(parts)
 
 
 def _metadata(scn, seed: int, scale: float) -> dict:
@@ -56,19 +109,15 @@ def _metadata(scn, seed: int, scale: float) -> dict:
 
 
 @dataclass(frozen=True)
-class _SchemeSpec:
+class _Scheme:
     name: str
-    variances: CouplingVariances
-    amplitude: float
-    psi_s: tuple
-    rx_harmonics: tuple  # ((spacing_wl, psi_t, psi_p), ...)
+    variance_set: int  # index into the variance sets of the shared draw
+    amplitude: float  # per-element amplitude efficiency, both sides
+    psi_s: tuple  # (Psi_S^theta, Psi_S^phi)
+    rx: tuple  # ((spacing_wl, R^theta, R^phi), ...), R from _rx_factor
 
 
 def _reweighted(mixture: VmfMixture, weights) -> VmfMixture:
-    if len(weights) != len(mixture.clusters):
-        raise ValidationError(
-            [f"cluster_weights: expected {len(mixture.clusters)} weights, got {len(weights)}"]
-        )
     clusters = tuple(
         VmfCluster(weight=float(w), mean_theta=c.mean_theta, mean_phi=c.mean_phi,
                    concentration=c.concentration)
@@ -77,24 +126,48 @@ def _reweighted(mixture: VmfMixture, weights) -> VmfMixture:
     return VmfMixture(clusters=clusters)
 
 
-def _densely_spaced_realization(i: int, payload) -> list:
-    seed, study_id, mu, sigma, snr_db, n_tx, specs = payload
-    coef_power = float(n_tx) * 10.0 ** (snr_db / 10.0)
-    out = []
-    for spec in specs:
+def _rx_factor(psi_t: np.ndarray, psi_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of the thin QR [Psi_R^theta Psi_R^phi] = Q R, split as the harmonics are.
+
+    Q has orthonormal columns, so with a uniform Gamma_R the channel built on
+    R in place of the harmonics has the singular values of the full channel,
+    on min(n_r, 2 R) rows instead of n_r.
+    """
+    r = np.linalg.qr(np.hstack([psi_t, psi_p]), mode="r")
+    return r[:, : psi_t.shape[1]], r[:, psi_t.shape[1]:]
+
+
+def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
+    """Capacities of realizations [start, stop), one column per (scheme, rx spacing)."""
+    seed, study_id, mu, sigma, coef_power, variances, schemes = payload
+    # one draw per realization (noise, phases, XPR), shared by every scheme
+    draws = []
+    for i in range(start, stop):
         rng = realization_rng(seed, study_id, i)
-        h_a = sample_wavenumber_channel(spec.variances, rng)
-        pol = apply_polarization(h_a, mu, sigma, rng)
-        gamma_s = EfficiencyMatrix.uniform(spec.amplitude, n_tx)
-        for _, psi_t, psi_p in spec.rx_harmonics:
-            gamma_r = EfficiencyMatrix.uniform(spec.amplitude, psi_t.shape[0])
-            h = assemble_channel(gamma_r, psi_t, psi_p, pol, spec.psi_s[0], spec.psi_s[1], gamma_s)
-            out.append(capacity_equal_power(h, coef_power, 1.0).capacity)
+        draws.append(apply_polarization(sample_wavenumber_channel(variances, rng), mu, sigma, rng))
+    stacked = [
+        PolarizedWavenumberChannel(
+            **{b: np.stack([getattr(d, b)[v] for d in draws])
+               for b in ("h_tt", "h_tp", "h_pt", "h_pp")},
+            mu_xpr_db=mu, sigma_xpr_db=sigma)
+        for v in range(len(variances))
+    ]
+    out = np.empty((stop - start, sum(len(s.rx) for s in schemes)))
+    col = 0
+    for s in schemes:
+        gamma_s = EfficiencyMatrix.uniform(s.amplitude, s.psi_s[0].shape[0])
+        for _, r_t, r_p in s.rx:
+            gamma_r = EfficiencyMatrix.uniform(s.amplitude, r_t.shape[0])
+            g = assemble_channel(gamma_r, r_t, r_p, stacked[s.variance_set], *s.psi_s, gamma_s)
+            out[:, col] = capacity_equal_power(g, coef_power, 1.0).capacity
+            col += 1
     return out
 
 
-def _run_densely_spaced(scn: sc.DenselySpacedScenario, seed: int, scale: float,
-                        jobs: int) -> dict[str, ResultTable]:
+def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: int,
+                               jobs: int) -> tuple[list, np.ndarray]:
+    """(scheme, rx spacing) labels and the capacities of realizations
+    0..count-1, one row per realization and one column per label."""
     ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
     lam = ctx.wavelength
     l_s = scn.tx_side_wavelengths * lam
@@ -110,60 +183,53 @@ def _run_densely_spaced(scn: sc.DenselySpacedScenario, seed: int, scale: float,
         mix_arr = _reweighted(mix_arr, scn.cluster_weights)
     iso = isotropic_mixture()
     order = scn.quadrature_order
-    var_iso = coupling_variances(sup_r, sup_s, iso, iso, ctx, order)
-    var_cdl = coupling_variances(sup_r, sup_s, mix_arr, mix_dep, ctx, order)
+    variances = (coupling_variances(sup_r, sup_s, iso, iso, ctx, order),
+                 coupling_variances(sup_r, sup_s, mix_arr, mix_dep, ctx, order))
 
     patterns = {"unit": PatternSet.uniform(unit_gain()), "dipole": PatternSet.uniform(dipole())}
     tx_array = uniform_planar_array(l_s, l_s, scn.tx_spacing_wavelengths * lam,
                                     scn.tx_spacing_wavelengths * lam)
     psi_s = {p: fourier_harmonics(tx_array, sup_s, patterns[p], ctx) for p in patterns}
-    rx_harm = {}
+    r_r = {}
     for spacing in scn.rx_spacing_wavelengths:
         arr = uniform_planar_array(l_r, l_r, spacing * lam, spacing * lam)
         for p in patterns:
-            rx_harm[(spacing, p)] = fourier_harmonics(arr, sup_r, patterns[p], ctx)
+            r_r[(spacing, p)] = _rx_factor(*fourier_harmonics(arr, sup_r, patterns[p], ctx))
 
+    # scheme: (variance set, element pattern, element efficiency)
     scheme_defs = {
-        "ideal": (var_iso, "unit", 1.0),
-        "ni": (var_cdl, "unit", 1.0),
-        "ni-pd": (var_cdl, "dipole", 1.0),
-        "proposed": (var_cdl, "dipole", scn.element_efficiency),
+        "ideal": (0, "unit", 1.0),
+        "ni": (1, "unit", 1.0),
+        "ni-pd": (1, "dipole", 1.0),
+        "proposed": (1, "dipole", scn.element_efficiency),
     }
-    specs = tuple(
-        _SchemeSpec(
-            name=name,
-            variances=scheme_defs[name][0],
-            amplitude=float(np.sqrt(scheme_defs[name][2])),
-            psi_s=psi_s[scheme_defs[name][1]],
-            rx_harmonics=tuple(
-                (spacing,) + rx_harm[(spacing, scheme_defs[name][1])]
-                for spacing in scn.rx_spacing_wavelengths
-            ),
-        )
-        for name in scn.schemes
-    )
-
-    n_real = max(1, int(round(scn.realizations * scale)))
-    n_tx = tx_array.count
+    schemes = []
+    for name in scn.schemes:
+        var, pat, eff = scheme_defs[name]
+        schemes.append(_Scheme(name=name, variance_set=var, amplitude=float(np.sqrt(eff)),
+                               psi_s=psi_s[pat],
+                               rx=tuple((spacing,) + r_r[(spacing, pat)]
+                                        for spacing in scn.rx_spacing_wavelengths)))
+    coef_power = float(tx_array.count) * 10.0 ** (scn.snr_db / 10.0)
     payload = (seed, STUDY_IDS[sc.DENSELY_SPACED], scn.xpr_mu_db, scn.xpr_sigma_db,
-               scn.snr_db, n_tx, specs)
-    rows = _map_indices(functools.partial(_densely_spaced_realization, payload=payload),
-                        n_real, jobs)
-    caps = np.array(rows)  # (n_real, n_schemes * n_spacings)
+               coef_power, variances, schemes)
+    caps = _map_chunks(functools.partial(_densely_spaced_chunk, payload=payload), count, jobs)
+    return [(s.name, spacing) for s in schemes for spacing, _, _ in s.rx], caps
 
+
+def _run_densely_spaced(scn: sc.DenselySpacedScenario, seed: int, scale: float,
+                        jobs: int) -> dict[str, ResultTable]:
+    n_real = max(1, int(round(scn.realizations * scale)))
+    labels, caps = _densely_spaced_capacities(scn, seed, n_real, jobs)
     out = ResultTable(
         columns=(Column("scheme"), Column("rx_spacing", "wavelengths"),
                  Column("mean_capacity", "bit/s/Hz"), Column("std_capacity", "bit/s/Hz"),
                  Column("realizations", "count")),
         metadata=_metadata(scn, seed, scale),
     )
-    col = 0
-    for spec in specs:
-        for spacing, _, _ in spec.rx_harmonics:
-            series = caps[:, col]
-            out.append(spec.name, float(spacing), float(series.mean()),
-                       float(series.std(ddof=1)) if n_real > 1 else 0.0, n_real)
-            col += 1
+    for (name, spacing), series in zip(labels, caps.T):
+        out.append(name, float(spacing), float(series.mean()),
+                   float(series.std(ddof=1)) if n_real > 1 else 0.0, n_real)
     return {"capacity": out}
 
 
@@ -258,17 +324,18 @@ def _tri_pol_trial(i: int, payload) -> tuple:
     return caps[0], caps[1], err_joint**2, err_bench**2
 
 
+def _tri_pol_chunk(start: int, stop: int, payload) -> np.ndarray:
+    return np.array([_tri_pol_trial(i, payload) for i in range(start, stop)])
+
+
 def _run_tri_pol(scn: sc.TriPolScenario, seed: int, scale: float,
                  jobs: int) -> dict[str, ResultTable]:
     trials = scn.trials(scale)
     half = scn.bs_ports // 2
     payload = (seed, STUDY_IDS[sc.TRI_POL], scn.rx_split(),
                (half, scn.bs_ports - half, 0), scn.z_gain_db, scn.xpr_db, scn.pilot_snr_db)
-    rows = _map_indices(functools.partial(_tri_pol_trial, payload=payload), trials, jobs)
-    c_joint = np.array([r[0] for r in rows])
-    c_bench = np.array([r[1] for r in rows])
-    mse_joint = np.array([r[2] for r in rows])
-    mse_bench = np.array([r[3] for r in rows])
+    rows = _map_chunks(functools.partial(_tri_pol_chunk, payload=payload), trials, jobs)
+    c_joint, c_bench, mse_joint, mse_bench = np.ascontiguousarray(rows.T)
 
     cdf = ResultTable(
         columns=(Column("percentile", "%"), Column("joint_capacity", "bit/s/Hz"),

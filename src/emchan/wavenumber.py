@@ -256,12 +256,22 @@ def coupling_variances(support_r: WavenumberSupport, support_s: WavenumberSuppor
 # coefficient sampling and polarization
 
 
-def sample_wavenumber_channel(variances: CouplingVariances, rng_seed) -> np.ndarray:
-    """Draw H_a entrywise from CN(mean, variance)."""
+def sample_wavenumber_channel(variances, rng_seed) -> np.ndarray:
+    """Draw H_a entrywise from CN(mean, variance).
+
+    ``variances`` may also be a sequence of CouplingVariances of one shape.
+    One standard complex-normal draw is then scaled by each set in turn and
+    the results are stacked on a leading axis, so set j of the stack equals a
+    single-set call on the same generator.
+    """
     rng = np.random.default_rng(rng_seed)
-    shape = variances.variances.shape
+    sets = (variances,) if isinstance(variances, CouplingVariances) else tuple(variances)
+    shape = sets[0].variances.shape
+    if any(v.variances.shape != shape for v in sets):
+        raise ShapeError("variance sets sharing one draw must share one shape")
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return variances.means + np.sqrt(variances.variances / 2.0) * noise
+    h_a = np.stack([v.means + np.sqrt(v.variances / 2.0) * noise for v in sets])
+    return h_a[0] if isinstance(variances, CouplingVariances) else h_a
 
 
 @dataclass(frozen=True)
@@ -291,14 +301,16 @@ def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
 
     Co-pol blocks are phase rotations of H_a; cross-pol blocks additionally
     carry kappa^{-1/2} with kappa = 10^(X/10), X normal in dB. One kappa is
-    drawn per entry and shared by both cross blocks.
+    drawn per entry and shared by both cross blocks. Phases and kappas are
+    drawn over the last two axes of H_a and shared by any leading axes, which
+    therefore hold one realization (e.g. under several variance sets).
     """
     h_a = np.asarray(h_a, dtype=complex)
     if not np.all(np.isfinite(h_a)):
         raise DomainError("wavenumber coefficients must be finite")
     rng = np.random.default_rng(rng_seed)
-    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4,) + h_a.shape))
-    xpr_db = rng.normal(mu_xpr_db, sigma_xpr_db, size=h_a.shape)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4,) + h_a.shape[-2:]))
+    xpr_db = rng.normal(mu_xpr_db, sigma_xpr_db, size=h_a.shape[-2:])
     inv_sqrt_kappa = 10.0 ** (-xpr_db / 20.0)
     return PolarizedWavenumberChannel(
         h_tt=h_a * phases[0],
@@ -418,11 +430,15 @@ class EfficiencyMatrix:
 def assemble_channel(gamma_r: EfficiencyMatrix, psi_r_theta: np.ndarray, psi_r_phi: np.ndarray,
                      h_pol: PolarizedWavenumberChannel, psi_s_theta: np.ndarray,
                      psi_s_phi: np.ndarray, gamma_s: EfficiencyMatrix) -> np.ndarray:
-    """H = Gamma_R [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H Gamma_S."""
+    """H = Gamma_R [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H Gamma_S.
+
+    The blocks of ``h_pol`` may carry leading stack axes; H then carries them
+    too, one channel per index.
+    """
     psi_r = np.hstack([psi_r_theta, psi_r_phi])
     psi_s = np.hstack([psi_s_theta, psi_s_phi])
     blocks = h_pol.block_matrix()
-    if psi_r.shape[1] != blocks.shape[0] or psi_s.shape[1] != blocks.shape[1]:
+    if psi_r.shape[1] != blocks.shape[-2] or psi_s.shape[1] != blocks.shape[-1]:
         raise ShapeError("harmonic and polarization block shapes do not conform")
     if gamma_r.count != psi_r.shape[0] or gamma_s.count != psi_s.shape[0]:
         raise ShapeError("efficiency diagonals must match element counts")

@@ -156,3 +156,42 @@ def test_rayleigh_high_snr_slope():
         means.append(np.mean(caps))
     slopes = np.diff(means)
     assert np.all(np.abs(slopes - 2.0) < 0.2)
+
+
+def test_stacked_equal_power_matches_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for shape in ((6, 3, 7), (6, 7, 3), (2, 3, 4, 4), (1, 10, 81)):
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stacked = capacity_equal_power(g, 4.0, 0.5)
+        flat = g.reshape((-1,) + shape[-2:])
+        singles = [capacity_equal_power(h, 4.0, 0.5) for h in flat]
+        assert stacked.capacity.shape == shape[:-2]
+        assert np.array_equal(stacked.capacity.ravel(), [r.capacity for r in singles])
+        assert np.array_equal(stacked.eigenvalues.reshape(len(flat), -1),
+                              [r.eigenvalues for r in singles])
+        assert np.array_equal(stacked.allocation.reshape(len(flat), -1),
+                              [r.allocation for r in singles])
+        assert isinstance(singles[0].capacity, float)
+    bad = np.ones((3, 2, 2), dtype=complex)
+    bad[1, 0, 1] = np.nan
+    with pytest.raises(DomainError):
+        capacity_equal_power(bad, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        capacity_equal_power(np.ones(3), 1.0, 1.0)
+
+
+def test_equal_power_eigenvalues_match_svd_on_wide_tall_and_rank_deficient_channels():
+    rng = np.random.default_rng(32)
+    low_rank = (rng.normal(size=(9, 2)) @ rng.normal(size=(2, 81))).astype(complex)
+    for g in (rng.normal(size=(10, 81)) + 1j * rng.normal(size=(10, 81)),
+              rng.normal(size=(81, 10)) + 1j * rng.normal(size=(81, 10)),
+              low_rank):
+        res = capacity_equal_power(g, 81.0, 1.0)
+        sv2 = np.linalg.svd(g, compute_uv=False) ** 2
+        want = np.zeros(g.shape[1])
+        want[: sv2.size] = sv2
+        assert res.eigenvalues.shape == (g.shape[1],)
+        assert np.all(np.diff(res.eigenvalues) <= 0.0) and res.eigenvalues.min() >= 0.0
+        assert np.allclose(res.eigenvalues, want, rtol=0, atol=1e-12 * want[0])
+        assert res.capacity == pytest.approx(np.sum(np.log2(1.0 + 81.0 / g.shape[1] * want)),
+                                            rel=1e-13)

@@ -1,0 +1,148 @@
+"""The batched Monte Carlo engine of the densely-spaced study against the
+per-realization computation it replaced, and its independence of chunking,
+worker count and worker BLAS threads."""
+
+import ctypes
+import os
+import re
+
+import numpy as np
+import pytest
+
+from emchan import DenselySpacedScenario, TriPolScenario, load_scenario, studies, write_results
+from emchan import scenario as sc
+from emchan.cdl import bundled_cdl_b, mixture_from_clusters
+from emchan.emcore import WaveContext
+from emchan.patterns import PatternSet, dipole, unit_gain
+from emchan.seeds import STUDY_IDS, realization_rng
+from emchan.wavenumber import (RECEIVER, TRANSMITTER, EfficiencyMatrix, apply_polarization,
+                               assemble_channel, coupling_variances, fourier_harmonics,
+                               isotropic_mixture, sample_wavenumber_channel,
+                               uniform_planar_array, wavenumber_support)
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def densely_spaced_oracle(scn, seed: int, count: int) -> np.ndarray:
+    """Capacities of realizations 0..count-1, one realization at a time: a
+    fresh draw per scheme, the full receive harmonics, one SVD per channel."""
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
+    lam = ctx.wavelength
+    l_s = scn.tx_side_wavelengths * lam
+    l_r = scn.rx_side_wavelengths * lam
+    sup_s = wavenumber_support(l_s, l_s, ctx, side=TRANSMITTER)
+    sup_r = wavenumber_support(l_r, l_r, ctx, side=RECEIVER)
+    table = bundled_cdl_b()
+    mix_dep = mixture_from_clusters(table, "departure", scn.tx_boresight)
+    mix_arr = mixture_from_clusters(table, "arrival", scn.rx_boresight)
+    iso = isotropic_mixture()
+    var_iso = coupling_variances(sup_r, sup_s, iso, iso, ctx, scn.quadrature_order)
+    var_cdl = coupling_variances(sup_r, sup_s, mix_arr, mix_dep, ctx, scn.quadrature_order)
+    patterns = {"unit": PatternSet.uniform(unit_gain()), "dipole": PatternSet.uniform(dipole())}
+    tx_array = uniform_planar_array(l_s, l_s, scn.tx_spacing_wavelengths * lam,
+                                    scn.tx_spacing_wavelengths * lam)
+    psi_s = {p: fourier_harmonics(tx_array, sup_s, patterns[p], ctx) for p in patterns}
+    psi_r = {}
+    for spacing in scn.rx_spacing_wavelengths:
+        arr = uniform_planar_array(l_r, l_r, spacing * lam, spacing * lam)
+        for p in patterns:
+            psi_r[(spacing, p)] = fourier_harmonics(arr, sup_r, patterns[p], ctx)
+    scheme_defs = {
+        "ideal": (var_iso, "unit", 1.0),
+        "ni": (var_cdl, "unit", 1.0),
+        "ni-pd": (var_cdl, "dipole", 1.0),
+        "proposed": (var_cdl, "dipole", scn.element_efficiency),
+    }
+    n_tx = tx_array.count
+    coef = 10.0 ** (scn.snr_db / 10.0)  # P / (K sigma^2) with P = K * SNR
+    rows = []
+    for i in range(count):
+        row = []
+        for name in scn.schemes:
+            variances, pattern, efficiency = scheme_defs[name]
+            amplitude = float(np.sqrt(efficiency))
+            rng = realization_rng(seed, STUDY_IDS[sc.DENSELY_SPACED], i)
+            h_a = sample_wavenumber_channel(variances, rng)
+            pol = apply_polarization(h_a, scn.xpr_mu_db, scn.xpr_sigma_db, rng)
+            gamma_s = EfficiencyMatrix.uniform(amplitude, n_tx)
+            for spacing in scn.rx_spacing_wavelengths:
+                psi_t, psi_p = psi_r[(spacing, pattern)]
+                gamma_r = EfficiencyMatrix.uniform(amplitude, psi_t.shape[0])
+                h = assemble_channel(gamma_r, psi_t, psi_p, pol, *psi_s[pattern], gamma_s)
+                sv = np.linalg.svd(h, compute_uv=False)
+                row.append(float(np.sum(np.log2(1.0 + coef * sv**2))))
+        rows.append(row)
+    return np.array(rows)
+
+
+def test_engine_matches_per_realization_oracle():
+    scn = load_scenario(os.path.join(SCENARIOS, "densely_spaced.json"))
+    count = studies._CHUNK + 3  # one full chunk and one partial chunk
+    labels, caps = studies._densely_spaced_capacities(scn, 5, count, jobs=1)
+    assert labels == [(name, spacing) for name in scn.schemes
+                      for spacing in scn.rx_spacing_wavelengths]
+    assert len(labels) == 12
+    want = densely_spaced_oracle(scn, 5, count)
+    assert caps.shape == want.shape == (count, 12)
+    assert np.allclose(caps, want, rtol=1e-12, atol=0.0)
+
+
+def _tables(tmp_path, tag, scenarios, jobs) -> dict:
+    out = {}
+    for scn in scenarios:
+        for key, table in studies.run_study(scn, jobs=jobs).items():
+            path = write_results(table, tmp_path / f"{tag}_{scn.name}_{key}.csv")
+            out[(scn.name, key)] = path.read_bytes()
+    return out
+
+
+def test_tables_identical_for_any_chunk_size_and_job_count(tmp_path, monkeypatch):
+    scenarios = (
+        DenselySpacedScenario(name="ds", tx_side_wavelengths=2.0, realizations=17,
+                              quadrature_order=6),
+        TriPolScenario(name="tp", cells=1, ues_per_cell=17, bs_ports=16),
+    )
+    reference = _tables(tmp_path, "ref", scenarios, jobs=1)
+    for chunk in (1, 8, 7):
+        monkeypatch.setattr(studies, "_CHUNK", chunk)
+        for jobs in (1, 2):
+            assert _tables(tmp_path, f"c{chunk}j{jobs}", scenarios, jobs) == reference, (chunk, jobs)
+
+
+_BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+
+
+def blas_thread_counts() -> list[int]:
+    """Thread count of every loaded lib*blas* library that exports a getter."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh}
+    counts = []
+    for path in sorted(paths):
+        if path.startswith("/") and re.match(r"lib.*blas", os.path.basename(path).lower()):
+            lib = ctypes.CDLL(path)
+            for symbol in _BLAS_THREAD_GETTERS:
+                getter = getattr(lib, symbol, None)
+                if getter is not None:
+                    getter.argtypes = []
+                    getter.restype = ctypes.c_int
+                    counts.append(int(getter()))
+    return counts
+
+
+def _worker_thread_rows(start: int, stop: int) -> np.ndarray:
+    counts = blas_thread_counts()
+    return np.array([[len(counts), max(counts, default=0)]] * (stop - start))
+
+
+def test_workers_run_blas_on_one_thread():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("loaded libraries are listed in /proc/self/maps only")
+    parent = blas_thread_counts()
+    if not parent:
+        pytest.skip("no loaded BLAS library exports a thread-count getter")
+    rows = studies._map_chunks(_worker_thread_rows, 4 * studies._CHUNK, jobs=2)
+    assert rows.shape == (4 * studies._CHUNK, 2)
+    assert np.all(rows[:, 0] == len(parent))
+    assert np.all(rows[:, 1] == 1)
+    assert blas_thread_counts() == parent  # the parent process keeps its threads

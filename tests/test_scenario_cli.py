@@ -66,6 +66,8 @@ def test_cluster_weights_sum_reported():
     ({"cluster_weights": 5}, "cluster_weights"),
     ({"rx_spacing_wavelengths": [0.5, 0.3]}, "rx_spacing_wavelengths"),
     ({"tx_spacing_wavelengths": 0.3}, "tx_spacing_wavelengths"),
+    ({"cluster_weights": [1.0]}, "cluster_weights"),
+    ({"quadrature_order": 1001}, "quadrature_order"),
 ])
 def test_densely_spaced_type_and_grid_errors_name_the_field(overrides, field):
     with pytest.raises(ValidationError) as exc:
@@ -77,6 +79,7 @@ def test_densely_spaced_type_and_grid_errors_name_the_field(overrides, field):
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("overrides", [
     {"cluster_table": 5}, {"cluster_weights": 5}, {"rx_spacing_wavelengths": [0.3]},
+    {"cluster_weights": [1.0]}, {"quadrature_order": 30000},
 ])
 def test_cli_densely_spaced_field_errors_exit_one(tmp_path, capsys, command, overrides):
     path = tmp_path / "d.json"
@@ -86,6 +89,34 @@ def test_cli_densely_spaced_field_errors_exit_one(tmp_path, capsys, command, ove
     err = capsys.readouterr().err
     assert err.startswith(f"invalid: {next(iter(overrides))}: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_cluster_weights_counted_against_the_table_the_run_loads(tmp_path):
+    n = bundled_cdl_b().count
+    weights = [1.0] + [0.0] * (n - 1)
+    assert scenario_from_dict({"study": "densely-spaced", "name": "d",
+                               "cluster_weights": weights}).cluster_weights == tuple(weights)
+    one = tmp_path / "one.csv"
+    one.write_text("cluster,delay_norm,power_db,aod_deg,aoa_deg,zod_deg,zoa_deg\n"
+                   "1,0.0,0.0,20.0,160.0,80.0,100.0\n")
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict({"study": "densely-spaced", "name": "d", "cluster_table": str(one),
+                            "cluster_weights": weights})
+    assert exc.value.messages == [f"cluster_weights: expected 1 weights, got {n}"]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("cluster,power_db\n1,0.0\n")
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict({"study": "densely-spaced", "name": "d", "cluster_table": str(bad)})
+    assert len(exc.value.messages) == 1
+    assert exc.value.messages[0].startswith("cluster_table: cannot read ")
+
+
+def test_quadrature_order_bound():
+    base = {"study": "densely-spaced", "name": "d"}
+    assert scenario_from_dict({**base, "quadrature_order": 1000}).quadrature_order == 1000
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict({**base, "quadrature_order": 1001})
+    assert exc.value.messages == ["quadrature_order: must be at most 1000, got 1001"]
 
 
 def test_all_violations_collected():

@@ -423,3 +423,44 @@ def test_efficiency_matrix_domain():
         pol = apply_polarization(rng.normal(size=(5, 5)) + 0j, 8.0, 3.0, rng)
         assemble_channel(EfficiencyMatrix.uniform(1.0, 3), pt, pp, pol, pt, pp,
                          EfficiencyMatrix.uniform(1.0, 9))
+
+
+def test_shared_draw_equals_one_draw_per_variance_set_bit_for_bit():
+    sup_r = wavenumber_support(LAM, LAM, CTX)
+    sup_s = wavenumber_support(2 * LAM, 2 * LAM, CTX)
+    iso = isotropic_mixture()
+    cdl = mixture_from_clusters(bundled_cdl_b(), "arrival", "-x")
+    sets = (coupling_variances(sup_r, sup_s, iso, iso, CTX, 6),
+            coupling_variances(sup_r, sup_s, cdl, iso, CTX, 6))
+    rng = np.random.default_rng(np.random.SeedSequence([3, 1, 7]))
+    shared = apply_polarization(sample_wavenumber_channel(sets, rng), 8.0, 3.0, rng)
+    assert shared.h_tt.shape == (2, sup_r.count, sup_s.count)
+    for j, var in enumerate(sets):
+        rng = np.random.default_rng(np.random.SeedSequence([3, 1, 7]))
+        alone = apply_polarization(sample_wavenumber_channel(var, rng), 8.0, 3.0, rng)
+        for block in ("h_tt", "h_tp", "h_pt", "h_pp"):
+            assert np.array_equal(getattr(shared, block)[j], getattr(alone, block))
+    other = coupling_variances(sup_s, sup_r, iso, iso, CTX, 6)
+    with pytest.raises(ShapeError):
+        sample_wavenumber_channel((sets[0], other), rng)
+
+
+def test_stacked_assemble_channel_matches_per_draw_calls():
+    rng = np.random.default_rng(14)
+    sup = wavenumber_support(LAM, LAM, CTX)
+    arr_r = uniform_planar_array(LAM, LAM, LAM / 4, LAM / 4)
+    arr_s = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
+    pats = PatternSet.uniform(dipole())
+    pr_t, pr_p = fourier_harmonics(arr_r, sup, pats, CTX)
+    ps_t, ps_p = fourier_harmonics(arr_s, sup, pats, CTX)
+    g_r = EfficiencyMatrix.uniform(0.9, arr_r.count)
+    g_s = EfficiencyMatrix.uniform(0.9, arr_s.count)
+    draws = [apply_polarization(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+                                8.0, 3.0, rng) for _ in range(3)]
+    stacked = type(draws[0])(
+        **{b: np.stack([getattr(d, b) for d in draws]) for b in ("h_tt", "h_tp", "h_pt", "h_pp")},
+        mu_xpr_db=8.0, sigma_xpr_db=3.0)
+    h = assemble_channel(g_r, pr_t, pr_p, stacked, ps_t, ps_p, g_s)
+    assert h.shape == (3, arr_r.count, arr_s.count)
+    for d, h_d in zip(draws, h):
+        assert np.array_equal(h_d, assemble_channel(g_r, pr_t, pr_p, d, ps_t, ps_p, g_s))
