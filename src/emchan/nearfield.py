@@ -435,7 +435,12 @@ def narrowband_channel(taps: list[Tap]) -> np.ndarray:
     """Sum of all tap coefficient matrices (zero-bandwidth collapse)."""
     if not taps:
         raise DomainError("need at least one tap")
-    return np.sum([tap.coefficients for tap in taps], axis=0)
+    # in place and in tap order, with no (taps, n_rx, n_tx) stack; np.sum over
+    # such a stack adds in the same order, except for 1 x 1 channels
+    h = np.array(taps[0].coefficients, dtype=complex)
+    for tap in taps[1:]:
+        h += tap.coefficients
+    return h
 
 
 def spatial_correlation(h_planar, h_spherical) -> float:

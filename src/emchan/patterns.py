@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError, ShapeError
 
@@ -94,25 +93,32 @@ class TablePattern(Pattern):
             raise DomainError("pattern grid must cover the front hemisphere 0..90 deg")
         if not (np.all(np.diff(theta_deg) > 0) and np.all(np.diff(phi_deg) > 0)):
             raise DomainError("pattern grid axes must be strictly increasing")
-        interp_t = RegularGridInterpolator((theta_deg, phi_deg), ft, method="linear")
-        interp_p = RegularGridInterpolator((theta_deg, phi_deg), fp, method="linear")
-        lo = np.array([theta_deg[0], phi_deg[0]])
-        hi = np.array([theta_deg[-1], phi_deg[-1]])
 
-        def query(interp, th, ph):
+        def query(table, th, ph):
             th_d = np.degrees(th)
             ph_d = np.degrees(np.mod(ph, 2.0 * np.pi))
             # wrap azimuth into the tabulated range, then clamp to the hull
-            ph_d = np.where(ph_d > hi[1], ph_d - 360.0, ph_d)
-            th_b, ph_b = np.broadcast_arrays(th_d, ph_d)
-            pts = np.stack([np.clip(th_b, lo[0], hi[0]), np.clip(ph_b, lo[1], hi[1])], -1)
-            return interp(pts.reshape(-1, 2)).reshape(th_b.shape)
+            ph_d = np.where(ph_d > phi_deg[-1], ph_d - 360.0, ph_d)
+            i0, i1, u = _bracket(theta_deg, np.clip(th_d, theta_deg[0], theta_deg[-1]))
+            j0, j1, v = _bracket(phi_deg, np.clip(ph_d, phi_deg[0], phi_deg[-1]))
+            return ((1.0 - u) * ((1.0 - v) * table[i0, j0] + v * table[i0, j1])
+                    + u * ((1.0 - v) * table[i1, j0] + v * table[i1, j1]))
 
         super().__init__(
             name,
-            lambda th, ph: query(interp_t, th, ph),
-            lambda th, ph: query(interp_p, th, ph),
+            lambda th, ph: query(ft, th, ph),
+            lambda th, ph: query(fp, th, ph),
         )
+
+
+def _bracket(axis: np.ndarray, x):
+    """Grid nodes lo <= x <= hi around each x of the hull, and x's weight on hi.
+
+    A single-node axis brackets every x by that node with weight 0.
+    """
+    lo = np.clip(np.searchsorted(axis, x) - 1, 0, max(axis.size - 2, 0))
+    hi = np.minimum(lo + 1, axis.size - 1)
+    return lo, hi, (x - axis[lo]) / np.where(hi > lo, axis[hi] - axis[lo], 1.0)
 
 
 def load_pattern_table(path, name=None) -> TablePattern:

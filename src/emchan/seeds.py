@@ -7,7 +7,7 @@ independent of evaluation order and of how work is split across processes.
 
 from __future__ import annotations
 
-import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 STUDY_IDS = {
     "densely-spaced": 1,
@@ -17,7 +17,6 @@ STUDY_IDS = {
 }
 
 
-def realization_rng(master_seed: int, study_id: int, index: int) -> np.random.Generator:
+def realization_rng(master_seed: int, study_id: int, index: int) -> Generator:
     """RNG for one realization, a pure function of (seed, study, index)."""
-    seq = np.random.SeedSequence([int(master_seed), int(study_id), int(index)])
-    return np.random.default_rng(seq)
+    return default_rng(SeedSequence([int(master_seed), int(study_id), int(index)]))

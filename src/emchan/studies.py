@@ -15,6 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 loads numpy.ma on first use, and np.median (tripol.group_ports),
+# np.percentile and np.unique all reach it: load it here, not inside a study
+import numpy.ma  # noqa: F401
 
 from . import nearfield, scenario as sc
 from .capacity import capacity_waterfilling, capacity_equal_power

@@ -92,6 +92,49 @@ def test_table_pattern_bilinear_and_roundtrip(tmp_path):
     assert np.allclose(a_p, b_p, atol=1e-12)
 
 
+def _scipy_table_gains(theta, phi, tables, th, ph):
+    """TablePattern's azimuth wrap and hull clamp, then scipy's linear interpolator."""
+    from scipy.interpolate import RegularGridInterpolator  # oracle only
+
+    th_d = np.degrees(th)
+    ph_d = np.degrees(np.mod(ph, 2.0 * np.pi))
+    ph_d = np.where(ph_d > phi[-1], ph_d - 360.0, ph_d)
+    th_b, ph_b = np.broadcast_arrays(th_d, ph_d)
+    pts = np.stack([np.clip(th_b, theta[0], theta[-1]), np.clip(ph_b, phi[0], phi[-1])], -1)
+    return [RegularGridInterpolator((theta, phi), f, method="linear")(pts.reshape(-1, 2))
+            .reshape(th_b.shape) for f in tables]
+
+
+def test_table_pattern_matches_scipy_interpolator():
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 89.0, 7)), [90.0, 120.0]])
+    phi = np.concatenate([[-20.0], np.sort(rng.uniform(-10.0, 300.0, 9)), [310.0]])
+    shape = (theta.size, phi.size)
+    tables = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2)]
+    pat = TablePattern(theta, phi, *tables)
+
+    inside = (np.radians(rng.uniform(0.0, 120.0, 200)), np.radians(rng.uniform(-20.0, 310.0, 200)))
+    # theta beyond the grid; azimuths past the last column, negative and beyond 360 deg
+    outside = (np.radians(rng.uniform(-30.0, 180.0, 200)), np.radians(rng.uniform(-720.0, 720.0, 200)))
+    nodes = np.meshgrid(np.radians(theta), np.radians(phi), indexing="ij")
+    cases = [inside, outside, nodes,
+             (np.radians(33.3), np.radians(-5.0)),  # scalar pair
+             (np.radians(150.0), np.radians(350.0)),  # clamped theta, wrapped azimuth
+             (np.radians(theta)[:, None], np.radians([-400.0, -15.0, 0.0, 305.0, 355.0])[None, :]),
+             (np.radians(45.0), np.radians(np.linspace(-360.0, 360.0, 37)))]
+    for th, ph in cases:
+        for got, want in zip(pat.gains(th, ph), _scipy_table_gains(theta, phi, tables, th, ph)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    # a single azimuth column: every azimuth clamps onto it
+    column = [tables[0][:, :1], tables[1][:, 4:5]]
+    th, ph = outside
+    for got, want in zip(TablePattern(theta, [30.0], *column).gains(th, ph),
+                         _scipy_table_gains(theta, np.array([30.0]), column, th, ph)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_table_pattern_validation(tmp_path):
     with pytest.raises(ShapeError):
         TablePattern([0.0, 90.0], [0.0, 90.0], np.zeros((3, 2)), np.zeros((3, 2)))

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -169,6 +173,37 @@ def test_bundled_scenarios_are_valid():
     for f in files:
         scn = load_scenario(f)
         assert validate_scenario(scn) == []
+
+
+# Run in a fresh interpreter: reports the scipy modules `import emchan` loads,
+# and per scenario file the numpy or scipy modules its run_study loads.
+_MODULE_PROBE = """
+import json, sys
+from pathlib import Path
+
+import emchan
+report = {"import emchan": sorted(m for m in sys.modules if m.startswith("scipy"))}
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    scn = emchan.load_scenario(path)
+    loaded = set(sys.modules)
+    emchan.run_study(scn, scale=0.02, jobs=1)
+    report[path.name] = sorted(m for m in set(sys.modules) - loaded
+                               if m.startswith(("numpy.", "scipy")))
+print(json.dumps(report))
+"""
+
+
+def test_studies_load_no_modules_and_no_scipy():
+    """Import cost stays out of the study phase, and scipy out of the package."""
+    src = Path(studies.__file__).resolve().parents[1]
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, str(scenarios)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert len(report) == 1 + len(list(scenarios.glob("*.json")))
+    assert report == {name: [] for name in report}
 
 
 def test_result_table_roundtrip(tmp_path):
