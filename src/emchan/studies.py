@@ -39,9 +39,9 @@ VERSION = "1.0.0"
 
 
 # Realizations (or trials) per chunk. Each chunk of the densely-spaced study
-# makes one stacked assemble_channel and capacity_equal_power call per
-# (scheme, rx spacing); larger chunks run no faster and hold more memory.
-# Results do not depend on it.
+# makes one stacked assemble_channel call per (variance set, pattern), over
+# every rx spacing, and one capacity_equal_power call per scheme; larger
+# chunks run no faster and hold more memory. Results do not depend on it.
 _CHUNK = 8
 
 # BLAS thread setters, tried in turn on every loaded lib*blas* library
@@ -112,12 +112,14 @@ def _metadata(scn, seed: int, scale: float) -> dict:
 
 
 @dataclass(frozen=True)
-class _Scheme:
-    name: str
+class _Assembly:
+    """One channel stack per chunk: a variance set and a pattern over every
+    receive spacing, shared by the schemes that differ only in efficiency."""
+
     variance_set: int  # index into the variance sets of the shared draw
-    amplitude: float  # per-element amplitude efficiency, both sides
     psi_s: tuple  # (Psi_S^theta, Psi_S^phi)
-    rx: tuple  # ((spacing_wl, R^theta, R^phi), ...), R from _rx_factor
+    rx: tuple  # (R^theta, R^phi) stacked over the rx spacings, from _rx_factors
+    schemes: tuple  # ((position in the scheme list, element efficiency), ...)
 
 
 def _reweighted(mixture: VmfMixture, weights) -> VmfMixture:
@@ -129,42 +131,49 @@ def _reweighted(mixture: VmfMixture, weights) -> VmfMixture:
     return VmfMixture(clusters=clusters)
 
 
-def _rx_factor(psi_t: np.ndarray, psi_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R of the thin QR [Psi_R^theta Psi_R^phi] = Q R, split as the harmonics are.
+def _rx_factors(harmonics) -> tuple[np.ndarray, np.ndarray]:
+    """R of the thin QR [Psi_R^theta Psi_R^phi] = Q R of each receive array,
+    zero-padded to 2B rows for B support indices, stacked on a leading axis
+    and split as the harmonics are.
 
     Q has orthonormal columns, so with a uniform Gamma_R the channel built on
     R in place of the harmonics has the singular values of the full channel,
-    on min(n_r, 2 R) rows instead of n_r.
+    on 2B rows instead of n_r. Zero rows leave R^H R, and so the nonzero
+    singular values, unchanged.
     """
-    r = np.linalg.qr(np.hstack([psi_t, psi_p]), mode="r")
-    return r[:, : psi_t.shape[1]], r[:, psi_t.shape[1]:]
+    n_b = harmonics[0][0].shape[1]
+    r = np.zeros((len(harmonics), 2 * n_b, 2 * n_b), dtype=complex)
+    for j, (psi_t, psi_p) in enumerate(harmonics):
+        factor = np.linalg.qr(np.hstack([psi_t, psi_p]), mode="r")
+        r[j, : factor.shape[0]] = factor
+    return r[..., :n_b], r[..., n_b:]
 
 
 def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
     """Capacities of realizations [start, stop), one column per (scheme, rx spacing)."""
-    seed, study_id, mu, sigma, coef_power, variances, schemes = payload
-    # one draw per realization (noise, phases, XPR), shared by every scheme
-    draws = []
-    for i in range(start, stop):
+    seed, study_id, mu, sigma, coef_power, variances, n_schemes, assemblies = payload
+    # one draw per realization (noise, phases, XPR), shared by every scheme:
+    # blocks[b, v, k] is polarization block b of variance set v, realization k
+    blocks = np.empty((4, len(variances), stop - start) + variances[0].variances.shape,
+                      dtype=complex)
+    for k, i in enumerate(range(start, stop)):
         rng = realization_rng(seed, study_id, i)
-        draws.append(apply_polarization(sample_wavenumber_channel(variances, rng), mu, sigma, rng))
-    stacked = [
-        PolarizedWavenumberChannel(
-            **{b: np.stack([getattr(d, b)[v] for d in draws])
-               for b in ("h_tt", "h_tp", "h_pt", "h_pp")},
-            mu_xpr_db=mu, sigma_xpr_db=sigma)
-        for v in range(len(variances))
-    ]
-    out = np.empty((stop - start, sum(len(s.rx) for s in schemes)))
-    col = 0
-    for s in schemes:
-        gamma_s = EfficiencyMatrix.uniform(s.amplitude, s.psi_s[0].shape[0])
-        for _, r_t, r_p in s.rx:
-            gamma_r = EfficiencyMatrix.uniform(s.amplitude, r_t.shape[0])
-            g = assemble_channel(gamma_r, r_t, r_p, stacked[s.variance_set], *s.psi_s, gamma_s)
-            out[:, col] = capacity_equal_power(g, coef_power, 1.0).capacity
-            col += 1
-    return out
+        draw = apply_polarization(sample_wavenumber_channel(variances, rng), mu, sigma, rng)
+        for b, block in enumerate((draw.h_tt, draw.h_tp, draw.h_pt, draw.h_pp)):
+            blocks[b, :, k] = block
+    n_spacings = assemblies[0].rx[0].shape[0]
+    out = np.empty((n_schemes, n_spacings, stop - start))
+    for a in assemblies:
+        h_pol = PolarizedWavenumberChannel(*blocks[:, a.variance_set], mu_xpr_db=mu,
+                                           sigma_xpr_db=sigma)
+        g = assemble_channel(EfficiencyMatrix.uniform(1.0, a.rx[0].shape[-2]), *a.rx, h_pol,
+                             *a.psi_s, EfficiencyMatrix.uniform(1.0, a.psi_s[0].shape[0]))
+        for position, efficiency in a.schemes:
+            # amplitude sqrt(efficiency) on every element of both sides scales
+            # H by the efficiency, so H H^H and the power by its square
+            out[position] = capacity_equal_power(g, coef_power * efficiency**2, 1.0).capacity
+        del g  # keep one channel stack alive at a time
+    return out.reshape(n_schemes * n_spacings, stop - start).T
 
 
 def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: int,
@@ -193,11 +202,10 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
     tx_array = uniform_planar_array(l_s, l_s, scn.tx_spacing_wavelengths * lam,
                                     scn.tx_spacing_wavelengths * lam)
     psi_s = {p: fourier_harmonics(tx_array, sup_s, patterns[p], ctx) for p in patterns}
-    r_r = {}
-    for spacing in scn.rx_spacing_wavelengths:
-        arr = uniform_planar_array(l_r, l_r, spacing * lam, spacing * lam)
-        for p in patterns:
-            r_r[(spacing, p)] = _rx_factor(*fourier_harmonics(arr, sup_r, patterns[p], ctx))
+    rx_arrays = [uniform_planar_array(l_r, l_r, spacing * lam, spacing * lam)
+                 for spacing in scn.rx_spacing_wavelengths]
+    r_r = {p: _rx_factors([fourier_harmonics(arr, sup_r, patterns[p], ctx) for arr in rx_arrays])
+           for p in patterns}
 
     # scheme: (variance set, element pattern, element efficiency)
     scheme_defs = {
@@ -206,18 +214,19 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
         "ni-pd": (1, "dipole", 1.0),
         "proposed": (1, "dipole", scn.element_efficiency),
     }
-    schemes = []
-    for name in scn.schemes:
+    shared = {}  # (variance set, pattern) -> [(position, efficiency), ...]
+    for position, name in enumerate(scn.schemes):
         var, pat, eff = scheme_defs[name]
-        schemes.append(_Scheme(name=name, variance_set=var, amplitude=float(np.sqrt(eff)),
-                               psi_s=psi_s[pat],
-                               rx=tuple((spacing,) + r_r[(spacing, pat)]
-                                        for spacing in scn.rx_spacing_wavelengths)))
+        shared.setdefault((var, pat), []).append((position, float(eff)))
+    assemblies = tuple(
+        _Assembly(variance_set=var, psi_s=psi_s[pat], rx=r_r[pat], schemes=tuple(members))
+        for (var, pat), members in shared.items()
+    )
     coef_power = float(tx_array.count) * 10.0 ** (scn.snr_db / 10.0)
     payload = (seed, STUDY_IDS[sc.DENSELY_SPACED], scn.xpr_mu_db, scn.xpr_sigma_db,
-               coef_power, variances, schemes)
+               coef_power, variances, len(scn.schemes), assemblies)
     caps = _map_chunks(functools.partial(_densely_spaced_chunk, payload=payload), count, jobs)
-    return [(s.name, spacing) for s in schemes for spacing, _, _ in s.rx], caps
+    return [(name, spacing) for name in scn.schemes for spacing in scn.rx_spacing_wavelengths], caps
 
 
 def _run_densely_spaced(scn: sc.DenselySpacedScenario, seed: int, scale: float,
@@ -318,13 +327,16 @@ def _tri_pol_trial(i: int, payload) -> tuple:
     _, err_bench = scalar_aligned(bench, h)
 
     power = 10.0 ** (pilot_snr_db / 10.0)
-    r = min(h.shape)
-    caps = []
-    for estimate in (est.assembled, bench):
-        _, _, vh = np.linalg.svd(estimate, full_matrices=False)
-        v_r = vh[:r].conj().T
-        caps.append(capacity_waterfilling(h @ v_r, power, 1.0).capacity)
-    return caps[0], caps[1], err_joint**2, err_bench**2
+    return (_row_space_capacity(h, est.assembled, power), _row_space_capacity(h, bench, power),
+            err_joint**2, err_bench**2)
+
+
+def _row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float) -> float:
+    """Water-filling capacity of h precoded on an orthonormal basis of the
+    estimate's row space, taken from the reduced QR of estimate^H. The
+    capacity of h V does not depend on which orthonormal basis V is."""
+    basis, _ = np.linalg.qr(estimate.conj().T)
+    return capacity_waterfilling(h @ basis, power, 1.0).capacity
 
 
 def _tri_pol_chunk(start: int, stop: int, payload) -> np.ndarray:

@@ -9,7 +9,8 @@ Fourier harmonics and per-element efficiency factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -54,10 +55,14 @@ class VmfMixture:
             raise DomainError(f"mixture weights sum to {total!r}, expected 1")
 
     def pdf(self, theta, phi) -> np.ndarray:
+        """Weighted sum of the cluster densities, with sin and cos of theta
+        taken once for all clusters; equal to summing vmf_pdf bit for bit."""
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast_shapes(theta.shape, np.shape(phi)), dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        out = np.zeros(np.broadcast_shapes(theta.shape, phi.shape), dtype=float)
         for c in self.clusters:
-            out += c.weight * vmf_pdf(theta, phi, c)
+            out += c.weight * _vmf_density(sin_t, cos_t, phi, c)
         return out
 
 
@@ -68,15 +73,20 @@ def vmf_pdf(theta, phi, cluster: VmfCluster) -> np.ndarray:
     which stays finite for large concentrations.
     """
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    return _vmf_density(np.sin(theta), np.cos(theta), np.asarray(phi, dtype=float), cluster)
+
+
+def _vmf_density(sin_t: np.ndarray, cos_t: np.ndarray, phi: np.ndarray,
+                 cluster: VmfCluster) -> np.ndarray:
+    """vmf_pdf from sin(theta) and cos(theta)."""
     a = cluster.concentration
     if a < 0.0:
         raise DomainError("concentration must be nonnegative")
     if a == 0.0:
-        return np.broadcast_to(1.0 / (4.0 * np.pi), np.broadcast_shapes(theta.shape, phi.shape)).copy()
+        return np.broadcast_to(1.0 / (4.0 * np.pi), np.broadcast_shapes(sin_t.shape, phi.shape)).copy()
     cosg = (
-        np.sin(theta) * np.sin(cluster.mean_theta) * np.cos(phi - cluster.mean_phi)
-        + np.cos(theta) * np.cos(cluster.mean_theta)
+        sin_t * np.sin(cluster.mean_theta) * np.cos(phi - cluster.mean_phi)
+        + cos_t * np.cos(cluster.mean_theta)
     )
     return a * np.exp(a * (cosg - 1.0)) / (2.0 * np.pi * (1.0 - np.exp(-2.0 * a)))
 
@@ -144,6 +154,16 @@ def wavenumber_to_angles(l_x: int, l_y: int, length_x: float, length_y: float,
 # coupling variances
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    computed once per process and returned read-only."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
                 aps: VmfMixture, ctx: WaveContext, order: int) -> np.ndarray:
     """Integral of the spectrum over each lattice cell |l_x| <= nx, |l_y| <= ny
@@ -154,7 +174,7 @@ def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
     per k_x node serves every column at once: memory is O(cells x order).
     """
     k0 = ctx.wavenumber
-    xg, xw = leggauss(order)
+    xg, xw = _gauss_legendre(order)
     l_x = np.arange(-nx, nx + 1)[:, None, None]
     l_y = np.arange(-ny, ny + 1)[None, :, None]
     kx_lo = np.maximum(2.0 * np.pi * (l_x - 0.5) / length_x, -k0)
@@ -180,13 +200,14 @@ def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
 
 def _hemisphere_mass(aps: VmfMixture, n_theta: int = 128, n_phi: int = 256) -> float:
     """Front-hemisphere integral of the spectrum on an independent dense grid."""
-    tg, tw = leggauss(n_theta)
-    pg, pw = leggauss(n_phi)
-    theta = 0.25 * np.pi * (tg + 1.0)
-    phi = np.pi * (pg + 1.0)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    tg, tw = _gauss_legendre(n_theta)
+    pg, pw = _gauss_legendre(n_phi)
+    # a (n_theta, 1) column and a (1, n_phi) row: the spectrum broadcasts
+    # them, so its trigonometry runs on the axes, not on the whole grid
+    theta = (0.25 * np.pi * (tg + 1.0))[:, None]
+    phi = (np.pi * (pg + 1.0))[None, :]
     wt = np.outer(0.25 * np.pi * tw, np.pi * pw)
-    return float(np.sum(wt * aps.pdf(th, ph) * np.sin(th)))
+    return float(np.sum(wt * aps.pdf(theta, phi) * np.sin(theta)))
 
 
 def cell_power_fractions(support: WavenumberSupport, aps: VmfMixture,
@@ -292,7 +313,15 @@ class PolarizedWavenumberChannel:
                 raise ShapeError("polarization blocks must share one shape")
 
     def block_matrix(self) -> np.ndarray:
-        return np.block([[self.h_tt, self.h_tp], [self.h_pt, self.h_pp]])
+        """[[H_tt, H_tp], [H_pt, H_pp]] over the last two axes."""
+        r, s = np.shape(self.h_tt)[-2:]
+        out = np.empty(np.shape(self.h_tt)[:-2] + (2 * r, 2 * s),
+                       dtype=np.result_type(self.h_tt, self.h_tp, self.h_pt, self.h_pp))
+        out[..., :r, :s] = self.h_tt
+        out[..., :r, s:] = self.h_tp
+        out[..., r:, :s] = self.h_pt
+        out[..., r:, s:] = self.h_pp
+        return out
 
 
 def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
@@ -432,14 +461,19 @@ def assemble_channel(gamma_r: EfficiencyMatrix, psi_r_theta: np.ndarray, psi_r_p
                      psi_s_phi: np.ndarray, gamma_s: EfficiencyMatrix) -> np.ndarray:
     """H = Gamma_R [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H Gamma_S.
 
-    The blocks of ``h_pol`` may carry leading stack axes; H then carries them
-    too, one channel per index.
+    The blocks of ``h_pol`` may carry leading stack axes, and so may the
+    receive harmonics (say one set per receive array, padded to one row
+    count). H then carries the harmonics' axes followed by the blocks' axes,
+    one channel per index pair. The transmit side is multiplied first, so
+    every set of receive harmonics reuses one H_pol Psi_S^H Gamma_S product.
     """
-    psi_r = np.hstack([psi_r_theta, psi_r_phi])
+    psi_r = np.concatenate([psi_r_theta, psi_r_phi], axis=-1)
     psi_s = np.hstack([psi_s_theta, psi_s_phi])
     blocks = h_pol.block_matrix()
-    if psi_r.shape[1] != blocks.shape[-2] or psi_s.shape[1] != blocks.shape[-1]:
+    if psi_r.shape[-1] != blocks.shape[-2] or psi_s.shape[1] != blocks.shape[-1]:
         raise ShapeError("harmonic and polarization block shapes do not conform")
-    if gamma_r.count != psi_r.shape[0] or gamma_s.count != psi_s.shape[0]:
+    if gamma_r.count != psi_r.shape[-2] or gamma_s.count != psi_s.shape[0]:
         raise ShapeError("efficiency diagonals must match element counts")
-    return (gamma_r.values[:, None] * psi_r) @ blocks @ (psi_s.conj() * gamma_s.values[:, None]).T
+    tx = blocks @ (psi_s.conj() * gamma_s.values[:, None]).T
+    rx = gamma_r.values[:, None] * psi_r
+    return rx.reshape(rx.shape[:-2] + (1,) * (blocks.ndim - 2) + rx.shape[-2:]) @ tx

@@ -146,3 +146,59 @@ def test_workers_run_blas_on_one_thread():
     assert np.all(rows[:, 0] == len(parent))
     assert np.all(rows[:, 1] == 1)
     assert blas_thread_counts() == parent  # the parent process keeps its threads
+
+
+def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
+    calls = []
+    real = studies.assemble_channel
+
+    def counted(*args):
+        calls.append(args[1].shape)  # stacked receive factors: (spacings, rows, support)
+        return real(*args)
+
+    monkeypatch.setattr(studies, "assemble_channel", counted)
+    scn = load_scenario(os.path.join(SCENARIOS, "densely_spaced.json"))
+    studies._densely_spaced_capacities(scn, 5, 2 * studies._CHUNK, jobs=1)
+    # ideal (isotropic, unit), ni (CDL-B, unit), ni-pd and proposed (CDL-B, dipole)
+    assert len(calls) == 2 * 3
+    assert all(shape[0] == len(scn.rx_spacing_wavelengths) for shape in calls)
+
+    calls.clear()
+    scn = DenselySpacedScenario(name="pd", schemes=("ni-pd", "proposed"), realizations=3)
+    studies._densely_spaced_capacities(scn, 5, 3, jobs=1)
+    assert len(calls) == 1
+
+
+def test_padded_stacked_rx_factors_match_per_spacing_channels():
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
+    lam = ctx.wavelength
+    sup_r = wavenumber_support(lam, lam, ctx, side=RECEIVER)
+    sup_s = wavenumber_support(2 * lam, 2 * lam, ctx, side=TRANSMITTER)
+    pats = PatternSet.uniform(dipole())
+    psi_s = fourier_harmonics(uniform_planar_array(2 * lam, 2 * lam, lam / 2, lam / 2),
+                              sup_s, pats, ctx)
+    harmonics = [fourier_harmonics(uniform_planar_array(lam, lam, d * lam, d * lam),
+                                   sup_r, pats, ctx) for d in (0.5, 0.25, 0.125)]
+    r_t, r_p = studies._rx_factors(harmonics)
+    rows = 2 * sup_r.count
+    assert r_t.shape == r_p.shape == (3, rows, sup_r.count)
+    rng = np.random.default_rng(8)
+    shape = (2, sup_r.count, sup_s.count)  # two draws
+    pol = apply_polarization(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                             8.0, 3.0, rng)
+    ones_s = EfficiencyMatrix.uniform(1.0, psi_s[0].shape[0])
+    stacked = assemble_channel(EfficiencyMatrix.uniform(1.0, rows), r_t, r_p, pol, *psi_s, ones_s)
+    assert stacked.shape == (3, 2, rows, psi_s[0].shape[0])
+    for j, (psi_t, psi_p) in enumerate(harmonics):
+        factor = np.linalg.qr(np.hstack([psi_t, psi_p]), mode="r")
+        n = factor.shape[0]
+        alone = assemble_channel(EfficiencyMatrix.uniform(1.0, n), factor[:, : sup_r.count],
+                                 factor[:, sup_r.count:], pol, *psi_s, ones_s)
+        np.testing.assert_allclose(stacked[j, :, :n], alone, rtol=1e-13, atol=0)
+        assert not np.any(stacked[j, :, n:])
+        # the factor keeps the singular values of the full receive harmonics
+        full = assemble_channel(EfficiencyMatrix.uniform(1.0, psi_t.shape[0]), psi_t, psi_p,
+                                pol, *psi_s, ones_s)
+        sv_full = np.linalg.svd(full, compute_uv=False)
+        np.testing.assert_allclose(np.linalg.svd(stacked[j], compute_uv=False)[:, :n],
+                                   sv_full[:, :n], rtol=1e-10, atol=1e-12 * sv_full.max())

@@ -260,3 +260,74 @@ def test_joint_beats_uplink_only_when_weak_group_much_weaker():
         _, err_bench = scalar_aligned(bench, ch.matrix)
         wins += err_joint < err_bench
     assert wins / trials > 0.9
+
+
+def benchmark_uplink_only_oracle(channel, per_port_snr_db, rng_seed):
+    """The uplink-only estimate one row at a time, with one noise call per row."""
+    h = channel.matrix
+    rng = np.random.default_rng(rng_seed)
+    ref = float(np.mean(np.abs(h) ** 2))
+    out = h.copy()
+    for r in range(h.shape[0]):
+        snr_db = per_port_snr_db[r]
+        if np.isinf(snr_db):
+            continue
+        var = ref * 10.0 ** (-snr_db / 10.0)
+        out[r, :] += np.sqrt(var / 2.0) * (rng.standard_normal(h.shape[1])
+                                           + 1j * rng.standard_normal(h.shape[1]))
+    return out
+
+
+@pytest.mark.parametrize("snrs", [
+    [10.0, 3.5, -2.0, 0.0, 7.25, 10.0, -11.0, 4.0],
+    [np.inf, 3.5, -np.inf, 0.0, np.inf, 10.0, -11.0, -np.inf],
+    [np.inf] * 8,
+    [-np.inf, 12.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+])
+def test_benchmark_uplink_only_matches_row_by_row_oracle_bit_for_bit(snrs):
+    snrs = np.array(snrs)
+    for seed in range(5):
+        ch = small_channel(seed=seed)
+        got = benchmark_uplink_only(ch, snrs, rng_seed=100 + seed)
+        assert np.array_equal(got, benchmark_uplink_only_oracle(ch, snrs, 100 + seed))
+    # pseudo-random SNRs, so that the per-row noise scale takes many values
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        ch = small_channel(seed=seed)
+        live = np.where(np.isinf(snrs), snrs, rng.uniform(-30.0, 40.0, snrs.size))
+        assert np.array_equal(benchmark_uplink_only(ch, live, seed),
+                              benchmark_uplink_only_oracle(ch, live, seed))
+
+
+def test_benchmark_uplink_only_inf_rows_take_no_draws():
+    ch = small_channel(seed=3)
+    n_tx = ch.matrix.shape[1]
+    snrs = np.array([np.inf, 5.0, -np.inf, np.inf, 0.0, np.inf, np.inf, -np.inf])
+    rng = np.random.default_rng(9)
+    est = benchmark_uplink_only(ch, snrs, rng)
+    inf_rows = np.isinf(snrs)
+    assert np.array_equal(est[inf_rows], ch.matrix[inf_rows])
+    # the two finite rows took 2 x n_tx normals each, and nothing else did
+    after = rng.standard_normal(3)
+    fresh = np.random.default_rng(9)
+    fresh.standard_normal(2 * 2 * n_tx)
+    assert np.array_equal(after, fresh.standard_normal(3))
+
+
+def test_row_space_capacity_matches_svd_basis_oracle():
+    from emchan.capacity import capacity_waterfilling
+    from emchan.studies import _row_space_capacity
+
+    power = 10.0 ** (15.0 / 10.0)
+    for seed in range(40):
+        rx = ((2, 4, 2), (4, 8, 4), (1, 1, 1))[seed % 3]
+        ch = simulate_tripol_channel(rx_ports=rx, tx_ports=(128, 128, 0), z_gain_db=-10.0,
+                                     xpr_db=8.0, rng=np.random.default_rng(seed))
+        per_port = 15.0 + 10.0 * np.log10(np.mean(np.abs(ch.matrix) ** 2, axis=1) / 2.0)
+        estimate = benchmark_uplink_only(ch, per_port, 500 + seed)
+        r = min(ch.matrix.shape)
+        assert np.linalg.matrix_rank(estimate) == r
+        _, _, vh = np.linalg.svd(estimate, full_matrices=False)
+        want = capacity_waterfilling(ch.matrix @ vh[:r].conj().T, power, 1.0).capacity
+        got = _row_space_capacity(ch.matrix, estimate, power)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -30,7 +30,7 @@ from emchan import (
     wavenumber_support,
     wavenumber_to_angles,
 )
-from emchan.wavenumber import _hemisphere_mass
+from emchan.wavenumber import _gauss_legendre, _hemisphere_mass
 
 CTX = WaveContext.from_frequency(4.7e9)
 LAM = CTX.wavelength
@@ -92,6 +92,90 @@ def test_vmf_mixture_weight_check():
         VmfMixture(clusters=(c,))
     with pytest.raises(DomainError):
         VmfCluster(weight=1.0, mean_theta=0.0, mean_phi=0.0, concentration=-1.0)
+
+
+def vmf_pdf_oracle(theta, phi, cluster):
+    """One cluster's density with its own sin and cos of theta."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    a = cluster.concentration
+    if a == 0.0:
+        return np.broadcast_to(1.0 / (4.0 * np.pi), np.broadcast_shapes(theta.shape, phi.shape)).copy()
+    cosg = (
+        np.sin(theta) * np.sin(cluster.mean_theta) * np.cos(phi - cluster.mean_phi)
+        + np.cos(theta) * np.cos(cluster.mean_theta)
+    )
+    return a * np.exp(a * (cosg - 1.0)) / (2.0 * np.pi * (1.0 - np.exp(-2.0 * a)))
+
+
+def mixture_pdf_oracle(aps, theta, phi):
+    """The mixture density as a per-cluster sum of vmf_pdf_oracle, in cluster order."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(np.broadcast_shapes(theta.shape, np.shape(phi)), dtype=float)
+    for c in aps.clusters:
+        out += c.weight * vmf_pdf_oracle(theta, phi, c)
+    return out
+
+
+def hemisphere_mass_oracle(aps, n_theta=128, n_phi=256):
+    """Front-hemisphere mass on a full meshgrid of fresh Gauss-Legendre nodes."""
+    tg, tw = leggauss(n_theta)
+    pg, pw = leggauss(n_phi)
+    theta = 0.25 * np.pi * (tg + 1.0)
+    phi = np.pi * (pg + 1.0)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    wt = np.outer(0.25 * np.pi * tw, np.pi * pw)
+    return float(np.sum(wt * mixture_pdf_oracle(aps, th, ph) * np.sin(th)))
+
+
+QUADRATURE_SPECTRA = {
+    "isotropic": isotropic_mixture(),
+    "cdl-b": mixture_from_clusters(bundled_cdl_b(), "arrival", "-x"),
+    # an isotropic floor under two directional clusters
+    "mixed": VmfMixture(clusters=(VmfCluster(0.2, 0.0, 0.0, 0.0),
+                                  VmfCluster(0.5, 0.4, -1.2, 12.0),
+                                  VmfCluster(0.3, 1.5, 2.0, 300.0))),
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(QUADRATURE_SPECTRA))
+def test_mixture_pdf_equals_per_cluster_sum_bit_for_bit(spectrum):
+    aps = QUADRATURE_SPECTRA[spectrum]
+    rng = np.random.default_rng(21)
+    theta = rng.uniform(0.0, np.pi, 37)
+    phi = rng.uniform(-np.pi, np.pi, 53)
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    grids = {
+        "meshgrid": (th, ph),
+        "broadcast": (theta[:, None], phi[None, :]),
+        "broadcast-3d": (theta[:, None, None], np.stack([phi, phi[::-1]], axis=-1)[None]),
+    }
+    for label, (t, p) in grids.items():
+        got = aps.pdf(t, p)
+        want = mixture_pdf_oracle(aps, t, p)
+        assert got.shape == want.shape, label
+        assert np.array_equal(got, want), label
+    assert np.array_equal(aps.pdf(*grids["broadcast"]), aps.pdf(th, ph))
+    for c in aps.clusters:
+        assert np.array_equal(vmf_pdf(th, ph, c), vmf_pdf_oracle(th, ph, c))
+
+
+@pytest.mark.parametrize("spectrum", sorted(QUADRATURE_SPECTRA))
+def test_hemisphere_mass_equals_meshgrid_form_bit_for_bit(spectrum):
+    aps = QUADRATURE_SPECTRA[spectrum]
+    assert _hemisphere_mass(aps) == hemisphere_mass_oracle(aps)
+    assert _hemisphere_mass(aps, 16, 40) == hemisphere_mass_oracle(aps, 16, 40)
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    nodes, weights = _gauss_legendre(128)
+    assert _gauss_legendre(128)[0] is nodes
+    ref_nodes, ref_weights = leggauss(128)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    for arr in (nodes, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def cell_measure_oracle(l_x, l_y, length_x, length_y, aps, ctx, order):
