@@ -8,7 +8,7 @@ wavefront-mismatch correlation studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,11 @@ RAY_OFFSETS = np.array(
 )
 
 LOS_POLARIZATION = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+# NLOS taps are built in blocks of whole rays holding at most this many
+# (ray, u, s) entries, or one ray if a ray alone holds more. It bounds the
+# per-block temporaries; the taps do not depend on it.
+_BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -187,18 +192,80 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
 # bounce geometry
 
 
-def _closest_ray_points(origin_a, dir_a, origin_b, dir_b):
-    """Nonnegative ray parameters minimizing the inter-ray distance."""
-    w = origin_a - origin_b
-    dot = float(dir_a @ dir_b)
+def _locate_bounces(departure, arrival, delay, geom: ArrayGeometry,
+                    planar: bool) -> BounceGeometry:
+    """Bounce geometry of R rays, as in `locate_bounce_scatterers`; every
+    field carries a leading ray axis.
+
+    ``departure`` and ``arrival`` are (R, 2) arrays of (theta, phi) and
+    ``delay`` is (R,). Parallel rays and a leg that collapses onto its own
+    array split c*tau evenly between the legs. The planar variant keeps the
+    bounce points and extends the ray directions linearly across each array:
+    affine distances and the ray's own angles at every element.
+    """
+    tx, rx = geom.tx_positions, geom.rx_positions
+    total = SPEED_OF_LIGHT * delay
+    direct = float(np.linalg.norm(rx[0] - tx[0]))
+    short = np.flatnonzero(total <= direct)
+    if short.size:
+        raise GeometryError(
+            f"ray delay {float(delay[short[0]])!r} s is not longer than the direct path "
+            f"{direct / SPEED_OF_LIGHT!r} s"
+        )
+    u_dep = unit_vector(departure[:, 0], departure[:, 1])
+    u_arr = unit_vector(arrival[:, 0], arrival[:, 1])
+
+    # closest points of the two rays, parameters clamped to be nonnegative
+    w = tx[0] - rx[0]
+    dot = np.sum(u_dep * u_arr, axis=1)
     denom = 1.0 - dot * dot
-    if denom < 1e-12:
-        return None  # parallel
-    wa = float(w @ dir_a)
-    wb = float(w @ dir_b)
-    a = (dot * wb - wa) / denom
-    b = (wb - dot * wa) / denom
-    return max(a, 0.0), max(b, 0.0)
+    parallel = denom < 1e-12
+    denom = np.where(parallel, 1.0, denom)
+    wa = u_dep @ w
+    wb = u_arr @ w
+    a = np.maximum((dot * wb - wa) / denom, 0.0)
+    b = np.maximum((wb - dot * wa) / denom, 0.0)
+    even = parallel | (a <= 0.0) | (b <= 0.0)
+    a = np.where(even, total / 2.0, a)
+    b = np.where(even, total / 2.0, b)
+    leftover = total - (a + b)
+    fits = leftover > 0.0
+    shrink = np.where(fits, 1.0, total / (a + b))
+    a, b = shrink * a, shrink * b
+    inter = np.where(fits, leftover, 0.0)
+    first = tx[0] + a[:, None] * u_dep
+    last = rx[0] + b[:, None] * u_arr
+
+    if planar:
+        tx_dist = np.linalg.norm(first - tx[0], axis=1)[:, None] - u_dep @ (tx - tx[0]).T
+        rx_dist = np.linalg.norm(last - rx[0], axis=1)[:, None] - u_arr @ (rx - rx[0]).T
+        tx_theta, tx_phi = (np.broadcast_to(x[:, None], tx_dist.shape) for x in departure.T)
+        rx_theta, rx_phi = (np.broadcast_to(x[:, None], rx_dist.shape) for x in arrival.T)
+    else:
+        tx_vec = first[:, None, :] - tx
+        rx_vec = last[:, None, :] - rx
+        tx_dist = np.linalg.norm(tx_vec, axis=-1)
+        rx_dist = np.linalg.norm(rx_vec, axis=-1)
+        if np.any(tx_dist == 0.0) or np.any(rx_dist == 0.0):
+            raise GeometryError("bounce point coincides with an array element")
+        tx_theta, tx_phi = angles_from_vector(tx_vec)
+        rx_theta, rx_phi = angles_from_vector(rx_vec)
+    return BounceGeometry(
+        first_bounce=first, last_bounce=last, inter_distance=inter,
+        tx_distances=tx_dist, rx_distances=rx_dist,
+        tx_theta=tx_theta, tx_phi=tx_phi, rx_theta=rx_theta, rx_phi=rx_phi,
+    )
+
+
+def _take(bounce: BounceGeometry, index) -> BounceGeometry:
+    """The rays ``index`` selects from a ray-batched BounceGeometry."""
+    return BounceGeometry(**{f.name: getattr(bounce, f.name)[index] for f in fields(bounce)})
+
+
+def _one_ray_bounce(ray: ClusterRay, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
+    batch = _locate_bounces(np.array([ray.departure]), np.array([ray.arrival]),
+                            np.array([ray.delay]), geom, planar)
+    return _take(batch, 0)
 
 
 def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
@@ -210,77 +277,48 @@ def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
     satisfy d_tx + d_inter + d_rx = c*tau with d_inter the nonnegative
     leftover (both legs shrink proportionally when the leftover is negative).
     """
-    tx0 = geom.tx_positions[0]
-    rx0 = geom.rx_positions[0]
-    total = SPEED_OF_LIGHT * ray.delay
-    direct = float(np.linalg.norm(rx0 - tx0))
-    if total <= direct:
-        raise GeometryError(
-            f"ray delay {ray.delay!r} s is not longer than the direct path {direct / SPEED_OF_LIGHT!r} s"
-        )
-    u_dep = unit_vector(*ray.departure)
-    u_arr = unit_vector(*ray.arrival)
-    closest = _closest_ray_points(tx0, u_dep, rx0, u_arr)
-    if closest is None or closest[0] + closest[1] <= 0.0:
-        a0 = b0 = total / 2.0
-    else:
-        a0, b0 = closest
-        if a0 <= 0.0 or b0 <= 0.0:
-            # a leg collapsed onto its own array; fall back to an even split
-            a0 = b0 = total / 2.0
-    leftover = total - (a0 + b0)
-    if leftover > 0.0:
-        a, b, inter = a0, b0, leftover
-    else:
-        shrink = total / (a0 + b0)
-        a, b, inter = shrink * a0, shrink * b0, 0.0
-    first = tx0 + a * u_dep
-    last = rx0 + b * u_arr
-    tx_vec = first - geom.tx_positions
-    rx_vec = last - geom.rx_positions
-    tx_dist = np.linalg.norm(tx_vec, axis=1)
-    rx_dist = np.linalg.norm(rx_vec, axis=1)
-    if np.any(tx_dist == 0.0) or np.any(rx_dist == 0.0):
-        raise GeometryError("bounce point coincides with an array element")
-    tx_theta, tx_phi = angles_from_vector(tx_vec)
-    rx_theta, rx_phi = angles_from_vector(rx_vec)
-    return BounceGeometry(
-        first_bounce=first, last_bounce=last, inter_distance=inter,
-        tx_distances=tx_dist, rx_distances=rx_dist,
-        tx_theta=tx_theta, tx_phi=tx_phi, rx_theta=rx_theta, rx_phi=rx_phi,
-    )
+    return _one_ray_bounce(ray, geom, planar=False)
 
 
 def _planar_bounce(ray: ClusterRay, geom: ArrayGeometry, ctx: WaveContext) -> BounceGeometry:
     """Far-field variant: ray directions extended linearly from the references."""
-    exact = locate_bounce_scatterers(ray, geom, ctx)
-    u_dep = unit_vector(*ray.departure)
-    u_arr = unit_vector(*ray.arrival)
-    tx_dist = exact.tx_distances[0] - (geom.tx_positions - geom.tx_positions[0]) @ u_dep
-    rx_dist = exact.rx_distances[0] - (geom.rx_positions - geom.rx_positions[0]) @ u_arr
-    n_tx, n_rx = geom.n_tx, geom.n_rx
-    return BounceGeometry(
-        first_bounce=exact.first_bounce, last_bounce=exact.last_bounce,
-        inter_distance=exact.inter_distance,
-        tx_distances=tx_dist, rx_distances=rx_dist,
-        tx_theta=np.full(n_tx, ray.departure[0]), tx_phi=np.full(n_tx, ray.departure[1]),
-        rx_theta=np.full(n_rx, ray.arrival[0]), rx_phi=np.full(n_rx, ray.arrival[1]),
-    )
+    return _one_ray_bounce(ray, geom, planar=True)
 
 
 # ---------------------------------------------------------------------------
 # NLOS
 
 
-def _ray_pol_matrix(ray: ClusterRay) -> np.ndarray:
-    inv = 1.0 / np.sqrt(ray.xpr)
-    p_tt, p_tp, p_pt, p_pp = ray.phases
-    return np.array(
-        [
-            [np.exp(1j * p_tt), inv * np.exp(1j * p_tp)],
-            [inv * np.exp(1j * p_pt), np.exp(1j * p_pp)],
-        ]
-    )
+def _nlos_block(pol: np.ndarray, amp: np.ndarray, bounce: BounceGeometry, tx_weight: np.ndarray,
+                t: float, geom: ArrayGeometry, motion: MotionState,
+                ctx: WaveContext) -> np.ndarray:
+    """(R, n_rx, n_tx) bounce-ray entries of a block of R rays.
+
+    Per ray: the pattern/XPR contraction fr P ftᵀ, times the per-element
+    phase offsets and the Doppler factor, times the amplitude ``amp``. The
+    transmit columns are scaled by ``tx_weight`` (R, n_tx). The per-element
+    factors scale fr and ft before the contraction, so no temporary has an
+    (R, n_rx, n_tx) shape.
+    """
+    # element_gains wants the element index on axis 0
+    fr = geom.rx_patterns.element_gains(bounce.rx_theta.T, bounce.rx_phi.T).transpose(1, 0, 2)
+    ft = geom.tx_patterns.element_gains(bounce.tx_theta.T, bounce.tx_phi.T).transpose(1, 0, 2)
+    lam = ctx.wavelength
+    phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[:, :1] - bounce.rx_distances) / lam)
+    phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[:, :1] - bounce.tx_distances) / lam)
+    doppler = _doppler(unit_vector(bounce.rx_theta, bounce.rx_phi), motion, t, ctx)
+    rx_side = (fr @ pol) * (amp[:, None] * phase_rx * doppler)[..., None]
+    tx_side = ft * (phase_tx * tx_weight)[..., None]
+    return rx_side @ tx_side.transpose(0, 2, 1)
+
+
+def _ray_factors(rays) -> tuple[np.ndarray, np.ndarray]:
+    """(R, 2, 2) XPR/phase matrices and (R,) amplitudes sqrt(P_n / M)."""
+    pol = np.exp(1j * np.array([r.phases for r in rays], dtype=float)).reshape(-1, 2, 2)
+    inv = 1.0 / np.sqrt(np.array([r.xpr for r in rays]))
+    pol[:, 0, 1] *= inv
+    pol[:, 1, 0] *= inv
+    return pol, np.sqrt(np.array([r.power / r.ray_count for r in rays]))
 
 
 def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
@@ -292,15 +330,11 @@ def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
 
 def _nlos_matrix(ray: ClusterRay, bounce: BounceGeometry, t: float, geom: ArrayGeometry,
                  motion: MotionState, ctx: WaveContext) -> np.ndarray:
-    fr = geom.rx_patterns.element_gains(bounce.rx_theta, bounce.rx_phi)
-    ft = geom.tx_patterns.element_gains(bounce.tx_theta, bounce.tx_phi)
-    gain = fr @ _ray_pol_matrix(ray) @ ft.T
-    lam = ctx.wavelength
-    phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances) / lam)
-    phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[0] - bounce.tx_distances) / lam)
-    doppler = _doppler(unit_vector(bounce.rx_theta, bounce.rx_phi), motion, t, ctx)
-    amp = np.sqrt(ray.power / ray.ray_count)
-    return amp * gain * phase_rx[:, None] * phase_tx[None, :] * doppler[:, None]
+    """One ray's (n_rx, n_tx) entries from its bounce geometry."""
+    pol, amp = _ray_factors([ray])
+    batch = BounceGeometry(**{f.name: np.asarray(getattr(bounce, f.name))[None]
+                              for f in fields(bounce)})
+    return _nlos_block(pol, amp, batch, np.ones((1, geom.n_tx)), t, geom, motion, ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +365,34 @@ def attenuation_factor(delta_d: float, rolloff: float) -> float:
     return float(_logistic(-delta_d * rolloff))
 
 
-def _element_attenuation(tx_distances: np.ndarray, d_min: float, d_max: float,
-                         visibility: float, rolloff: float) -> np.ndarray:
-    if d_max <= d_min:
-        norm = np.zeros_like(tx_distances)
-    else:
-        norm = (tx_distances - d_min) / (d_max - d_min)
+def _element_attenuation(tx_distances: np.ndarray, d_min, d_max, visibility,
+                         rolloff: float) -> np.ndarray:
+    """Logistic roll-off of each distance's position within [d_min, d_max];
+    the span, visibility and distances broadcast against each other."""
+    span = d_max - d_min
+    wide = span > 0.0
+    norm = np.where(wide, (tx_distances - d_min) / np.where(wide, span, 1.0), 0.0)
     return _logistic(-(norm - visibility) * rolloff)
+
+
+def _cluster_attenuation(rays, tx_distances: np.ndarray, model: VisibilityModel,
+                         visibility_seed: int) -> np.ndarray:
+    """(R, n_tx) attenuation of each ray at each transmit element.
+
+    One visibility draw per cluster, seeded by (visibility_seed, cluster),
+    and one distance span per cluster across its rays and the elements.
+    """
+    members = {}
+    for i, ray in enumerate(rays):
+        members.setdefault(ray.cluster, []).append(i)
+    max_power = max(rays[idx[0]].power for idx in members.values())
+    v, d_min, d_max = np.empty((3, len(rays), 1))
+    for n, idx in sorted(members.items()):
+        seed = np.random.SeedSequence([int(visibility_seed), int(n)])
+        v[idx] = visibility_probability(rays[idx[0]].power, max_power, model, seed)
+        span = tx_distances[idx]
+        d_min[idx], d_max[idx] = span.min(), span.max()
+    return _element_attenuation(tx_distances, d_min, d_max, v, model.rolloff)
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +413,8 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
                    planar: bool) -> list[Tap]:
     w_los, w_nlos = _k_weights(k_factor)
     rays = list(rays) if rays is not None else []
-    locate = _planar_bounce if planar else locate_bounce_scatterers
-    bounces = [locate(ray, geom, ctx) for ray in rays]
-
-    # per-cluster visibility draws and distance spans across rays and elements
-    vis_state = {}
-    if visibility is not None:
-        powers = {}
-        for ray in rays:
-            powers.setdefault(ray.cluster, ray.power)
-        max_power = max(powers.values()) if powers else 1.0
-        for n, p in sorted(powers.items()):
-            seed = np.random.SeedSequence([int(visibility_seed), int(n)])
-            v_n = visibility_probability(p, max_power, visibility, seed)
-            span = np.concatenate(
-                [b.tx_distances for r, b in zip(rays, bounces) if r.cluster == n]
-            )
-            vis_state[n] = (v_n, float(span.min()), float(span.max()))
 
     d_ref = float(np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0]))
-    taps = [None]  # LOS placeholder keeps the first position
     los = _los_matrix(geom, t, motion, ctx, planar=planar)
     if visibility is None:
         alpha_los = np.ones(geom.n_tx)
@@ -393,19 +430,32 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
         alpha_los = _element_attenuation(
             d_los, float(d_los.min()), float(d_los.max()), v_los, visibility.rolloff
         )
-    taps[0] = Tap(delay=d_ref / SPEED_OF_LIGHT, coefficients=w_los * alpha_los[None, :] * los)
+    taps = [Tap(delay=d_ref / SPEED_OF_LIGHT, coefficients=w_los * alpha_los[None, :] * los)]
+    if not rays:
+        return taps
 
-    for ray, bounce in zip(rays, bounces):
-        if visibility is None:
-            alpha = np.ones(geom.n_tx)
-        else:
-            v_n, d_min, d_max = vis_state[ray.cluster]
-            alpha = _element_attenuation(bounce.tx_distances, d_min, d_max, v_n,
-                                         visibility.rolloff)
-        if drop_below > 0.0 and float(alpha.max()) <= drop_below:
-            continue
-        coeff = _nlos_matrix(ray, bounce, t, geom, motion, ctx)
-        taps.append(Tap(delay=ray.delay, coefficients=w_nlos * alpha[None, :] * coeff))
+    bounce = _locate_bounces(np.array([r.departure for r in rays]),
+                             np.array([r.arrival for r in rays]),
+                             np.array([r.delay for r in rays]), geom, planar)
+    if visibility is None:
+        alpha = np.ones((len(rays), geom.n_tx))
+    else:
+        alpha = _cluster_attenuation(rays, bounce.tx_distances, visibility, visibility_seed)
+    if drop_below > 0.0:
+        keep = np.flatnonzero(alpha.max(axis=1) > drop_below)
+        rays = [rays[i] for i in keep]
+        bounce = _take(bounce, keep)
+        alpha = alpha[keep]
+    weight = w_nlos * alpha
+    pol, amp = _ray_factors(rays)
+
+    # blocks of whole rays with at most _BLOCK_ENTRIES entries (at least one ray)
+    step = max(1, _BLOCK_ENTRIES // (geom.n_rx * geom.n_tx))
+    for start in range(0, len(rays), step):
+        block = slice(start, start + step)
+        coeff = _nlos_block(pol[block], amp[block], _take(bounce, block), weight[block],
+                            t, geom, motion, ctx)
+        taps.extend(Tap(delay=ray.delay, coefficients=c) for ray, c in zip(rays[block], coeff))
     return taps
 
 
@@ -476,29 +526,29 @@ def cluster_rays(table: ClusterTable, delay_spread: float, los_delay: float,
     if delay_spread < 0.0 or los_delay < 0.0 or delay_margin <= 0.0:
         raise DomainError("delays must be nonnegative and the margin positive")
     rng = np.random.default_rng(rng_seed)
-    offsets = np.concatenate([RAY_OFFSETS[: rays_per_cluster // 2],
-                              -RAY_OFFSETS[: rays_per_cluster // 2]])
-    asd, asa, zsd, zsa = (np.radians(s) for s in table.spreads_deg)
-    powers = table.normalized_powers()
+    half = RAY_OFFSETS[: rays_per_cluster // 2]
+    offsets = np.concatenate([half, -half])
+    asd, asa, zsd, zsa = np.radians(table.spreads_deg)
+    scale = np.array([asd, zsd, asa, zsa])[:, None]  # rows: aod, zod, aoa, zoa
+    powers = table.normalized_powers().tolist()
     rays = []
     for n, (row, p_n) in enumerate(zip(table.rows, powers), start=1):
-        delay = los_delay + delay_margin + row.delay_norm * delay_spread
-        perm = {key: rng.permutation(rays_per_cluster) for key in ("aod", "zod", "aoa", "zoa")}
-        xpr_db = rng.normal(table.xpr_mu_db, table.xpr_sigma_db, size=rays_per_cluster)
-        phases = rng.uniform(-np.pi, np.pi, size=(rays_per_cluster, 4))
-        for m in range(rays_per_cluster):
-            aod = np.radians(row.aod_deg) + asd * offsets[perm["aod"][m]]
-            zod = np.radians(row.zod_deg) + zsd * offsets[perm["zod"][m]]
-            aoa = np.radians(row.aoa_deg) + asa * offsets[perm["aoa"][m]]
-            zoa = np.radians(row.zoa_deg) + zsa * offsets[perm["zoa"][m]]
-            rays.append(
-                ClusterRay(
-                    cluster=n, ray=m, power=float(p_n), ray_count=rays_per_cluster,
-                    delay=float(delay),
-                    departure=(float(np.clip(zod, 1e-6, np.pi - 1e-6)), float(aod)),
-                    arrival=(float(np.clip(zoa, 1e-6, np.pi - 1e-6)), float(aoa)),
-                    xpr=float(10.0 ** (xpr_db[m] / 10.0)),
-                    phases=tuple(phases[m]),
-                )
+        delay = float(los_delay + delay_margin + row.delay_norm * delay_spread)
+        perm = np.stack([rng.permutation(rays_per_cluster) for _ in range(4)])
+        xpr_db = rng.normal(table.xpr_mu_db, table.xpr_sigma_db, size=rays_per_cluster).tolist()
+        phases = rng.uniform(-np.pi, np.pi, size=(rays_per_cluster, 4)).tolist()
+        means = np.radians([row.aod_deg, row.zod_deg, row.aoa_deg, row.zoa_deg])[:, None]
+        angles = means + scale * offsets[perm]
+        angles[1::2] = np.clip(angles[1::2], 1e-6, np.pi - 1e-6)
+        aod, zod, aoa, zoa = angles.tolist()
+        rays.extend(
+            ClusterRay(
+                cluster=n, ray=m, power=p_n, ray_count=rays_per_cluster, delay=delay,
+                departure=(zod[m], aod[m]), arrival=(zoa[m], aoa[m]),
+                # scalar power: an array ** may differ in the last bit
+                xpr=10.0 ** (xpr_db[m] / 10.0),
+                phases=tuple(phases[m]),
             )
+            for m in range(rays_per_cluster)
+        )
     return rays

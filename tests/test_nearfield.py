@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -5,12 +9,14 @@ from scipy.special import expit
 
 from emchan import (
     ArrayGeometry,
+    BounceGeometry,
     ClusterRay,
     DomainError,
     GeometryError,
     MotionState,
     PatternSet,
     ShapeError,
+    Tap,
     VisibilityModel,
     WaveContext,
     angles_from_vector,
@@ -33,8 +39,8 @@ from emchan import (
 )
 from emchan import nearfield
 from emchan.emcore import SPEED_OF_LIGHT
-from emchan.nearfield import (LOS_POLARIZATION, _logistic, _los_matrix, _nlos_matrix,
-                              _planar_bounce)
+from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _logistic, _los_matrix,
+                              _nlos_matrix, _planar_bounce)
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
@@ -125,6 +131,170 @@ def mixed_pattern_geometry(seed=0, n_tx=5, n_rx=6):
         tx_patterns=PatternSet.per_element([kinds[s % 5] for s in range(n_tx)]),
         rx_patterns=PatternSet.per_element([kinds[(u + 2) % 5] for u in range(n_rx)]),
     )
+
+
+# Per-ray reference implementations of the ray-batched bounce geometry, NLOS
+# blocks, tap assembly and ray-set construction.
+
+
+def closest_ray_points_oracle(origin_a, dir_a, origin_b, dir_b):
+    """Nonnegative ray parameters minimizing the inter-ray distance."""
+    w = origin_a - origin_b
+    dot = float(dir_a @ dir_b)
+    denom = 1.0 - dot * dot
+    if denom < 1e-12:
+        return None  # parallel
+    wa = float(w @ dir_a)
+    wb = float(w @ dir_b)
+    a = (dot * wb - wa) / denom
+    b = (wb - dot * wa) / denom
+    return max(a, 0.0), max(b, 0.0)
+
+
+def bounce_oracle(ray, geom):
+    """First/last bounce points of one ray and its paths to every element."""
+    tx0 = geom.tx_positions[0]
+    rx0 = geom.rx_positions[0]
+    total = SPEED_OF_LIGHT * ray.delay
+    direct = float(np.linalg.norm(rx0 - tx0))
+    if total <= direct:
+        raise GeometryError("ray delay is not longer than the direct path")
+    u_dep = unit_vector(*ray.departure)
+    u_arr = unit_vector(*ray.arrival)
+    closest = closest_ray_points_oracle(tx0, u_dep, rx0, u_arr)
+    if closest is None or closest[0] + closest[1] <= 0.0:
+        a0 = b0 = total / 2.0
+    else:
+        a0, b0 = closest
+        if a0 <= 0.0 or b0 <= 0.0:
+            # a leg collapsed onto its own array; fall back to an even split
+            a0 = b0 = total / 2.0
+    leftover = total - (a0 + b0)
+    if leftover > 0.0:
+        a, b, inter = a0, b0, leftover
+    else:
+        shrink = total / (a0 + b0)
+        a, b, inter = shrink * a0, shrink * b0, 0.0
+    first = tx0 + a * u_dep
+    last = rx0 + b * u_arr
+    tx_vec = first - geom.tx_positions
+    rx_vec = last - geom.rx_positions
+    tx_theta, tx_phi = angles_from_vector(tx_vec)
+    rx_theta, rx_phi = angles_from_vector(rx_vec)
+    return BounceGeometry(
+        first_bounce=first, last_bounce=last, inter_distance=inter,
+        tx_distances=np.linalg.norm(tx_vec, axis=1), rx_distances=np.linalg.norm(rx_vec, axis=1),
+        tx_theta=tx_theta, tx_phi=tx_phi, rx_theta=rx_theta, rx_phi=rx_phi,
+    )
+
+
+def planar_bounce_oracle(ray, geom):
+    """Far-field variant: ray directions extended linearly from the references."""
+    exact = bounce_oracle(ray, geom)
+    u_dep = unit_vector(*ray.departure)
+    u_arr = unit_vector(*ray.arrival)
+    tx_dist = exact.tx_distances[0] - (geom.tx_positions - geom.tx_positions[0]) @ u_dep
+    rx_dist = exact.rx_distances[0] - (geom.rx_positions - geom.rx_positions[0]) @ u_arr
+    n_tx, n_rx = geom.n_tx, geom.n_rx
+    return dataclasses.replace(
+        exact, tx_distances=tx_dist, rx_distances=rx_dist,
+        tx_theta=np.full(n_tx, ray.departure[0]), tx_phi=np.full(n_tx, ray.departure[1]),
+        rx_theta=np.full(n_rx, ray.arrival[0]), rx_phi=np.full(n_rx, ray.arrival[1]),
+    )
+
+
+def nlos_matrix_oracle(ray, bounce, t, geom, motion, ctx):
+    """One ray's (n_rx, n_tx) entries: per-element pattern gains, one 2 x 2 XPR matrix."""
+    fr = geom.rx_patterns.element_gains(bounce.rx_theta, bounce.rx_phi)
+    ft = geom.tx_patterns.element_gains(bounce.tx_theta, bounce.tx_phi)
+    inv = 1.0 / np.sqrt(ray.xpr)
+    p_tt, p_tp, p_pt, p_pp = ray.phases
+    pol = np.array([[np.exp(1j * p_tt), inv * np.exp(1j * p_tp)],
+                    [inv * np.exp(1j * p_pt), np.exp(1j * p_pp)]])
+    gain = fr @ pol @ ft.T
+    lam = ctx.wavelength
+    phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[0] - bounce.rx_distances) / lam)
+    phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[0] - bounce.tx_distances) / lam)
+    rate = unit_vector(bounce.rx_theta, bounce.rx_phi) @ motion.velocity / lam
+    doppler = np.exp(2j * np.pi * rate * t)
+    amp = np.sqrt(ray.power / ray.ray_count)
+    return amp * gain * phase_rx[:, None] * phase_tx[None, :] * doppler[:, None]
+
+
+def element_attenuation_oracle(tx_distances, d_min, d_max, visibility, rolloff):
+    if d_max <= d_min:
+        norm = np.zeros_like(tx_distances)
+    else:
+        norm = (tx_distances - d_min) / (d_max - d_min)
+    return _logistic(-(norm - visibility) * rolloff)
+
+
+def taps_oracle(geom, rays, k_factor, visibility, t, motion, ctx, visibility_seed,
+                drop_below, planar):
+    """One bounce, one attenuation and one NLOS matrix per ray, in a Python loop."""
+    w_los, w_nlos = nearfield._k_weights(k_factor)
+    locate = planar_bounce_oracle if planar else bounce_oracle
+    bounces = [locate(ray, geom) for ray in rays]
+    vis_state = {}
+    if visibility is not None:
+        powers = {}
+        for ray in rays:
+            powers.setdefault(ray.cluster, ray.power)
+        max_power = max(powers.values())
+        for n, p in sorted(powers.items()):
+            seed = np.random.SeedSequence([int(visibility_seed), int(n)])
+            v_n = visibility_probability(p, max_power, visibility, seed)
+            span = np.concatenate(
+                [b.tx_distances for r, b in zip(rays, bounces) if r.cluster == n])
+            vis_state[n] = (v_n, float(span.min()), float(span.max()))
+    # the LOS tap comes from the shared LOS path; only the NLOS loop is re-derived here
+    los = nearfield._assemble_taps(geom, [], k_factor, visibility, t, motion, ctx,
+                                   visibility_seed, drop_below, planar)
+    taps = list(los)
+    for ray, bounce in zip(rays, bounces):
+        if visibility is None:
+            alpha = np.ones(geom.n_tx)
+        else:
+            v_n, d_min, d_max = vis_state[ray.cluster]
+            alpha = element_attenuation_oracle(bounce.tx_distances, d_min, d_max, v_n,
+                                               visibility.rolloff)
+        if drop_below > 0.0 and float(alpha.max()) <= drop_below:
+            continue
+        coeff = nlos_matrix_oracle(ray, bounce, t, geom, motion, ctx)
+        taps.append(Tap(delay=ray.delay, coefficients=w_nlos * alpha[None, :] * coeff))
+    return taps
+
+
+def cluster_rays_oracle(table, delay_spread, los_delay, rng_seed, rays_per_cluster=20,
+                        delay_margin=5e-9):
+    """One ClusterRay per loop pass, every angle a scalar expression."""
+    rng = np.random.default_rng(rng_seed)
+    offsets = np.concatenate([RAY_OFFSETS[: rays_per_cluster // 2],
+                              -RAY_OFFSETS[: rays_per_cluster // 2]])
+    asd, asa, zsd, zsa = (np.radians(s) for s in table.spreads_deg)
+    powers = table.normalized_powers()
+    rays = []
+    for n, (row, p_n) in enumerate(zip(table.rows, powers), start=1):
+        delay = los_delay + delay_margin + row.delay_norm * delay_spread
+        perm = {key: rng.permutation(rays_per_cluster) for key in ("aod", "zod", "aoa", "zoa")}
+        xpr_db = rng.normal(table.xpr_mu_db, table.xpr_sigma_db, size=rays_per_cluster)
+        phases = rng.uniform(-np.pi, np.pi, size=(rays_per_cluster, 4))
+        for m in range(rays_per_cluster):
+            aod = np.radians(row.aod_deg) + asd * offsets[perm["aod"][m]]
+            zod = np.radians(row.zod_deg) + zsd * offsets[perm["zod"][m]]
+            aoa = np.radians(row.aoa_deg) + asa * offsets[perm["aoa"][m]]
+            zoa = np.radians(row.zoa_deg) + zsa * offsets[perm["zoa"][m]]
+            rays.append(
+                ClusterRay(
+                    cluster=n, ray=m, power=float(p_n), ray_count=rays_per_cluster,
+                    delay=float(delay),
+                    departure=(float(np.clip(zod, 1e-6, np.pi - 1e-6)), float(aod)),
+                    arrival=(float(np.clip(zoa, 1e-6, np.pi - 1e-6)), float(aoa)),
+                    xpr=float(10.0 ** (xpr_db[m] / 10.0)),
+                    phases=tuple(phases[m]),
+                )
+            )
+    return rays
 
 
 def assert_matches_oracle(got, want):
@@ -499,6 +669,129 @@ def test_spatial_correlation_properties():
     assert rho(500.0) > rho(100.0) > rho(20.0)
 
 
+MOVING = MotionState(velocity=np.array([-3.0, 1.5, 0.5]))
+# a low visibility floor spreads the rays' strongest attenuation across (0, 1)
+LOW_VISIBILITY = VisibilityModel(amplitude=0.3, floor=0.2)
+
+
+def cdl_rays(geom, seed, rays_per_cluster=2):
+    direct = np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0])
+    return cluster_rays(bundled_cdl_b(), 100e-9, direct / SPEED_OF_LIGHT, rng_seed=seed,
+                        rays_per_cluster=rays_per_cluster)
+
+
+def shared_pattern_geometry(seed=0):
+    geom = mixed_pattern_geometry(seed)
+    return ArrayGeometry(tx_positions=geom.tx_positions, rx_positions=geom.rx_positions,
+                         tx_patterns=PatternSet.uniform(dipole("y")),
+                         rx_patterns=PatternSet.uniform(patch(90.0)))
+
+
+def assert_same_taps(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.delay == b.delay
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("make_geom", [shared_pattern_geometry, mixed_pattern_geometry])
+@pytest.mark.parametrize("k_factor, visibility, drop_below, motion", [
+    (0.0, None, 0.0, STILL),
+    (1.0, VisibilityModel(), 0.0, MOVING),
+    (np.inf, VisibilityModel(), 0.0, MOVING),
+    (1.0, LOW_VISIBILITY, 0.9, MOVING),
+])
+def test_taps_match_per_ray_oracle(planar, make_geom, k_factor, visibility, drop_below, motion):
+    geom = make_geom(seed=3)
+    rays = cdl_rays(geom, seed=9)
+    args = (k_factor, visibility, 2e-3, motion, CTX, 4, drop_below, planar)
+    got = nearfield._assemble_taps(geom, rays, *args)
+    want = taps_oracle(geom, rays, *args)
+    if drop_below > 0.0:
+        assert 1 < len(want) < len(rays) + 1  # some rays dropped, some kept
+    assert [tap.delay for tap in got] == [tap.delay for tap in want]
+    for a, b in zip(got, want):
+        assert_matches_oracle(a.coefficients, b.coefficients)
+
+
+def test_bounce_branches_match_oracle():
+    geom = ArrayGeometry(
+        tx_positions=np.array([[10.0, 0.0, 0.0], [10.0, 0.3, 0.1], [9.8, -0.2, 0.0]]),
+        rx_positions=np.array([[0.0, 0.0, 0.0], [0.0, 0.25, 0.0], [0.1, -0.3, 0.2]]),
+    )
+    side = np.arctan2(0.6, 0.8)
+    cases = {  # branch: departure, arrival, path length beyond the direct one
+        "parallel": ((np.pi / 2, np.pi / 2), (np.pi / 2, np.pi / 2), 4.0),
+        "collapsed": ((np.arccos(0.8), 0.0), (np.pi / 2, side), 4.0),
+        "shrink": ((np.pi / 2, 2 * np.pi / 3), (np.pi / 2, np.pi / 3), 1.0),
+        "leftover": ((np.pi / 2, 2 * np.pi / 3), (np.pi / 2, np.pi / 3), 30.0),
+    }
+    rays = [feasible_ray(geom, extra=extra, departure=dep, arrival=arr)
+            for dep, arr, extra in cases.values()]
+    batch_args = (np.array([r.departure for r in rays]), np.array([r.arrival for r in rays]),
+                  np.array([r.delay for r in rays]), geom)
+    for planar, oracle in ((False, bounce_oracle), (True, planar_bounce_oracle)):
+        batch = nearfield._locate_bounces(*batch_args, planar=planar)
+        for i, ray in enumerate(rays):
+            want = oracle(ray, geom)
+            for f in dataclasses.fields(want):
+                np.testing.assert_allclose(getattr(batch, f.name)[i], getattr(want, f.name),
+                                           rtol=1e-12, atol=1e-12, err_msg=f.name)
+        got = dict(zip(cases, (nearfield._take(batch, i) for i in range(len(rays)))))
+        for branch in ("parallel", "collapsed"):  # even split of the path length
+            assert got[branch].tx_distances[0] == pytest.approx(got[branch].rx_distances[0])
+            assert got[branch].inter_distance == 0.0
+        assert got["shrink"].inter_distance == 0.0
+        assert got["leftover"].inter_distance > 0.0
+
+    short = dataclasses.replace(rays[0], delay=5.0 / SPEED_OF_LIGHT)
+    with pytest.raises(GeometryError):
+        channel_impulse_response(geom, rays + [short], k_factor=1.0, ctx=CTX)
+
+
+def test_taps_do_not_depend_on_block_size(monkeypatch):
+    geom = mixed_pattern_geometry(seed=5)
+    rays = cdl_rays(geom, seed=8)
+    per_ray = geom.n_rx * geom.n_tx
+    kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), t=3e-3, motion=MOVING, ctx=CTX,
+                  visibility_seed=2)
+    runs = []
+    for budget in (per_ray, 7 * per_ray, sys.maxsize):
+        monkeypatch.setattr(nearfield, "_BLOCK_ENTRIES", budget)
+        runs.append([response(geom, rays, **kwargs)
+                     for response in (channel_impulse_response, planar_wave_channel)])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert_same_taps(got, want)
+
+
+def test_block_temporaries_stay_within_the_budget(monkeypatch):
+    """Above the returned taps, the NLOS part holds a few blocks and per-ray
+    geometry; it never holds an array of every ray's entries."""
+    n_tx, n_rx = 96, 48
+    tx = np.stack([np.full(n_tx, 15.0), np.linspace(-0.6, 0.6, n_tx), np.zeros(n_tx)], axis=1)
+    rx = np.stack([np.zeros(n_rx), np.linspace(-0.3, 0.3, n_rx), np.zeros(n_rx)], axis=1)
+    geom = ArrayGeometry(tx_positions=tx, rx_positions=rx,
+                         tx_patterns=PatternSet.uniform(dipole("y")),
+                         rx_patterns=PatternSet.uniform(dipole("z")))
+    rays = cdl_rays(geom, seed=3)
+    budget = 2 * n_rx * n_tx
+    monkeypatch.setattr(nearfield, "_BLOCK_ENTRIES", budget)
+    kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), motion=MOVING, t=1e-3, ctx=CTX)
+    los_only = channel_impulse_response(geom, [], **kwargs)  # warm every code path
+    tracemalloc.start()
+    try:
+        taps = channel_impulse_response(geom, rays, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    taps_bytes = sum(tap.coefficients.nbytes for tap in taps)
+    all_entries = len(rays) * n_rx * n_tx * 16
+    assert len(taps) == len(rays) + 1 and los_only
+    assert peak - taps_bytes <= 4 * budget * 16 < all_entries
+
+
 def test_cluster_rays_construction():
     table = bundled_cdl_b()
     rays = cluster_rays(table, delay_spread=100e-9, los_delay=1e-7, rng_seed=2,
@@ -518,6 +811,15 @@ def test_cluster_rays_construction():
         cluster_rays(table, 100e-9, 1e-7, 2, rays_per_cluster=50)
     with pytest.raises(DomainError):
         cluster_rays(table, -1e-9, 1e-7, 2)
+
+
+@pytest.mark.parametrize("rays_per_cluster", [2, 4, 20])
+def test_cluster_rays_match_loop_oracle(rays_per_cluster):
+    table = bundled_cdl_b()
+    for seed in (0, 1, 7, np.random.SeedSequence([3, 7])):
+        got = cluster_rays(table, 100e-9, 1e-7, seed, rays_per_cluster=rays_per_cluster)
+        want = cluster_rays_oracle(table, 100e-9, 1e-7, seed, rays_per_cluster=rays_per_cluster)
+        assert [dataclasses.astuple(r) for r in got] == [dataclasses.astuple(r) for r in want]
 
 
 def test_dataclass_validation():
