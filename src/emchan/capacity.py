@@ -23,16 +23,16 @@ class CapacityResult:
     eigenvalues: np.ndarray
 
 
-def _channel_eigenvalues(g: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """Eigenvalues of G^H G, descending along the last axis; `stacked` admits
-    leading axes, one matrix per index.
+def _channel_eigenvalues(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of G^H G, descending along the last axis; G may carry
+    leading stack axes, one matrix per index.
 
     They come from the smaller Gram matrix (G G^H for a wide G), whose
     nonzero eigenvalues are the same; the rest are zero.
     """
     g = np.asarray(g, dtype=complex)
-    if g.ndim < 2 or (g.ndim > 2 and not stacked):
-        raise DomainError("channel matrix must be 2-D")
+    if g.ndim < 2:
+        raise DomainError("channel matrix must be at least 2-D")
     if not np.all(np.isfinite(g)):
         raise DomainError("channel matrix entries must be finite")
     m, k = g.shape[-2:]
@@ -51,7 +51,7 @@ def capacity_equal_power(g: np.ndarray, power: float, noise_power: float) -> Cap
     """
     if noise_power <= 0.0:
         raise DomainError("noise power must be positive")
-    lam = _channel_eigenvalues(g, stacked=True)
+    lam = _channel_eigenvalues(g)
     k = lam.shape[-1]
     coef = power / (k * noise_power)
     cap = np.sum(np.log2(1.0 + coef * lam), axis=-1)
@@ -63,6 +63,8 @@ def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> Ca
     """Optimal power split across eigenmodes by the exact active-set rule."""
     if noise_power <= 0.0 or power <= 0.0:
         raise DomainError("power and noise power must be positive")
+    if np.ndim(g) != 2:
+        raise DomainError("channel matrix must be 2-D")
     lam = _channel_eigenvalues(g)
     positive = lam[lam > 0.0]
     alloc = np.zeros_like(lam)

@@ -101,7 +101,9 @@ class TriPolScenario:
     study = TRI_POL
 
     def rx_split(self) -> tuple[int, int, int]:
-        return {8: (2, 4, 2), 12: (2, 6, 3)}[self.ue_ports]
+        """Receive ports per polarization (z last) in the ratio 1:2:1, summing to ue_ports."""
+        q = self.ue_ports // 4
+        return (q, 2 * q, q)
 
     def trials(self, scale: float = 1.0) -> int:
         return max(1, int(round(self.cells * self.ues_per_cell * scale)))

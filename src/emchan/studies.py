@@ -30,10 +30,10 @@ from .scenario import scenario_hash, validate_scenario
 from .seeds import STUDY_IDS, realization_rng
 from .tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
                      simulate_tripol_channel)
-from .wavenumber import (RECEIVER, TRANSMITTER, EfficiencyMatrix, PolarizedWavenumberChannel,
-                         VmfCluster, VmfMixture, apply_polarization, assemble_channel,
-                         coupling_variances, fourier_harmonics, isotropic_mixture,
-                         sample_wavenumber_channel, uniform_planar_array, wavenumber_support)
+from .wavenumber import (EfficiencyMatrix, VmfCluster, VmfMixture, apply_polarization,
+                         assemble_channel, coupling_variances, fourier_harmonics,
+                         isotropic_mixture, sample_wavenumber_channel, uniform_planar_array,
+                         wavenumber_support)
 
 VERSION = "1.0.0"
 
@@ -117,8 +117,8 @@ class _Assembly:
     receive spacing, shared by the schemes that differ only in efficiency."""
 
     variance_set: int  # index into the variance sets of the shared draw
-    psi_s: tuple  # (Psi_S^theta, Psi_S^phi)
-    rx: tuple  # (R^theta, R^phi) stacked over the rx spacings, from _rx_factors
+    psi_s: np.ndarray  # [Psi_S^theta Psi_S^phi]
+    rx: np.ndarray  # R stacked over the rx spacings, from _rx_factors
     schemes: tuple  # ((position in the scheme list, element efficiency), ...)
 
 
@@ -131,43 +131,40 @@ def _reweighted(mixture: VmfMixture, weights) -> VmfMixture:
     return VmfMixture(clusters=clusters)
 
 
-def _rx_factors(harmonics) -> tuple[np.ndarray, np.ndarray]:
+def _rx_factors(harmonics) -> np.ndarray:
     """R of the thin QR [Psi_R^theta Psi_R^phi] = Q R of each receive array,
-    zero-padded to 2B rows for B support indices, stacked on a leading axis
-    and split as the harmonics are.
+    zero-padded to 2B rows for B support indices and stacked on a leading
+    axis.
 
     Q has orthonormal columns, so with a uniform Gamma_R the channel built on
     R in place of the harmonics has the singular values of the full channel,
     on 2B rows instead of n_r. Zero rows leave R^H R, and so the nonzero
     singular values, unchanged.
     """
-    n_b = harmonics[0][0].shape[1]
-    r = np.zeros((len(harmonics), 2 * n_b, 2 * n_b), dtype=complex)
-    for j, (psi_t, psi_p) in enumerate(harmonics):
-        factor = np.linalg.qr(np.hstack([psi_t, psi_p]), mode="r")
+    cols = harmonics[0].shape[1]
+    r = np.zeros((len(harmonics), cols, cols), dtype=complex)
+    for j, psi in enumerate(harmonics):
+        factor = np.linalg.qr(psi, mode="r")
         r[j, : factor.shape[0]] = factor
-    return r[..., :n_b], r[..., n_b:]
+    return r
 
 
 def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
     """Capacities of realizations [start, stop), one column per (scheme, rx spacing)."""
     seed, study_id, mu, sigma, coef_power, variances, n_schemes, assemblies = payload
     # one draw per realization (noise, phases, XPR), shared by every scheme:
-    # blocks[b, v, k] is polarization block b of variance set v, realization k
-    blocks = np.empty((4, len(variances), stop - start) + variances[0].variances.shape,
-                      dtype=complex)
+    # h_pol[v, k] is the polarized channel of variance set v, realization k
+    sets, rows, cols = variances.shape
+    h_pol = np.empty((sets, stop - start, 2 * rows, 2 * cols), dtype=complex)
     for k, i in enumerate(range(start, stop)):
         rng = realization_rng(seed, study_id, i)
-        draw = apply_polarization(sample_wavenumber_channel(variances, rng), mu, sigma, rng)
-        for b, block in enumerate((draw.h_tt, draw.h_tp, draw.h_pt, draw.h_pp)):
-            blocks[b, :, k] = block
-    n_spacings = assemblies[0].rx[0].shape[0]
+        h_pol[:, k] = apply_polarization(sample_wavenumber_channel(variances, rng), mu, sigma, rng)
+    n_spacings = assemblies[0].rx.shape[0]
     out = np.empty((n_schemes, n_spacings, stop - start))
     for a in assemblies:
-        h_pol = PolarizedWavenumberChannel(*blocks[:, a.variance_set], mu_xpr_db=mu,
-                                           sigma_xpr_db=sigma)
-        g = assemble_channel(EfficiencyMatrix.uniform(1.0, a.rx[0].shape[-2]), *a.rx, h_pol,
-                             *a.psi_s, EfficiencyMatrix.uniform(1.0, a.psi_s[0].shape[0]))
+        g = assemble_channel(EfficiencyMatrix.uniform(1.0, a.rx.shape[-2]), a.rx,
+                             h_pol[a.variance_set], a.psi_s,
+                             EfficiencyMatrix.uniform(1.0, a.psi_s.shape[0]))
         for position, efficiency in a.schemes:
             # amplitude sqrt(efficiency) on every element of both sides scales
             # H by the efficiency, so H H^H and the power by its square
@@ -184,8 +181,8 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
     lam = ctx.wavelength
     l_s = scn.tx_side_wavelengths * lam
     l_r = scn.rx_side_wavelengths * lam
-    sup_s = wavenumber_support(l_s, l_s, ctx, side=TRANSMITTER)
-    sup_r = wavenumber_support(l_r, l_r, ctx, side=RECEIVER)
+    sup_s = wavenumber_support(l_s, l_s, ctx)
+    sup_r = wavenumber_support(l_r, l_r, ctx)
 
     table = bundled_cdl_b() if scn.cluster_table is None else load_cluster_table(scn.cluster_table)
     mix_dep = mixture_from_clusters(table, "departure", scn.tx_boresight)
@@ -195,8 +192,8 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
         mix_arr = _reweighted(mix_arr, scn.cluster_weights)
     iso = isotropic_mixture()
     order = scn.quadrature_order
-    variances = (coupling_variances(sup_r, sup_s, iso, iso, ctx, order),
-                 coupling_variances(sup_r, sup_s, mix_arr, mix_dep, ctx, order))
+    variances = np.stack([coupling_variances(sup_r, sup_s, iso, iso, ctx, order),
+                          coupling_variances(sup_r, sup_s, mix_arr, mix_dep, ctx, order)])
 
     patterns = {"unit": PatternSet.uniform(unit_gain()), "dipole": PatternSet.uniform(dipole())}
     tx_array = uniform_planar_array(l_s, l_s, scn.tx_spacing_wavelengths * lam,
@@ -389,17 +386,17 @@ def _run_em_core(scn: sc.EmCoreValidationScenario, seed: int, scale: float,
         metadata=_metadata(scn, seed, scale),
     )
     per_point = max(1, scn.samples // sweep.size)
+    s = np.zeros(3)
     for k0r in sweep:
-        worst = 0.0
-        for _ in range(per_point):
-            direction = rng.standard_normal(3)
-            direction /= np.linalg.norm(direction)
-            r = direction * (k0r / k0)
-            s = np.zeros(3)
-            g_inf, g_rnf, g_ff = green_decomposition(r, s, ctx)
-            g = dyadic_green(r, s, ctx)
-            worst = max(worst, float(np.linalg.norm(g_inf + g_rnf + g_ff - g) / np.linalg.norm(g)))
-        decomp.append(float(k0r), worst)
+        # one batch of random directions per sweep point; the rows come out
+        # of the generator in the order single draws of 3 would
+        directions = rng.standard_normal((per_point, 3))
+        r = directions / np.linalg.norm(directions, axis=-1, keepdims=True) * (k0r / k0)
+        g_inf, g_rnf, g_ff = green_decomposition(r, s, ctx)
+        g = dyadic_green(r, s, ctx)
+        residual = (np.linalg.norm(g_inf + g_rnf + g_ff - g, axis=(-2, -1))
+                    / np.linalg.norm(g, axis=(-2, -1)))
+        decomp.append(float(k0r), float(residual.max()))
 
     regions = ResultTable(
         columns=(Column("frequency", "Hz"), Column("aperture", "m"),

@@ -19,9 +19,6 @@ from .emcore import WaveContext
 from .errors import DomainError, NumericalError, ShapeError
 from .patterns import PatternSet
 
-RECEIVER = "receiver"
-TRANSMITTER = "transmitter"
-
 
 # ---------------------------------------------------------------------------
 # directional power spectra
@@ -79,9 +76,7 @@ def vmf_pdf(theta, phi, cluster: VmfCluster) -> np.ndarray:
 def _vmf_density(sin_t: np.ndarray, cos_t: np.ndarray, phi: np.ndarray,
                  cluster: VmfCluster) -> np.ndarray:
     """vmf_pdf from sin(theta) and cos(theta)."""
-    a = cluster.concentration
-    if a < 0.0:
-        raise DomainError("concentration must be nonnegative")
+    a = cluster.concentration  # nonnegative: VmfCluster checks it
     if a == 0.0:
         return np.broadcast_to(1.0 / (4.0 * np.pi), np.broadcast_shapes(sin_t.shape, phi.shape)).copy()
     cosg = (
@@ -104,7 +99,6 @@ class WavenumberSupport:
     """Integer lattice indices of propagating plane waves for one aperture."""
 
     indices: tuple[tuple[int, int], ...]
-    side: str
     length_x: float
     length_y: float
     wavelength: float
@@ -114,13 +108,10 @@ class WavenumberSupport:
         return len(self.indices)
 
 
-def wavenumber_support(length_x: float, length_y: float, ctx: WaveContext,
-                       side: str = RECEIVER) -> WavenumberSupport:
+def wavenumber_support(length_x: float, length_y: float, ctx: WaveContext) -> WavenumberSupport:
     """All (l_x, l_y) with (l_x lam/L_x)^2 + (l_y lam/L_y)^2 <= 1."""
     if length_x <= 0.0 or length_y <= 0.0:
         raise DomainError("aperture lengths must be positive")
-    if side not in (RECEIVER, TRANSMITTER):
-        raise DomainError("side must be 'receiver' or 'transmitter'")
     lam = ctx.wavelength
     nx = int(np.floor(length_x / lam))
     ny = int(np.floor(length_y / lam))
@@ -130,8 +121,8 @@ def wavenumber_support(length_x: float, length_y: float, ctx: WaveContext,
         for ly in range(-ny - 1, ny + 2)
         if (lx * lam / length_x) ** 2 + (ly * lam / length_y) ** 2 <= 1.0
     )
-    return WavenumberSupport(indices=tuple(indices), side=side,
-                             length_x=length_x, length_y=length_y, wavelength=lam)
+    return WavenumberSupport(indices=tuple(indices), length_x=length_x, length_y=length_y,
+                             wavelength=lam)
 
 
 def wavenumber_to_angles(l_x: int, l_y: int, length_x: float, length_y: float,
@@ -241,92 +232,35 @@ def cell_power_fractions(support: WavenumberSupport, aps: VmfMixture,
     return fractions
 
 
-@dataclass(frozen=True)
-class CouplingVariances:
-    """Per wavenumber-pair variances (and optional deterministic means)."""
-
-    variances: np.ndarray
-    means: np.ndarray
-    support_r: WavenumberSupport
-    support_s: WavenumberSupport
-
-    def __post_init__(self):
-        v = np.asarray(self.variances, dtype=float)
-        m = np.asarray(self.means, dtype=complex)
-        expected = (self.support_r.count, self.support_s.count)
-        if v.shape != expected or m.shape != expected:
-            raise ShapeError(f"variance/mean arrays must have shape {expected}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise DomainError("variances must be finite and nonnegative")
-        object.__setattr__(self, "variances", v)
-        object.__setattr__(self, "means", m)
-
-
 def coupling_variances(support_r: WavenumberSupport, support_s: WavenumberSupport,
                        aps_r: VmfMixture, aps_s: VmfMixture, ctx: WaveContext,
-                       order: int = 16) -> CouplingVariances:
-    """sigma^2[beta, alpha] as the product of per-side cell power fractions."""
+                       order: int = 16) -> np.ndarray:
+    """sigma^2[beta, alpha], shape (R, S), as the product of per-side cell power fractions."""
     f_r = cell_power_fractions(support_r, aps_r, ctx, order)
     f_s = cell_power_fractions(support_s, aps_s, ctx, order)
-    var = np.outer(f_r, f_s)
-    return CouplingVariances(variances=var, means=np.zeros_like(var, dtype=complex),
-                             support_r=support_r, support_s=support_s)
+    return np.outer(f_r, f_s)
 
 
 # ---------------------------------------------------------------------------
 # coefficient sampling and polarization
 
 
-def sample_wavenumber_channel(variances, rng_seed) -> np.ndarray:
-    """Draw H_a entrywise from CN(mean, variance).
+def sample_wavenumber_channel(variances: np.ndarray, rng) -> np.ndarray:
+    """Draw H_a entrywise from CN(0, variance).
 
-    ``variances`` may also be a sequence of CouplingVariances of one shape.
-    One standard complex-normal draw is then scaled by each set in turn and
-    the results are stacked on a leading axis, so set j of the stack equals a
-    single-set call on the same generator.
+    One (R, S) complex-normal draw is scaled by every variance set on the
+    leading axes, so set j of a stack equals set j alone on the same generator.
     """
-    rng = np.random.default_rng(rng_seed)
-    sets = (variances,) if isinstance(variances, CouplingVariances) else tuple(variances)
-    shape = sets[0].variances.shape
-    if any(v.variances.shape != shape for v in sets):
-        raise ShapeError("variance sets sharing one draw must share one shape")
+    rng = np.random.default_rng(rng)
+    shape = np.shape(variances)[-2:]
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    h_a = np.stack([v.means + np.sqrt(v.variances / 2.0) * noise for v in sets])
-    return h_a[0] if isinstance(variances, CouplingVariances) else h_a
-
-
-@dataclass(frozen=True)
-class PolarizedWavenumberChannel:
-    """The four polarization blocks of the wavenumber-domain channel."""
-
-    h_tt: np.ndarray
-    h_tp: np.ndarray
-    h_pt: np.ndarray
-    h_pp: np.ndarray
-    mu_xpr_db: float
-    sigma_xpr_db: float
-
-    def __post_init__(self):
-        shape = np.shape(self.h_tt)
-        for blk in (self.h_tp, self.h_pt, self.h_pp):
-            if np.shape(blk) != shape:
-                raise ShapeError("polarization blocks must share one shape")
-
-    def block_matrix(self) -> np.ndarray:
-        """[[H_tt, H_tp], [H_pt, H_pp]] over the last two axes."""
-        r, s = np.shape(self.h_tt)[-2:]
-        out = np.empty(np.shape(self.h_tt)[:-2] + (2 * r, 2 * s),
-                       dtype=np.result_type(self.h_tt, self.h_tp, self.h_pt, self.h_pp))
-        out[..., :r, :s] = self.h_tt
-        out[..., :r, s:] = self.h_tp
-        out[..., r:, :s] = self.h_pt
-        out[..., r:, s:] = self.h_pp
-        return out
+    return np.sqrt(variances / 2.0) * noise
 
 
 def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
-                       rng_seed) -> PolarizedWavenumberChannel:
-    """Split H_a into four blocks with random phases and XPR attenuation.
+                       rng_seed) -> np.ndarray:
+    """[[H_tt, H_tp], [H_pt, H_pp]] of shape (..., 2R, 2S) from H_a (..., R, S),
+    with random phases and XPR attenuation.
 
     Co-pol blocks are phase rotations of H_a; cross-pol blocks additionally
     carry kappa^{-1/2} with kappa = 10^(X/10), X normal in dB. One kappa is
@@ -341,14 +275,13 @@ def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4,) + h_a.shape[-2:]))
     xpr_db = rng.normal(mu_xpr_db, sigma_xpr_db, size=h_a.shape[-2:])
     inv_sqrt_kappa = 10.0 ** (-xpr_db / 20.0)
-    return PolarizedWavenumberChannel(
-        h_tt=h_a * phases[0],
-        h_tp=h_a * phases[1] * inv_sqrt_kappa,
-        h_pt=h_a * phases[2] * inv_sqrt_kappa,
-        h_pp=h_a * phases[3],
-        mu_xpr_db=mu_xpr_db,
-        sigma_xpr_db=sigma_xpr_db,
-    )
+    r, s = h_a.shape[-2:]
+    out = np.empty(h_a.shape[:-2] + (2 * r, 2 * s), dtype=complex)
+    out[..., :r, :s] = h_a * phases[0]
+    out[..., :r, s:] = h_a * phases[1] * inv_sqrt_kappa
+    out[..., r:, :s] = h_a * phases[2] * inv_sqrt_kappa
+    out[..., r:, s:] = h_a * phases[3]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +338,9 @@ def uniform_planar_array(length_x: float, length_y: float, spacing_x: float,
 
 
 def fourier_harmonics(array: PlanarArray, support: WavenumberSupport,
-                      patterns: PatternSet, ctx: WaveContext) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern-weighted plane-wave steering columns, one per support index."""
+                      patterns: PatternSet, ctx: WaveContext) -> np.ndarray:
+    """[Psi^theta Psi^phi], shape (n, 2B): pattern-weighted plane-wave
+    steering columns, one per support index and polarization."""
     k0 = ctx.wavenumber
     idx = np.asarray(support.indices, dtype=float)
     k_x = 2.0 * np.pi * idx[:, 0] / support.length_x
@@ -423,7 +357,7 @@ def fourier_harmonics(array: PlanarArray, support: WavenumberSupport,
     ) / np.sqrt(array.count)
     gains = patterns.element_gains(np.broadcast_to(theta, phase.shape),
                                    np.broadcast_to(phi, phase.shape))
-    return phase * gains[..., 0], phase * gains[..., 1]
+    return np.hstack([phase * gains[..., 0], phase * gains[..., 1]])
 
 
 def hannan_efficiency(spacing_x: float, spacing_y: float, ctx: WaveContext) -> float:
@@ -456,24 +390,20 @@ class EfficiencyMatrix:
         return self.values.size
 
 
-def assemble_channel(gamma_r: EfficiencyMatrix, psi_r_theta: np.ndarray, psi_r_phi: np.ndarray,
-                     h_pol: PolarizedWavenumberChannel, psi_s_theta: np.ndarray,
-                     psi_s_phi: np.ndarray, gamma_s: EfficiencyMatrix) -> np.ndarray:
+def assemble_channel(gamma_r: EfficiencyMatrix, psi_r: np.ndarray, h_pol: np.ndarray,
+                     psi_s: np.ndarray, gamma_s: EfficiencyMatrix) -> np.ndarray:
     """H = Gamma_R [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H Gamma_S.
 
-    The blocks of ``h_pol`` may carry leading stack axes, and so may the
-    receive harmonics (say one set per receive array, padded to one row
-    count). H then carries the harmonics' axes followed by the blocks' axes,
-    one channel per index pair. The transmit side is multiplied first, so
-    every set of receive harmonics reuses one H_pol Psi_S^H Gamma_S product.
+    ``h_pol`` may carry leading stack axes, and so may the receive harmonics
+    (say one set per receive array, padded to one row count). H then carries
+    the harmonics' axes followed by the polarized channel's axes, one channel
+    per index pair. The transmit side is multiplied first, so every set of
+    receive harmonics reuses one H_pol Psi_S^H Gamma_S product.
     """
-    psi_r = np.concatenate([psi_r_theta, psi_r_phi], axis=-1)
-    psi_s = np.hstack([psi_s_theta, psi_s_phi])
-    blocks = h_pol.block_matrix()
-    if psi_r.shape[-1] != blocks.shape[-2] or psi_s.shape[1] != blocks.shape[-1]:
+    if psi_r.shape[-1] != h_pol.shape[-2] or psi_s.shape[1] != h_pol.shape[-1]:
         raise ShapeError("harmonic and polarization block shapes do not conform")
     if gamma_r.count != psi_r.shape[-2] or gamma_s.count != psi_s.shape[0]:
         raise ShapeError("efficiency diagonals must match element counts")
-    tx = blocks @ (psi_s.conj() * gamma_s.values[:, None]).T
+    tx = h_pol @ (psi_s.conj() * gamma_s.values[:, None]).T
     rx = gamma_r.values[:, None] * psi_r
-    return rx.reshape(rx.shape[:-2] + (1,) * (blocks.ndim - 2) + rx.shape[-2:]) @ tx
+    return rx.reshape(rx.shape[:-2] + (1,) * (h_pol.ndim - 2) + rx.shape[-2:]) @ tx

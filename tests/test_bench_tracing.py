@@ -1,7 +1,7 @@
 """The benchmark's traced run wraps names that the program looks up at call
 time, and its correctness gate compares each run's tables with stored
 references. If a wrapped name is renamed or removed, `bench/run.py --trace 1`
-breaks, and if the CDL-B response drifts past the gate, every benchmark run
+breaks, and if a workload's tables drift past the gate, every benchmark run
 fails; these tests make both a tier-1 failure instead."""
 
 import sys
@@ -67,6 +67,31 @@ def test_cdl_response_passes_the_benchmark_gate(seed, monkeypatch, tmp_path):
         got = tmp_path / "cdl-b-response_summary.csv"
         write_results(table, got, fmt="csv")
         assert gate.compare_table(got, gate.REFERENCE / wl.name / f"seed-{seed}" / got.name) == []
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(loaded)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_capacity_mc_tables_pass_the_benchmark_gate(seed, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = BENCH_MODULES + ("gate",)
+    loaded = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    try:
+        import gate
+        import workloads
+
+        wl = workloads.WORKLOADS["capacity-mc"]
+        for file_name, scale in wl.scenarios:
+            scn = load_scenario(ROOT / "scenarios" / file_name)
+            tables = run_study(scn, seed=workloads.program_seed(seed), scale=scale, jobs=1)
+            for key, table in tables.items():
+                write_results(table, tmp_path / f"{scn.name}_{key}.csv", fmt="csv")
+        # every reference table is produced, nothing else is, and each one
+        # passes gate.compare_table
+        refs = gate.reference_dirs(wl.name, workloads.program_seed(seed))
+        assert gate.check_tables(tmp_path, refs) == []
     finally:
         for name in names:
             sys.modules.pop(name, None)

@@ -15,10 +15,10 @@ from emchan.cdl import bundled_cdl_b, mixture_from_clusters
 from emchan.emcore import WaveContext
 from emchan.patterns import PatternSet, dipole, unit_gain
 from emchan.seeds import STUDY_IDS, realization_rng
-from emchan.wavenumber import (RECEIVER, TRANSMITTER, EfficiencyMatrix, apply_polarization,
-                               assemble_channel, coupling_variances, fourier_harmonics,
-                               isotropic_mixture, sample_wavenumber_channel,
-                               uniform_planar_array, wavenumber_support)
+from emchan.wavenumber import (EfficiencyMatrix, apply_polarization, assemble_channel,
+                               coupling_variances, fourier_harmonics, isotropic_mixture,
+                               sample_wavenumber_channel, uniform_planar_array,
+                               wavenumber_support)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -30,8 +30,8 @@ def densely_spaced_oracle(scn, seed: int, count: int) -> np.ndarray:
     lam = ctx.wavelength
     l_s = scn.tx_side_wavelengths * lam
     l_r = scn.rx_side_wavelengths * lam
-    sup_s = wavenumber_support(l_s, l_s, ctx, side=TRANSMITTER)
-    sup_r = wavenumber_support(l_r, l_r, ctx, side=RECEIVER)
+    sup_s = wavenumber_support(l_s, l_s, ctx)
+    sup_r = wavenumber_support(l_r, l_r, ctx)
     table = bundled_cdl_b()
     mix_dep = mixture_from_clusters(table, "departure", scn.tx_boresight)
     mix_arr = mixture_from_clusters(table, "arrival", scn.rx_boresight)
@@ -66,9 +66,9 @@ def densely_spaced_oracle(scn, seed: int, count: int) -> np.ndarray:
             pol = apply_polarization(h_a, scn.xpr_mu_db, scn.xpr_sigma_db, rng)
             gamma_s = EfficiencyMatrix.uniform(amplitude, n_tx)
             for spacing in scn.rx_spacing_wavelengths:
-                psi_t, psi_p = psi_r[(spacing, pattern)]
-                gamma_r = EfficiencyMatrix.uniform(amplitude, psi_t.shape[0])
-                h = assemble_channel(gamma_r, psi_t, psi_p, pol, *psi_s[pattern], gamma_s)
+                harmonics = psi_r[(spacing, pattern)]
+                gamma_r = EfficiencyMatrix.uniform(amplitude, harmonics.shape[0])
+                h = assemble_channel(gamma_r, harmonics, pol, psi_s[pattern], gamma_s)
                 sv = np.linalg.svd(h, compute_uv=False)
                 row.append(float(np.sum(np.log2(1.0 + coef * sv**2))))
         rows.append(row)
@@ -153,7 +153,7 @@ def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     real = studies.assemble_channel
 
     def counted(*args):
-        calls.append(args[1].shape)  # stacked receive factors: (spacings, rows, support)
+        calls.append(args[1].shape)  # stacked receive factors: (spacings, rows, 2 x support)
         return real(*args)
 
     monkeypatch.setattr(studies, "assemble_channel", counted)
@@ -172,33 +172,32 @@ def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
 def test_padded_stacked_rx_factors_match_per_spacing_channels():
     ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
     lam = ctx.wavelength
-    sup_r = wavenumber_support(lam, lam, ctx, side=RECEIVER)
-    sup_s = wavenumber_support(2 * lam, 2 * lam, ctx, side=TRANSMITTER)
+    sup_r = wavenumber_support(lam, lam, ctx)
+    sup_s = wavenumber_support(2 * lam, 2 * lam, ctx)
     pats = PatternSet.uniform(dipole())
     psi_s = fourier_harmonics(uniform_planar_array(2 * lam, 2 * lam, lam / 2, lam / 2),
                               sup_s, pats, ctx)
     harmonics = [fourier_harmonics(uniform_planar_array(lam, lam, d * lam, d * lam),
                                    sup_r, pats, ctx) for d in (0.5, 0.25, 0.125)]
-    r_t, r_p = studies._rx_factors(harmonics)
+    r = studies._rx_factors(harmonics)
     rows = 2 * sup_r.count
-    assert r_t.shape == r_p.shape == (3, rows, sup_r.count)
+    assert r.shape == (3, rows, rows)
     rng = np.random.default_rng(8)
     shape = (2, sup_r.count, sup_s.count)  # two draws
     pol = apply_polarization(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                              8.0, 3.0, rng)
-    ones_s = EfficiencyMatrix.uniform(1.0, psi_s[0].shape[0])
-    stacked = assemble_channel(EfficiencyMatrix.uniform(1.0, rows), r_t, r_p, pol, *psi_s, ones_s)
-    assert stacked.shape == (3, 2, rows, psi_s[0].shape[0])
-    for j, (psi_t, psi_p) in enumerate(harmonics):
-        factor = np.linalg.qr(np.hstack([psi_t, psi_p]), mode="r")
+    ones_s = EfficiencyMatrix.uniform(1.0, psi_s.shape[0])
+    stacked = assemble_channel(EfficiencyMatrix.uniform(1.0, rows), r, pol, psi_s, ones_s)
+    assert stacked.shape == (3, 2, rows, psi_s.shape[0])
+    for j, psi in enumerate(harmonics):
+        factor = np.linalg.qr(psi, mode="r")
         n = factor.shape[0]
-        alone = assemble_channel(EfficiencyMatrix.uniform(1.0, n), factor[:, : sup_r.count],
-                                 factor[:, sup_r.count:], pol, *psi_s, ones_s)
+        alone = assemble_channel(EfficiencyMatrix.uniform(1.0, n), factor, pol, psi_s, ones_s)
         np.testing.assert_allclose(stacked[j, :, :n], alone, rtol=1e-13, atol=0)
         assert not np.any(stacked[j, :, n:])
         # the factor keeps the singular values of the full receive harmonics
-        full = assemble_channel(EfficiencyMatrix.uniform(1.0, psi_t.shape[0]), psi_t, psi_p,
-                                pol, *psi_s, ones_s)
+        full = assemble_channel(EfficiencyMatrix.uniform(1.0, psi.shape[0]), psi, pol, psi_s,
+                                ones_s)
         sv_full = np.linalg.svd(full, compute_uv=False)
         np.testing.assert_allclose(np.linalg.svd(stacked[j], compute_uv=False)[:, :n],
                                    sv_full[:, :n], rtol=1e-10, atol=1e-12 * sv_full.max())

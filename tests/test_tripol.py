@@ -331,3 +331,29 @@ def test_row_space_capacity_matches_svd_basis_oracle():
         want = capacity_waterfilling(ch.matrix @ vh[:r].conj().T, power, 1.0).capacity
         got = _row_space_capacity(ch.matrix, estimate, power)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ue_ports", [8, 12])
+def test_rx_split_is_one_two_one_and_sums_to_ue_ports(ue_ports):
+    from emchan import TriPolScenario
+
+    split = TriPolScenario(ue_ports=ue_ports).rx_split()
+    q = ue_ports // 4
+    assert split == (q, 2 * q, q)
+    assert sum(split) == ue_ports
+
+
+def test_twelve_port_trial_builds_a_twelve_row_channel(monkeypatch):
+    from emchan import TriPolScenario, run_study, studies
+
+    rows = []
+    real = studies.simulate_tripol_channel
+
+    def recorded(**kwargs):
+        channel = real(**kwargs)
+        rows.append(channel.matrix.shape[0])
+        return channel
+
+    monkeypatch.setattr(studies, "simulate_tripol_channel", recorded)
+    run_study(TriPolScenario(name="tp12", cells=1, ues_per_cell=2, bs_ports=16, ue_ports=12))
+    assert rows == [12, 12]

@@ -308,28 +308,21 @@ def test_coupling_variances_outer_product():
     sup_r = wavenumber_support(LAM, LAM, CTX)
     iso = isotropic_mixture()
     cv = coupling_variances(sup_r, sup_s, iso, iso, CTX)
-    assert cv.variances.shape == (5, 49)
+    assert cv.shape == (5, 49)
     f_r = cell_power_fractions(sup_r, iso, CTX)
     f_s = cell_power_fractions(sup_s, iso, CTX)
-    assert np.allclose(cv.variances, np.outer(f_r, f_s), rtol=0, atol=1e-15)
-    assert np.all(cv.means == 0)
+    assert np.allclose(cv, np.outer(f_r, f_s), rtol=0, atol=1e-15)
 
 
 def test_sampling_moments():
     rng = np.random.default_rng(8)
-    sup_r = wavenumber_support(LAM, LAM, CTX)
-    sup_s = wavenumber_support(LAM, LAM, CTX)
     var = np.outer(np.linspace(0.5, 1.5, 5), np.linspace(0.2, 2.0, 5))
     var /= var.sum()
-    from emchan import CouplingVariances
-
-    cv = CouplingVariances(variances=var, means=np.zeros((5, 5), dtype=complex),
-                           support_r=sup_r, support_s=sup_s)
     n = 20000
     acc = np.zeros((5, 5))
     mean_acc = np.zeros((5, 5), dtype=complex)
     for _ in range(n):
-        h = sample_wavenumber_channel(cv, rng)
+        h = sample_wavenumber_channel(var, rng)
         acc += np.abs(h) ** 2
         mean_acc += h
     assert np.max(np.abs(acc / n - var) / var) < 0.06
@@ -340,27 +333,24 @@ def test_polarization_blocks():
     rng = np.random.default_rng(4)
     h_a = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
-    for blk in (pol.h_tt, pol.h_pp):
+    assert pol.shape == (10, 14)
+    h_tt, h_tp, h_pt, h_pp = pol[:5, :7], pol[:5, 7:], pol[5:, :7], pol[5:, 7:]
+    for blk in (h_tt, h_pp):
         assert np.allclose(np.abs(blk), np.abs(h_a), rtol=0, atol=1e-12)
-    ratio_t = np.abs(pol.h_tp) / np.abs(pol.h_tt)
-    ratio_p = np.abs(pol.h_pt) / np.abs(pol.h_pp)
+    ratio_t = np.abs(h_tp) / np.abs(h_tt)
+    ratio_p = np.abs(h_pt) / np.abs(h_pp)
     assert np.allclose(ratio_t, ratio_p, rtol=1e-12, atol=0)
     assert np.all(ratio_t > 0)
-    bm = pol.block_matrix()
-    assert bm.shape == (10, 14)
-    assert np.allclose(bm[:5, :7], pol.h_tt)
-    assert np.allclose(bm[5:, 7:], pol.h_pp)
-    assert np.allclose(bm[:5, 7:], pol.h_tp)
 
     huge = apply_polarization(h_a, 300.0, 0.0, rng)
-    assert np.max(np.abs(huge.h_tp)) < 1e-14 * np.max(np.abs(h_a))
+    assert np.max(np.abs(huge[:5, 7:])) < 1e-14 * np.max(np.abs(h_a))
 
 
 def test_harmonics_reference_column_and_entry_oracle():
     sup = wavenumber_support(LAM, LAM, CTX)
     arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
     pats = PatternSet.uniform(unit_gain())
-    psi_t, psi_p = fourier_harmonics(arr, sup, pats, CTX)
+    psi_t, psi_p = np.split(fourier_harmonics(arr, sup, pats, CTX), 2, axis=1)
     n = arr.count
     assert n == 9
     i00 = list(sup.indices).index((0, 0))
@@ -369,7 +359,7 @@ def test_harmonics_reference_column_and_entry_oracle():
 
     # entrywise oracle with a directional pattern
     pats_d = PatternSet.uniform(dipole())
-    psi_t, psi_p = fourier_harmonics(arr, sup, pats_d, CTX)
+    psi_t, psi_p = np.split(fourier_harmonics(arr, sup, pats_d, CTX), 2, axis=1)
     k0 = CTX.wavenumber
     pat = dipole()
     for q in (0, 4, 8):
@@ -391,8 +381,9 @@ def test_per_element_harmonics_entry_oracle_and_count():
     arr = uniform_planar_array(2 * LAM, LAM, LAM / 2, LAM / 2, z=0.1 * LAM)
     kinds = (dipole("x"), dipole("y"), dipole("z"), patch(70.0), unit_gain())
     pats = PatternSet.per_element([kinds[q % len(kinds)] for q in range(arr.count)])
-    psi_t, psi_p = fourier_harmonics(arr, sup, pats, CTX)
-    assert psi_t.shape == psi_p.shape == (arr.count, sup.count)
+    psi = fourier_harmonics(arr, sup, pats, CTX)
+    assert psi.shape == (arr.count, 2 * sup.count)
+    psi_t, psi_p = np.split(psi, 2, axis=1)
     k0 = CTX.wavenumber
     n = arr.count
     for q in range(n):
@@ -449,23 +440,26 @@ def test_assemble_channel_block_oracle():
     arr_r = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
     arr_s = uniform_planar_array(LAM, LAM, LAM / 4, LAM / 4)
     pats = PatternSet.uniform(dipole())
-    pr_t, pr_p = fourier_harmonics(arr_r, sup, pats, CTX)
-    ps_t, ps_p = fourier_harmonics(arr_s, sup, pats, CTX)
+    psi_r = fourier_harmonics(arr_r, sup, pats, CTX)
+    psi_s = fourier_harmonics(arr_s, sup, pats, CTX)
+    pr_t, pr_p = np.split(psi_r, 2, axis=1)
+    ps_t, ps_p = np.split(psi_s, 2, axis=1)
     h_a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
+    h_tt, h_tp, h_pt, h_pp = pol[:5, :5], pol[:5, 5:], pol[5:, :5], pol[5:, 5:]
     c_r, c_s = 0.9, 0.7
-    h = assemble_channel(EfficiencyMatrix.uniform(c_r, arr_r.count), pr_t, pr_p, pol,
-                         ps_t, ps_p, EfficiencyMatrix.uniform(c_s, arr_s.count))
+    h = assemble_channel(EfficiencyMatrix.uniform(c_r, arr_r.count), psi_r, pol,
+                         psi_s, EfficiencyMatrix.uniform(c_s, arr_s.count))
     assert h.shape == (arr_r.count, arr_s.count)
     for u in (0, 5):
         for v in (0, 11):
             acc = 0j
             for b in range(5):
                 for a in range(5):
-                    acc += pr_t[u, b] * pol.h_tt[b, a] * np.conj(ps_t[v, a])
-                    acc += pr_t[u, b] * pol.h_tp[b, a] * np.conj(ps_p[v, a])
-                    acc += pr_p[u, b] * pol.h_pt[b, a] * np.conj(ps_t[v, a])
-                    acc += pr_p[u, b] * pol.h_pp[b, a] * np.conj(ps_p[v, a])
+                    acc += pr_t[u, b] * h_tt[b, a] * np.conj(ps_t[v, a])
+                    acc += pr_t[u, b] * h_tp[b, a] * np.conj(ps_p[v, a])
+                    acc += pr_p[u, b] * h_pt[b, a] * np.conj(ps_t[v, a])
+                    acc += pr_p[u, b] * h_pp[b, a] * np.conj(ps_p[v, a])
             want = c_r * c_s * acc
             assert abs(h[u, v] - want) < 1e-12 * max(1.0, abs(want))
 
@@ -475,21 +469,18 @@ def test_assemble_channel_efficiency_scaling_and_linearity():
     sup = wavenumber_support(LAM, LAM, CTX)
     arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
     pats = PatternSet.uniform(unit_gain())
-    pt, pp = fourier_harmonics(arr, sup, pats, CTX)
+    psi = fourier_harmonics(arr, sup, pats, CTX)
     h_a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
     ones = EfficiencyMatrix.uniform(1.0, arr.count)
-    h1 = assemble_channel(ones, pt, pp, pol, pt, pp, ones)
+    h1 = assemble_channel(ones, psi, pol, psi, ones)
     c = np.sqrt(0.8)
     eff = EfficiencyMatrix.uniform(c, arr.count)
-    h2 = assemble_channel(eff, pt, pp, pol, pt, pp, eff)
+    h2 = assemble_channel(eff, psi, pol, psi, eff)
     assert np.allclose(h2, 0.8 * h1, rtol=1e-12, atol=0)
 
-    pol2 = apply_polarization(2.0 * h_a, 8.0, 3.0, np.random.default_rng(99))
     # doubling H_a doubles each block, so the assembled channel doubles
-    pol2_same = type(pol)(h_tt=2 * pol.h_tt, h_tp=2 * pol.h_tp, h_pt=2 * pol.h_pt,
-                          h_pp=2 * pol.h_pp, mu_xpr_db=8.0, sigma_xpr_db=3.0)
-    h3 = assemble_channel(ones, pt, pp, pol2_same, pt, pp, ones)
+    h3 = assemble_channel(ones, psi, 2 * pol, psi, ones)
     assert np.allclose(h3, 2 * h1, rtol=1e-12, atol=0)
 
 
@@ -502,10 +493,10 @@ def test_efficiency_matrix_domain():
         sup = wavenumber_support(LAM, LAM, CTX)
         arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
         pats = PatternSet.uniform(unit_gain())
-        pt, pp = fourier_harmonics(arr, sup, pats, CTX)
+        psi = fourier_harmonics(arr, sup, pats, CTX)
         rng = np.random.default_rng(1)
         pol = apply_polarization(rng.normal(size=(5, 5)) + 0j, 8.0, 3.0, rng)
-        assemble_channel(EfficiencyMatrix.uniform(1.0, 3), pt, pp, pol, pt, pp,
+        assemble_channel(EfficiencyMatrix.uniform(1.0, 3), psi, pol, psi,
                          EfficiencyMatrix.uniform(1.0, 9))
 
 
@@ -514,19 +505,15 @@ def test_shared_draw_equals_one_draw_per_variance_set_bit_for_bit():
     sup_s = wavenumber_support(2 * LAM, 2 * LAM, CTX)
     iso = isotropic_mixture()
     cdl = mixture_from_clusters(bundled_cdl_b(), "arrival", "-x")
-    sets = (coupling_variances(sup_r, sup_s, iso, iso, CTX, 6),
-            coupling_variances(sup_r, sup_s, cdl, iso, CTX, 6))
+    sets = np.stack([coupling_variances(sup_r, sup_s, iso, iso, CTX, 6),
+                     coupling_variances(sup_r, sup_s, cdl, iso, CTX, 6)])
     rng = np.random.default_rng(np.random.SeedSequence([3, 1, 7]))
     shared = apply_polarization(sample_wavenumber_channel(sets, rng), 8.0, 3.0, rng)
-    assert shared.h_tt.shape == (2, sup_r.count, sup_s.count)
+    assert shared.shape == (2, 2 * sup_r.count, 2 * sup_s.count)
     for j, var in enumerate(sets):
         rng = np.random.default_rng(np.random.SeedSequence([3, 1, 7]))
         alone = apply_polarization(sample_wavenumber_channel(var, rng), 8.0, 3.0, rng)
-        for block in ("h_tt", "h_tp", "h_pt", "h_pp"):
-            assert np.array_equal(getattr(shared, block)[j], getattr(alone, block))
-    other = coupling_variances(sup_s, sup_r, iso, iso, CTX, 6)
-    with pytest.raises(ShapeError):
-        sample_wavenumber_channel((sets[0], other), rng)
+        assert np.array_equal(shared[j], alone)
 
 
 def test_stacked_assemble_channel_matches_per_draw_calls():
@@ -535,16 +522,13 @@ def test_stacked_assemble_channel_matches_per_draw_calls():
     arr_r = uniform_planar_array(LAM, LAM, LAM / 4, LAM / 4)
     arr_s = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
     pats = PatternSet.uniform(dipole())
-    pr_t, pr_p = fourier_harmonics(arr_r, sup, pats, CTX)
-    ps_t, ps_p = fourier_harmonics(arr_s, sup, pats, CTX)
+    psi_r = fourier_harmonics(arr_r, sup, pats, CTX)
+    psi_s = fourier_harmonics(arr_s, sup, pats, CTX)
     g_r = EfficiencyMatrix.uniform(0.9, arr_r.count)
     g_s = EfficiencyMatrix.uniform(0.9, arr_s.count)
     draws = [apply_polarization(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
                                 8.0, 3.0, rng) for _ in range(3)]
-    stacked = type(draws[0])(
-        **{b: np.stack([getattr(d, b) for d in draws]) for b in ("h_tt", "h_tp", "h_pt", "h_pp")},
-        mu_xpr_db=8.0, sigma_xpr_db=3.0)
-    h = assemble_channel(g_r, pr_t, pr_p, stacked, ps_t, ps_p, g_s)
+    h = assemble_channel(g_r, psi_r, np.stack(draws), psi_s, g_s)
     assert h.shape == (3, arr_r.count, arr_s.count)
     for d, h_d in zip(draws, h):
-        assert np.array_equal(h_d, assemble_channel(g_r, pr_t, pr_p, d, ps_t, ps_p, g_s))
+        assert np.array_equal(h_d, assemble_channel(g_r, psi_r, d, psi_s, g_s))
