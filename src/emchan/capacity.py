@@ -43,41 +43,49 @@ def _channel_eigenvalues(g: np.ndarray) -> np.ndarray:
     return lam
 
 
-def capacity_equal_power(g: np.ndarray, power: float, noise_power: float) -> CapacityResult:
+def capacity_equal_power(g: np.ndarray, power, noise_power: float) -> CapacityResult:
     """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams.
 
     G may carry leading stack axes; the capacity, allocation and eigenvalues
     then carry them too, and each matrix gives exactly what it gives alone.
+    ``power`` may be an array that broadcasts against the stack axes: the
+    eigenvalues are then computed once and serve every power.
     """
     if noise_power <= 0.0:
         raise DomainError("noise power must be positive")
     lam = _channel_eigenvalues(g)
     k = lam.shape[-1]
+    power = np.asarray(power, dtype=float)[..., None]
     coef = power / (k * noise_power)
     cap = np.sum(np.log2(1.0 + coef * lam), axis=-1)
     return CapacityResult(capacity=float(cap) if cap.ndim == 0 else cap,
-                          allocation=np.full(lam.shape, power / k), eigenvalues=lam)
+                          allocation=np.broadcast_to(power / k, cap.shape + (k,)).copy(),
+                          eigenvalues=lam)
 
 
 def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> CapacityResult:
-    """Optimal power split across eigenmodes by the exact active-set rule."""
+    """Optimal power split across eigenmodes by the exact active-set rule.
+
+    G may carry leading stack axes, as in capacity_equal_power.
+    """
     if noise_power <= 0.0 or power <= 0.0:
         raise DomainError("power and noise power must be positive")
-    if np.ndim(g) != 2:
-        raise DomainError("channel matrix must be 2-D")
     lam = _channel_eigenvalues(g)
-    positive = lam[lam > 0.0]
-    alloc = np.zeros_like(lam)
-    if positive.size == 0:
-        return CapacityResult(capacity=0.0, allocation=alloc, eigenvalues=lam)
-    # with eigenvalues sorted descending, the active set is a prefix:
-    # drop the weakest mode while its allocation would come out negative
-    inv = noise_power / positive
-    active = positive.size
-    level = (power + inv.sum()) / active
-    while active > 1 and level <= inv[active - 1]:
-        active -= 1
-        level = (power + inv[:active].sum()) / active
-    alloc[:active] = level - inv[:active]
-    cap = float(np.sum(np.log2(1.0 + alloc[:active] * positive[:active] / noise_power)))
-    return CapacityResult(capacity=cap, allocation=alloc, eigenvalues=lam)
+    k = lam.shape[-1]
+    # eigenvalues are sorted descending, so the positive ones are a prefix;
+    # the rest get no power and an infinite inverse gain
+    positive = lam > 0.0
+    inv = np.divide(noise_power, lam, out=np.full(lam.shape, np.inf), where=positive)
+    modes = np.arange(1, k + 1)
+    level = (power + np.cumsum(inv, axis=-1)) / modes
+    # the active set is the longest prefix whose water level lies above the
+    # inverse gain of its weakest mode: the drop-the-weakest rule, done for
+    # every prefix at once
+    fits = level > inv
+    active = np.where(fits.any(axis=-1), k - np.argmax(fits[..., ::-1], axis=-1), 1)
+    active = np.where(positive[..., 0], active, 0)[..., None]
+    water = np.take_along_axis(level, np.maximum(active - 1, 0), axis=-1)
+    alloc = np.subtract(water, inv, out=np.zeros_like(lam), where=modes <= active)
+    cap = np.sum(np.log2(1.0 + alloc * lam / noise_power), axis=-1)
+    return CapacityResult(capacity=float(cap) if cap.ndim == 0 else cap, allocation=alloc,
+                          eigenvalues=lam)

@@ -35,6 +35,10 @@ REFERENCE_FREQUENCY_HZ = 4.7e9
 # (7.7 MB and 0.3 s at n = 1000), so larger orders are refused.
 MAX_QUADRATURE_ORDER = 1000
 
+# k0*r points of the em-core sweep; each runs samples / EM_CORE_SWEEP_POINTS
+# random directions, so samples must be a multiple of it.
+EM_CORE_SWEEP_POINTS = 25
+
 
 @dataclass(frozen=True)
 class DenselySpacedScenario:
@@ -275,7 +279,10 @@ def validate_scenario(scn) -> list[str]:
             if not (isinstance(p, (int, float)) and 0.0 < p < 100.0):
                 errors.append(f"percentiles: must lie in (0, 100), got {p!r}")
     elif isinstance(scn, EmCoreValidationScenario):
-        _counts(scn, ["samples"], errors)
+        if not (isinstance(scn.samples, int) and scn.samples >= 1
+                and scn.samples % EM_CORE_SWEEP_POINTS == 0):
+            errors.append(f"samples: must be a positive multiple of {EM_CORE_SWEEP_POINTS}, "
+                          f"the sweep points, got {scn.samples!r}")
         _positive(scn, ["k0r_min"], errors)
         if not scn.k0r_max > scn.k0r_min:
             errors.append(f"k0r_max: must exceed k0r_min, got {scn.k0r_max!r}")

@@ -7,6 +7,7 @@ of the worker count and of the chunk size.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -38,49 +39,89 @@ from .wavenumber import (EfficiencyMatrix, VmfCluster, VmfMixture, apply_polariz
 VERSION = "1.0.0"
 
 
-# Realizations (or trials) per chunk. Each chunk of the densely-spaced study
-# makes one stacked assemble_channel call per (variance set, pattern), over
-# every rx spacing, and one capacity_equal_power call per scheme; larger
-# chunks run no faster and hold more memory. Results do not depend on it.
+# Realizations (or trials) per chunk. A chunk of either Monte Carlo study
+# runs as one stacked pass: the densely-spaced study makes one
+# assemble_channel and one capacity_equal_power call per (variance set,
+# pattern), over every rx spacing; the tri-pol study builds, estimates and
+# water-fills all of its trials at once. Larger chunks run no faster and hold
+# more memory. Results do not depend on it.
 _CHUNK = 8
 
-# BLAS thread setters, tried in turn on every loaded lib*blas* library
-_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+# thread-count functions of OpenBLAS builds: {prefix}_get_num_threads{suffix}
+# and {prefix}_set_num_threads{suffix}
+_BLAS_PREFIXES = ("openblas", "scipy_openblas")
+_BLAS_SUFFIXES = ("", "64_")
+
+
+@functools.cache
+def _blas_controls(path: str) -> tuple[tuple, object]:
+    """((get, set) thread-count function pairs, thread-pool shutdown function
+    or None) of the BLAS library at path; no pairs if it cannot be loaded."""
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return (), None
+    pairs = []
+    for prefix in _BLAS_PREFIXES:
+        for suffix in _BLAS_SUFFIXES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            pairs.append((get, put))
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if shutdown is not None:
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return tuple(pairs), shutdown
+
+
+def _loaded_blas() -> list[tuple[tuple, object]]:
+    """_blas_controls of every lib*blas* library mapped into this process.
+
+    Libraries are listed from /proc/self/maps on each call, because one can
+    load after another (scipy brings its own OpenBLAS); where the file is
+    missing, the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return []
+    return [_blas_controls(path) for path in sorted(paths)
+            if path.startswith("/") and re.match(r"lib.*blas", os.path.basename(path).lower())]
 
 
 def _pin_blas_threads() -> None:
     """Limit every loaded BLAS library to one thread (worker initializer).
 
     Workers run side by side, so BLAS threads of their own would only
-    oversubscribe the cores. Libraries are found in /proc/self/maps; where
-    that or a known setter symbol is missing, nothing changes. In a forked
-    worker, OpenBLAS's setter first restarts the thread pool that the fork
-    stopped, and its idle threads spin beside the other workers' work for a
-    while, so the pool is stopped again once the count is 1.
+    oversubscribe the cores. In a forked worker, OpenBLAS's setter first
+    restarts the thread pool that the fork stopped, and its idle threads spin
+    beside the other workers' work for a while, so the pool is stopped again
+    once the count is 1.
     """
+    for pairs, shutdown in _loaded_blas():
+        for _, set_threads in pairs:
+            set_threads(1)
+        if pairs and shutdown is not None:
+            shutdown()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, and give every library its
+    previous thread count back afterwards, also on error."""
+    pairs = [pair for library, _ in _loaded_blas() for pair in library]
+    before = [get_threads() for get_threads, _ in pairs]
+    for _, set_threads in pairs:
+        set_threads(1)
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh}
-    except OSError:
-        return
-    for path in sorted(paths):
-        if not (path.startswith("/") and re.match(r"lib.*blas", os.path.basename(path).lower())):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setters = [getattr(lib, symbol) for symbol in _BLAS_THREAD_SETTERS
-                   if hasattr(lib, symbol)]
-        for setter in setters:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-        if setters and hasattr(lib, "blas_thread_shutdown_"):
-            lib.blas_thread_shutdown_.argtypes = []
-            lib.blas_thread_shutdown_.restype = ctypes.c_int
-            lib.blas_thread_shutdown_()
+        yield
+    finally:
+        for (_, set_threads), count in zip(pairs, before):
+            set_threads(count)
 
 
 def _map_chunks(func, count: int, jobs: int) -> np.ndarray:
@@ -165,10 +206,12 @@ def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
         g = assemble_channel(EfficiencyMatrix.uniform(1.0, a.rx.shape[-2]), a.rx,
                              h_pol[a.variance_set], a.psi_s,
                              EfficiencyMatrix.uniform(1.0, a.psi_s.shape[0]))
-        for position, efficiency in a.schemes:
-            # amplitude sqrt(efficiency) on every element of both sides scales
-            # H by the efficiency, so H H^H and the power by its square
-            out[position] = capacity_equal_power(g, coef_power * efficiency**2, 1.0).capacity
+        positions = [position for position, _ in a.schemes]
+        # amplitude sqrt(efficiency) on every element of both sides scales H
+        # by the efficiency, so H H^H and the power by its square; one call
+        # serves every scheme of the assembly
+        power = np.array([coef_power * efficiency**2 for _, efficiency in a.schemes])
+        out[positions] = capacity_equal_power(g, power[:, None, None], 1.0).capacity
         del g  # keep one channel stack alive at a time
     return out.reshape(n_schemes * n_spacings, stop - start).T
 
@@ -306,38 +349,42 @@ def _run_near_field(scn: sc.NearFieldScenario, seed: int, scale: float,
 # tri-polarized estimation comparison
 
 
-def _tri_pol_trial(i: int, payload) -> tuple:
-    seed, study_id, rx_split, tx_split, z_gain_db, xpr_db, pilot_snr_db = payload
-    seq = np.random.SeedSequence([seed, study_id, i])
-    ch_seed, est_seed, bench_seed = seq.spawn(3)
-    channel = simulate_tripol_channel(rx_ports=rx_split, tx_ports=tx_split,
-                                      z_gain_db=z_gain_db, xpr_db=xpr_db,
-                                      rng=np.random.default_rng(ch_seed))
-    h = channel.matrix
-    row_power = np.mean(np.abs(h) ** 2, axis=1)
-    grouping = group_ports(row_power, rule="median")
-    est = estimate_joint(channel, grouping, pilot_snr_db, pilot_snr_db, est_seed)
-    per_port = pilot_snr_db + 10.0 * np.log10(row_power / row_power.max())
-    bench = benchmark_uplink_only(channel, per_port, bench_seed)
-
-    _, err_joint = scalar_aligned(est.assembled, h)
-    _, err_bench = scalar_aligned(bench, h)
-
-    power = 10.0 ** (pilot_snr_db / 10.0)
-    return (_row_space_capacity(h, est.assembled, power), _row_space_capacity(h, bench, power),
-            err_joint**2, err_bench**2)
-
-
-def _row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float) -> float:
+def _row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float):
     """Water-filling capacity of h precoded on an orthonormal basis of the
-    estimate's row space, taken from the reduced QR of estimate^H. The
-    capacity of h V does not depend on which orthonormal basis V is."""
-    basis, _ = np.linalg.qr(estimate.conj().T)
-    return capacity_waterfilling(h @ basis, power, 1.0).capacity
+    estimate's row space. The capacity of h V does not depend on which
+    orthonormal basis V is. Both may carry a leading trial axis.
+
+    With estimate^T = Q R (reduced), V = conj(Q) is such a basis; h conj(Q)
+    is taken row by column with vecdot, so that no conjugated copy of the
+    estimate or of Q is made."""
+    q, _ = np.linalg.qr(estimate.swapaxes(-1, -2))
+    return capacity_waterfilling(np.vecdot(q.swapaxes(-1, -2)[..., None, :, :], h[..., None, :]),
+                                 power, 1.0).capacity
 
 
 def _tri_pol_chunk(start: int, stop: int, payload) -> np.ndarray:
-    return np.array([_tri_pol_trial(i, payload) for i in range(start, stop)])
+    """(joint capacity, benchmark capacity, joint MSE, benchmark MSE) of
+    trials [start, stop), one row per trial, from one stacked pass."""
+    seed, study_id, rx_split, tx_split, z_gain_db, xpr_db, pilot_snr_db = payload
+    # trial i draws its channel, estimate and benchmark noise from three
+    # streams of its own, exactly as it would alone
+    ch_seeds, est_seeds, bench_seeds = zip(*(np.random.SeedSequence([seed, study_id, i]).spawn(3)
+                                             for i in range(start, stop)))
+    channel = simulate_tripol_channel(rx_ports=rx_split, tx_ports=tx_split,
+                                      z_gain_db=z_gain_db, xpr_db=xpr_db, rng=list(ch_seeds))
+    h = channel.matrix
+    row_power = np.mean(np.abs(h) ** 2, axis=-1)
+    power = 10.0 ** (pilot_snr_db / 10.0)
+    est = estimate_joint(channel, group_ports(row_power, rule="median"), pilot_snr_db,
+                         pilot_snr_db, list(est_seeds)).assembled
+    err_joint = scalar_aligned(est, h)[1]
+    c_joint = _row_space_capacity(h, est, power)
+    del est  # finish one estimate before building the next: few channel-sized stacks live
+    per_port = pilot_snr_db + 10.0 * np.log10(row_power / row_power.max(axis=-1, keepdims=True))
+    est = benchmark_uplink_only(channel, per_port, list(bench_seeds))
+    err_bench = scalar_aligned(est, h)[1]
+    c_bench = _row_space_capacity(h, est, power)
+    return np.stack([c_joint, c_bench, err_joint**2, err_bench**2], axis=-1)
 
 
 def _run_tri_pol(scn: sc.TriPolScenario, seed: int, scale: float,
@@ -379,13 +426,13 @@ def _run_em_core(scn: sc.EmCoreValidationScenario, seed: int, scale: float,
     ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
     rng = realization_rng(seed, STUDY_IDS[sc.EM_CORE_VALIDATION], 0)
     k0 = ctx.wavenumber
-    sweep = np.geomspace(scn.k0r_min, scn.k0r_max, 25)
+    sweep = np.geomspace(scn.k0r_min, scn.k0r_max, sc.EM_CORE_SWEEP_POINTS)
 
     decomp = ResultTable(
         columns=(Column("k0r"), Column("relative_residual")),
         metadata=_metadata(scn, seed, scale),
     )
-    per_point = max(1, scn.samples // sweep.size)
+    per_point = scn.samples // sweep.size
     s = np.zeros(3)
     for k0r in sweep:
         # one batch of random directions per sweep point; the rows come out
@@ -414,6 +461,12 @@ def _run_em_core(scn: sc.EmCoreValidationScenario, seed: int, scale: float,
 # ---------------------------------------------------------------------------
 # dispatch
 
+
+# The two Monte Carlo studies run many small matrix products and
+# factorizations, on which a second BLAS thread only spins; they run BLAS on
+# one thread. The near-field and em-core studies keep the default count,
+# which measured faster for the near-field one.
+_ONE_BLAS_THREAD = frozenset({sc.DENSELY_SPACED, sc.TRI_POL})
 
 _RUNNERS = {
     sc.DENSELY_SPACED: _run_densely_spaced,
@@ -451,7 +504,9 @@ def run_study(scn, seed: int | None = None, scale: float = 1.0,
     if jobs < 1:
         raise ValidationError(["jobs: must be >= 1"])
     effective = scn.master_seed if seed is None else int(seed)
-    return _RUNNERS[scn.study](scn, effective, scale, jobs)
+    blas = _one_blas_thread() if scn.study in _ONE_BLAS_THREAD else contextlib.nullcontext()
+    with blas:
+        return _RUNNERS[scn.study](scn, effective, scale, jobs)
 
 
 def axes_note(study: str, table_key: str) -> str:

@@ -4,6 +4,11 @@ Receive ports split into a strong group (estimated via uplink reciprocity)
 and a weak group (measured on the downlink and fed back after
 normalization); a combining reference rescales the uplink part so the two
 halves agree up to one global complex scalar.
+
+Every step takes one channel, shaped (R, T), or a stack of trials, shaped
+(n, R, T). A stack takes its seeds as a list with one seed (or generator)
+per trial, and each trial draws exactly what it would draw alone: a single
+channel is the stack-of-one case.
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ from .errors import DomainError, ShapeError
 
 @dataclass(frozen=True)
 class TriPolChannel:
-    """Channel whose receive/transmit ports group into x/y/z polarizations."""
+    """Channel whose receive/transmit ports group into x/y/z polarizations.
+
+    ``matrix`` is (R, T), or (n, R, T) for a stack of n trials.
+    """
 
     matrix: np.ndarray
     rx_ports: tuple[int, int, int]
@@ -25,9 +33,9 @@ class TriPolChannel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ShapeError("channel matrix must be 2-D")
-        if sum(self.rx_ports) != m.shape[0] or sum(self.tx_ports) != m.shape[1]:
+        if m.ndim not in (2, 3):
+            raise ShapeError("channel matrix must be 2-D, or 3-D for a stack of trials")
+        if sum(self.rx_ports) != m.shape[-2] or sum(self.tx_ports) != m.shape[-1]:
             raise ShapeError("port counts must sum to the matrix dimensions")
         if any(n < 0 for n in self.rx_ports + self.tx_ports):
             raise DomainError("port counts must be nonnegative")
@@ -38,7 +46,7 @@ class TriPolChannel:
             raise DomainError("polarization block indices must lie in 0..2")
         r0 = sum(self.rx_ports[:i])
         c0 = sum(self.tx_ports[:j])
-        return self.matrix[r0 : r0 + self.rx_ports[i], c0 : c0 + self.tx_ports[j]]
+        return self.matrix[..., r0 : r0 + self.rx_ports[i], c0 : c0 + self.tx_ports[j]]
 
 
 def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: float = -10.0,
@@ -48,8 +56,12 @@ def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: f
     Entries are i.i.d. complex Gaussian scaled per block: cross-polarization
     blocks lose 10^(xpr/10) in power and every z-port row/column carries the
     z gain deficit. This stands in for measured tri-pol patterns.
+
+    ``rng`` is one generator or seed, or a list of them for a stack with one
+    channel per entry.
     """
-    rng = np.random.default_rng(rng)
+    stacked = isinstance(rng, (list, tuple))
+    rngs = [np.random.default_rng(r) for r in (rng if stacked else [rng])]
     n_rx = sum(rx_ports)
     n_tx = sum(tx_ports)
     if n_rx < 1 or n_tx < 1:
@@ -57,14 +69,30 @@ def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: f
     pol_of = lambda counts: np.repeat(np.arange(3), counts)
     rx_pol = pol_of(rx_ports)
     tx_pol = pol_of(tx_ports)
-    base = (rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))) / np.sqrt(2.0)
+    # each trial draws its real and then its imaginary parts in one call
+    z = np.empty((len(rngs), 2, n_rx, n_tx))
+    for g, part in zip(rngs, z):
+        g.standard_normal(out=part)
+    base = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    del z
     xpr_amp = 10.0 ** (-xpr_db / 20.0)
     z_amp = 10.0 ** (z_gain_db / 20.0)
     gain = np.ones((n_rx, n_tx))
     gain *= np.where(rx_pol[:, None] == tx_pol[None, :], 1.0, xpr_amp)
     gain *= np.where(rx_pol[:, None] == 2, z_amp, 1.0)
     gain *= np.where(tx_pol[None, :] == 2, z_amp, 1.0)
-    return TriPolChannel(matrix=base * gain, rx_ports=tuple(rx_ports), tx_ports=tuple(tx_ports))
+    base *= gain
+    return TriPolChannel(matrix=base if stacked else base[0], rx_ports=tuple(rx_ports),
+                         tx_ports=tuple(tx_ports))
+
+
+def _trial_stack(h: np.ndarray, rng_seed) -> tuple[np.ndarray, list]:
+    """h as an (n, R, T) stack, and one seed per trial."""
+    if h.ndim == 2:
+        return h[None], [rng_seed]
+    if h.ndim == 3 and isinstance(rng_seed, (list, tuple)) and len(rng_seed) == h.shape[0]:
+        return h, list(rng_seed)
+    raise ShapeError("a channel is 2-D, or an (n, R, T) stack with a list of n seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -73,40 +101,65 @@ def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: f
 
 @dataclass(frozen=True)
 class PortGrouping:
-    strong: tuple[int, ...]
-    weak: tuple[int, ...]
+    """Strong/weak split of the receive ports, each group in ascending port
+    order. With a leading trial axis on ``power``, ``strong`` and ``weak``
+    hold one tuple of port indices per trial."""
+
+    strong: tuple
+    weak: tuple
     power: np.ndarray
 
     def __post_init__(self):
         power = np.asarray(self.power, dtype=float)
-        ports = sorted(self.strong + self.weak)
-        if ports != list(range(power.size)):
-            raise DomainError("groups must partition the port indices")
-        if self.weak and self.strong:
-            if min(power[list(self.strong)]) < max(power[list(self.weak)]) - 1e-12:
+        stacked = power.ndim == 2
+        strongs = self.strong if stacked else (self.strong,)
+        weaks = self.weak if stacked else (self.weak,)
+        if len(strongs) != len(weaks) or len(strongs) != len(np.atleast_2d(power)):
+            raise DomainError("need one strong and one weak group per trial")
+        strongs = tuple(tuple(sorted(s)) for s in strongs)
+        weaks = tuple(tuple(sorted(w)) for w in weaks)
+        for strong, weak, p in zip(strongs, weaks, np.atleast_2d(power)):
+            if sorted(strong + weak) != list(range(p.size)):
+                raise DomainError("groups must partition the port indices")
+            if weak and strong and min(p[list(strong)]) < max(p[list(weak)]) - 1e-12:
                 raise DomainError("every strong-group power must reach the weak-group maximum")
+        object.__setattr__(self, "strong", strongs if stacked else strongs[0])
+        object.__setattr__(self, "weak", weaks if stacked else weaks[0])
         object.__setattr__(self, "power", power)
+
+    @property
+    def is_strong(self) -> np.ndarray:
+        """Boolean mask shaped like ``power``: True on strong ports."""
+        mask = np.zeros(np.atleast_2d(self.power).shape, dtype=bool)
+        for row, strong in zip(mask, self.strong if self.power.ndim == 2 else (self.strong,)):
+            row[list(strong)] = True
+        return mask.reshape(self.power.shape)
 
 
 def group_ports(receive_power, rule: str = "median", threshold: float = 0.5) -> PortGrouping:
     """Split ports into strong/weak by receive power.
 
     The default rule keeps ports at or above the median; the threshold rule
-    keeps ports with power >= threshold * max power.
+    keeps ports with power >= threshold * max power. A 2-D ``receive_power``
+    holds one trial per row and is split row by row.
     """
     power = np.asarray(receive_power, dtype=float)
-    if power.ndim != 1 or power.size < 1:
-        raise DomainError("receive power must be a nonempty 1-D array")
+    if power.ndim not in (1, 2) or power.shape[-1] < 1:
+        raise DomainError("receive power must be a nonempty 1-D array, or 2-D for a stack")
     if rule == "median":
-        cut = float(np.median(power))
+        cut = np.median(power, axis=-1, keepdims=True)
     elif rule == "threshold":
         if not 0.0 < threshold <= 1.0:
             raise DomainError("threshold must lie in (0, 1]")
-        cut = threshold * float(power.max())
+        cut = threshold * power.max(axis=-1, keepdims=True)
     else:
         raise DomainError("rule must be 'median' or 'threshold'")
-    strong = tuple(int(i) for i in np.flatnonzero(power >= cut))
-    weak = tuple(int(i) for i in np.flatnonzero(power < cut))
+    ports = lambda mask: tuple(tuple(int(i) for i in np.flatnonzero(row))
+                               for row in np.atleast_2d(mask))
+    strong = ports(power >= cut)
+    weak = ports(power < cut)
+    if power.ndim == 1:
+        strong, weak = strong[0], weak[0]
     return PortGrouping(strong=strong, weak=weak, power=power)
 
 
@@ -120,24 +173,45 @@ def _as_matrix(channel) -> np.ndarray:
     return np.asarray(channel, dtype=complex)
 
 
-def _noise_amplitude(snr_db, ref_power) -> float:
+def _noise_amplitude(snr_db, ref_power):
     """Per-component standard deviation of complex noise at the given SNR.
 
-    A scalar on purpose: numpy's array power can round differently from the
-    scalar one in the last bit.
+    ``snr_db`` is a scalar on purpose: numpy's array power can round
+    differently from the scalar one in the last bit. ``ref_power`` may be an
+    array.
     """
     return np.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
 
 
-def _noise(shape, snr_db, ref_power, rng) -> np.ndarray:
+def _mean_entry_power(h: np.ndarray) -> np.ndarray:
+    """Mean |entry|^2 of each matrix of an (n, R, T) stack."""
+    return np.mean(np.abs(h) ** 2, axis=(-2, -1))
+
+
+def _add_noise(x: np.ndarray, rows: np.ndarray, snr_db: float, ref_power: np.ndarray,
+               rngs) -> None:
+    """Add complex noise at ``snr_db`` below each trial's reference power to
+    the rows of the (n, R, T) stack ``x`` that the (n, R) mask selects, in
+    place.
+
+    Trial k draws from ``rngs[k]`` the real parts of its selected rows, then
+    their imaginary parts, each as one (rows, T) array. At an infinite SNR
+    nothing is drawn.
+    """
     if np.isinf(snr_db):
-        return np.zeros(shape, dtype=complex)
-    return _noise_amplitude(snr_db, ref_power) * (rng.standard_normal(shape)
-                                                  + 1j * rng.standard_normal(shape))
-
-
-def _mean_entry_power(matrix: np.ndarray) -> float:
-    return float(np.mean(np.abs(matrix) ** 2))
+        return
+    counts = rows.sum(axis=-1)
+    z = np.empty((2, counts.sum(), x.shape[-1]))
+    start = 0
+    for rng, count in zip(rngs, counts):
+        for part in z[:, start : start + count]:
+            rng.standard_normal(out=part)
+        start += count
+    # amplitude * (re + 1j im) on real and imaginary parts separately: the
+    # same products, without a complex temporary
+    z *= np.repeat(_noise_amplitude(snr_db, ref_power), counts)[:, None]
+    x.real[rows] += z[0]
+    x.imag[rows] += z[1]
 
 
 def uplink_estimate(channel, strong, pilot_snr_db: float, rng_seed) -> np.ndarray:
@@ -146,36 +220,49 @@ def uplink_estimate(channel, strong, pilot_snr_db: float, rng_seed) -> np.ndarra
     strong = list(strong)
     if len(strong) == 0:
         raise DomainError("strong group must be nonempty")
-    rng = np.random.default_rng(rng_seed)
     rows = h[strong, :]
-    return rows + _noise(rows.shape, pilot_snr_db, _mean_entry_power(h), rng)
+    _add_noise(rows[None], np.ones((1, len(strong)), dtype=bool), pilot_snr_db,
+               _mean_entry_power(h[None]), [np.random.default_rng(rng_seed)])
+    return rows
 
 
 def downlink_measure(channel, grouping: PortGrouping, pilot_snr_db: float,
                      rng_seed) -> tuple[np.ndarray, np.ndarray]:
     """Full-dimension noisy measurement split into the two groups' rows."""
     h = _as_matrix(channel)
-    rng = np.random.default_rng(rng_seed)
-    noisy = h + _noise(h.shape, pilot_snr_db, _mean_entry_power(h), rng)
-    return noisy[list(grouping.strong), :], noisy[list(grouping.weak), :]
+    noisy = h[None].copy()
+    _add_noise(noisy, np.ones(noisy.shape[:2], dtype=bool), pilot_snr_db,
+               _mean_entry_power(noisy), [np.random.default_rng(rng_seed)])
+    return noisy[0, list(grouping.strong), :], noisy[0, list(grouping.weak), :]
 
 
 def benchmark_uplink_only(channel, per_port_snr_db, rng_seed) -> np.ndarray:
-    """Uplink-only estimate of the full channel with per-port pilot SNRs."""
-    h = _as_matrix(channel)
+    """Uplink-only estimate of the full channel with per-port pilot SNRs.
+
+    A stacked channel takes one row of SNRs and one seed per trial.
+    """
+    h0 = _as_matrix(channel)
+    h, seeds = _trial_stack(h0, rng_seed)
     snrs = np.asarray(per_port_snr_db, dtype=float)
-    if snrs.shape != (h.shape[0],):
+    if snrs.shape != h0.shape[:-1]:
         raise ShapeError("need one pilot SNR per receive port")
-    rng = np.random.default_rng(rng_seed)
+    snrs = snrs.reshape(h.shape[:-1])
     ref = _mean_entry_power(h)
     # rows at infinite SNR stay noiseless and take no draws; the others take
-    # their real and then imaginary parts in row order, from one call
-    live = np.flatnonzero(~np.isinf(snrs))
-    z = rng.standard_normal((live.size, 2, h.shape[1]))
-    amplitude = np.array([_noise_amplitude(snrs[r], ref) for r in live])
+    # their real and then imaginary parts in row order, from one call per trial
+    live = ~np.isinf(snrs)
+    counts = live.sum(axis=-1)
+    z = np.empty((counts.sum(), 2, h.shape[-1]))
+    start = 0
+    for seed, count in zip(seeds, counts):
+        np.random.default_rng(seed).standard_normal(out=z[start : start + count])
+        start += count
+    z *= np.array([_noise_amplitude(snr, r)
+                   for snr, r in zip(snrs[live], np.repeat(ref, counts))])[:, None, None]
     out = h.copy()
-    out[live] += amplitude[:, None] * (z[:, 0] + 1j * z[:, 1])
-    return out
+    out.real[live] += z[:, 0]
+    out.imag[live] += z[:, 1]
+    return out if h0.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,45 +271,61 @@ def benchmark_uplink_only(channel, per_port_snr_db, rng_seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    amplitude: float
-    phase: float
+    """Frobenius norm and leading phase of a matrix; arrays for a stack."""
 
-    def factor(self) -> complex:
+    amplitude: float | np.ndarray
+    phase: float | np.ndarray
+
+    def factor(self) -> complex | np.ndarray:
         return self.amplitude * np.exp(1j * self.phase)
+
+
+def _records(x: np.ndarray, rows: np.ndarray) -> NormalizationRecord:
+    """Normalization record of each trial's selected rows of the (n, R, T)
+    stack ``x``: their Frobenius norm and the phase of their first nonzero
+    entry in row-major order. A trial whose selected rows are all zero gets
+    amplitude 0."""
+    n = x.shape[0]
+    amplitude = np.sqrt(np.sum(np.vecdot(x, x).real, axis=-1, where=rows))
+    nonzero = (x != 0) & rows[..., None]
+    first = x.reshape(n, -1)[np.arange(n), np.argmax(nonzero.reshape(n, -1), axis=-1)]
+    return NormalizationRecord(amplitude=amplitude, phase=np.angle(first))
 
 
 def normalize(matrix) -> tuple[np.ndarray, NormalizationRecord]:
     """Scale out the Frobenius norm and the first nonzero entry's phase."""
     m = np.asarray(matrix, dtype=complex)
-    rho = float(np.linalg.norm(m))
-    if rho == 0.0:
+    rec = _records(m.reshape(1, 1, -1), np.ones((1, 1), dtype=bool))
+    if rec.amplitude[0] == 0.0:
         raise DomainError("cannot normalize a zero matrix")
-    flat = m.ravel()
-    first = flat[np.flatnonzero(flat)[0]]
-    omega = float(np.angle(first))
-    record = NormalizationRecord(amplitude=rho, phase=omega)
+    record = NormalizationRecord(amplitude=float(rec.amplitude[0]), phase=float(rec.phase[0]))
     return m / record.factor(), record
 
 
-def combining_reference(rec1: NormalizationRecord, rec2: NormalizationRecord) -> complex:
-    """delta = rho1 e^{j omega1} / (rho2 e^{j omega2})."""
-    if rec2.amplitude == 0.0:
+def combining_reference(rec1: NormalizationRecord,
+                        rec2: NormalizationRecord) -> complex | np.ndarray:
+    """delta = rho1 e^{j omega1} / (rho2 e^{j omega2}); one per trial for the
+    records of a stack."""
+    if np.any(np.asarray(rec2.amplitude) == 0.0):
         raise DomainError("reference normalization amplitude must be nonzero")
-    return complex(rec1.factor() / rec2.factor())
+    delta = rec1.factor() / rec2.factor()
+    return complex(delta) if np.ndim(delta) == 0 else delta
 
 
 def quantize_feedback(matrix, bits: int) -> np.ndarray:
-    """Uniform mid-rise quantizer on real/imaginary parts, range +/- max|.|."""
+    """Uniform mid-rise quantizer on real/imaginary parts, range +/- max|.|
+    of each matrix (the last two axes)."""
     if bits < 1:
         raise DomainError("need at least one quantizer bit")
     m = np.asarray(matrix, dtype=complex)
-    scale = max(np.abs(m.real).max(), np.abs(m.imag).max())
-    if scale == 0.0:
-        return m.copy()
+    axes = tuple(range(m.ndim))[-2:]
+    scale = np.maximum(np.abs(m.real).max(axis=axes, keepdims=True),
+                       np.abs(m.imag).max(axis=axes, keepdims=True))
     levels = 2**bits
-    step = 2.0 * scale / levels
+    # an all-zero matrix comes back unchanged
+    step = np.where(scale == 0.0, 1.0, 2.0 * scale / levels)
     q = lambda x: np.clip((np.floor(x / step) + 0.5) * step, -scale, scale)
-    return q(m.real) + 1j * q(m.imag)
+    return np.where(scale == 0.0, m, q(m.real) + 1j * q(m.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -231,74 +334,122 @@ def quantize_feedback(matrix, bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TriPolEstimate:
-    strong_rows: np.ndarray
-    weak_rows: np.ndarray
-    delta: complex
+    """Assembled estimate, shaped like the channel, with the combining
+    reference (one per trial for a stack) and the grouping it used."""
+
     assembled: np.ndarray
+    delta: complex | np.ndarray
+    grouping: PortGrouping
+
+    @property
+    def strong_rows(self) -> np.ndarray:
+        """The strong-group rows, in (trial, port) order."""
+        return self.assembled[self.grouping.is_strong]
+
+    @property
+    def weak_rows(self) -> np.ndarray:
+        """The weak-group rows, in (trial, port) order."""
+        return self.assembled[~self.grouping.is_strong]
+
+
+def _assemble(rows: np.ndarray, strong: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Normalize each trial's strong rows of the (n, R, T) stack ``rows`` and
+    rescale them by 1/delta, in place; the weak rows already hold the
+    normalized downlink measurement and stay as they are."""
+    rec = _records(rows, strong)
+    if np.any(rec.amplitude == 0.0):
+        raise DomainError("cannot normalize a zero matrix")
+    rows /= np.where(strong, rec.factor()[:, None], 1.0)[..., None]
+    rows /= np.where(strong, delta[:, None], 1.0)[..., None]
+    return rows
 
 
 def joint_estimate(h_strong_uplink, delta, h_weak_normalized, grouping: PortGrouping) -> TriPolEstimate:
     """Rescale the normalized uplink part by 1/delta and interleave the rows."""
     h_u = np.asarray(h_strong_uplink, dtype=complex)
-    n_ports = grouping.power.size
+    if grouping.power.ndim != 1:
+        raise ShapeError("joint_estimate takes one channel; estimate_joint takes stacks")
     if h_u.shape[0] != len(grouping.strong):
         raise ShapeError("uplink rows must match the strong group")
-    if not grouping.weak:
-        assembled = np.zeros((n_ports, h_u.shape[1]), dtype=complex)
-        normalized, _ = normalize(h_u)
-        assembled[list(grouping.strong), :] = normalized
-        return TriPolEstimate(strong_rows=normalized, weak_rows=np.zeros((0, h_u.shape[1])),
-                              delta=complex(1.0), assembled=assembled)
-    h_w = np.asarray(h_weak_normalized, dtype=complex)
-    if h_w.shape[0] != len(grouping.weak) or h_w.shape[1] != h_u.shape[1]:
-        raise ShapeError("weak rows must match the weak group and column count")
-    if delta == 0:
-        raise DomainError("combining reference must be nonzero")
-    normalized, _ = normalize(h_u)
-    adjusted = normalized / delta
-    assembled = np.zeros((n_ports, h_u.shape[1]), dtype=complex)
-    assembled[list(grouping.strong), :] = adjusted
-    assembled[list(grouping.weak), :] = h_w
-    return TriPolEstimate(strong_rows=adjusted, weak_rows=h_w, delta=complex(delta),
-                          assembled=assembled)
+    rows = np.zeros((grouping.power.size, h_u.shape[1]), dtype=complex)
+    rows[list(grouping.strong)] = h_u
+    if grouping.weak:
+        h_w = np.asarray(h_weak_normalized, dtype=complex)
+        if h_w.shape[0] != len(grouping.weak) or h_w.shape[1] != h_u.shape[1]:
+            raise ShapeError("weak rows must match the weak group and column count")
+        if delta == 0:
+            raise DomainError("combining reference must be nonzero")
+        rows[list(grouping.weak)] = h_w
+    else:
+        delta = 1.0
+    _assemble(rows[None], grouping.is_strong[None], np.array([delta], dtype=complex))
+    return TriPolEstimate(assembled=rows, delta=complex(delta), grouping=grouping)
 
 
 def estimate_joint(channel, grouping: PortGrouping, uplink_snr_db: float,
                    downlink_snr_db: float, rng_seed, quantize_bits: int | None = None) -> TriPolEstimate:
-    """Run the full grouped protocol on one channel draw.
+    """Run the full grouped protocol on one channel draw, or on a stack of
+    trials with a stacked grouping and a list of seeds, one per trial.
 
     The combining reference divides the weak-group record by the strong-group
     record; rescaling the normalized uplink estimate by its inverse puts both
     halves on the weak-group normalization, so the assembly agrees with the
     true channel up to one global complex scalar.
     """
-    h = _as_matrix(channel)
-    seq = np.random.SeedSequence(rng_seed) if not isinstance(rng_seed, np.random.SeedSequence) else rng_seed
-    up_seed, down_seed = seq.spawn(2)
-    h_up = uplink_estimate(h, grouping.strong, uplink_snr_db, up_seed)
-    if not grouping.weak:
-        return joint_estimate(h_up, 1.0, np.zeros((0, h.shape[1])), grouping)
-    h_strong_d, h_weak_d = downlink_measure(h, grouping, downlink_snr_db, down_seed)
-    _, rec_strong = normalize(h_strong_d)
-    weak_normalized, rec_weak = normalize(h_weak_d)
+    h0 = _as_matrix(channel)
+    h, seeds = _trial_stack(h0, rng_seed)
+    if grouping.power.shape != h0.shape[:-1]:
+        raise ShapeError("grouping needs one port per channel row")
+    strong = grouping.is_strong.reshape(h.shape[:-1])
+    weak = ~strong
+    has_weak = weak.any(axis=-1)
+    streams = [(s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)).spawn(2)
+               for s in seeds]
+    ref = _mean_entry_power(h)
+    # downlink: a trial with a weak group measures every row; the rest draw nothing
+    x = h.copy()
+    _add_noise(x, np.broadcast_to(has_weak[:, None], strong.shape), downlink_snr_db, ref,
+               [np.random.default_rng(down_seed) for _, down_seed in streams])
+    rec_strong = _records(x, strong)
+    rec_weak = _records(x, weak)
+    if np.any(has_weak & ((rec_strong.amplitude == 0.0) | (rec_weak.amplitude == 0.0))):
+        raise DomainError("cannot normalize a zero matrix")
+    # a trial without a weak group keeps the uplink normalization: delta = 1
+    delta = np.where(has_weak, combining_reference(rec_weak, rec_strong), 1.0)
+    x /= np.where(has_weak, rec_weak.factor(), 1.0)[:, None, None]
     if quantize_bits is not None:
-        weak_normalized = quantize_feedback(weak_normalized, quantize_bits)
-    delta = combining_reference(rec_weak, rec_strong)
-    return joint_estimate(h_up, delta, weak_normalized, grouping)
+        x = quantize_feedback(np.where(weak[..., None], x, 0.0), quantize_bits)
+    # uplink: the strong rows, in the same buffer, plus pilot noise
+    x[strong] = h[strong]
+    _add_noise(x, strong, uplink_snr_db, ref,
+               [np.random.default_rng(up_seed) for up_seed, _ in streams])
+    assembled = _assemble(x, strong, delta)
+    if h0.ndim == 2:
+        return TriPolEstimate(assembled=assembled[0], delta=complex(delta[0]), grouping=grouping)
+    return TriPolEstimate(assembled=assembled, delta=delta, grouping=grouping)
 
 
-def scalar_aligned(estimate, reference) -> tuple[np.ndarray, float]:
-    """Best least-squares complex scaling of the estimate onto the reference."""
+def scalar_aligned(estimate, reference) -> tuple[np.ndarray, float | np.ndarray]:
+    """Best least-squares complex scaling of the estimate onto the reference.
+
+    With three or more axes, each matrix of the last two axes is aligned on
+    its own and the errors come back as an array over the leading axes.
+    """
     a = np.asarray(estimate, dtype=complex)
     b = np.asarray(reference, dtype=complex)
     if a.shape != b.shape:
         raise ShapeError("estimate and reference must share a shape")
-    denom = np.vdot(a, a)
-    if denom == 0:
+    lead = a.shape[:-2]
+    flat_a = a.reshape(lead + (-1,))
+    flat_b = b.reshape(lead + (-1,))
+    denom = np.vecdot(flat_a, flat_a)
+    if np.any(denom == 0):
         raise DomainError("cannot align a zero estimate")
-    c = np.vdot(a, b) / denom
-    aligned = c * a
-    ref_norm = np.linalg.norm(b)
-    if ref_norm == 0.0:
+    ref_norm = np.sqrt(np.vecdot(flat_b, flat_b).real)
+    if np.any(ref_norm == 0.0):
         raise DomainError("reference must be nonzero")
-    return aligned, float(np.linalg.norm(aligned - b) / ref_norm)
+    c = np.vecdot(flat_a, flat_b) / denom
+    aligned = c.reshape(lead + (1,) * (a.ndim - len(lead))) * a
+    diff = (aligned - b).reshape(lead + (-1,))
+    err = np.sqrt(np.vecdot(diff, diff).real) / ref_norm
+    return aligned, float(err) if err.ndim == 0 else err

@@ -137,7 +137,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         capacity_equal_power(np.array([1.0, np.inf]).reshape(1, 2), 1.0, 1.0)
     with pytest.raises(DomainError):
-        capacity_waterfilling(np.zeros((2, 2, 2)), 1.0, 1.0)
+        capacity_waterfilling(np.ones(2), 1.0, 1.0)
     zero = capacity_waterfilling(np.zeros((2, 2)), 1.0, 1.0)
     assert zero.capacity == 0.0
     assert np.all(zero.allocation == 0.0)
@@ -172,6 +172,17 @@ def test_stacked_equal_power_matches_per_matrix_calls_bit_for_bit():
         assert np.array_equal(stacked.allocation.reshape(len(flat), -1),
                               [r.allocation for r in singles])
         assert isinstance(singles[0].capacity, float)
+        # an array power broadcasts over the stack axes: one eigendecomposition
+        # serves every power, and each (power, matrix) pair gives its own call
+        powers = np.array([4.0, 0.3, 17.5])
+        both = capacity_equal_power(g, powers.reshape((3,) + (1,) * (len(shape) - 2)), 0.5)
+        assert both.capacity.shape == (3,) + shape[:-2]
+        assert both.allocation.shape == (3,) + shape[:-2] + (shape[-1],)
+        for p, caps, alloc in zip(powers, both.capacity, both.allocation):
+            alone = [capacity_equal_power(h, float(p), 0.5) for h in flat]
+            assert np.array_equal(caps.ravel(), [r.capacity for r in alone])
+            assert np.array_equal(alloc.reshape(len(flat), -1), [r.allocation for r in alone])
+        assert np.array_equal(both.eigenvalues, stacked.eigenvalues)
     bad = np.ones((3, 2, 2), dtype=complex)
     bad[1, 0, 1] = np.nan
     with pytest.raises(DomainError):
@@ -195,3 +206,31 @@ def test_equal_power_eigenvalues_match_svd_on_wide_tall_and_rank_deficient_chann
         assert np.allclose(res.eigenvalues, want, rtol=0, atol=1e-12 * want[0])
         assert res.capacity == pytest.approx(np.sum(np.log2(1.0 + 81.0 / g.shape[1] * want)),
                                             rel=1e-13)
+
+
+def test_stacked_waterfilling_members_match_their_own_calls_exactly():
+    rng = np.random.default_rng(33)
+    for rows, cols in ((3, 8), (8, 3), (4, 4)):
+        g = rng.normal(size=(6, rows, cols)) + 1j * rng.normal(size=(6, rows, cols))
+        g[2] = np.outer(rng.normal(size=rows), rng.normal(size=cols))  # rank one
+        g[3, :, :2] = 0.0  # rank deficient
+        g[4] = 0.0  # no channel at all
+        g[5] *= 1e-3  # weak modes: water-filling drops some of them
+        for power in (0.05, 2.0, 300.0):
+            stacked = capacity_waterfilling(g, power, 0.7)
+            assert stacked.capacity.shape == (6,)
+            assert stacked.allocation.shape == stacked.eigenvalues.shape == (6, cols)
+            for k, h in enumerate(g):
+                alone = capacity_waterfilling(h, power, 0.7)
+                assert isinstance(alone.capacity, float)
+                assert stacked.capacity[k] == alone.capacity
+                assert np.array_equal(stacked.allocation[k], alone.allocation)
+                assert np.array_equal(stacked.eigenvalues[k], alone.eigenvalues)
+            assert stacked.capacity[4] == 0.0 and not np.any(stacked.allocation[4])
+            assert np.allclose(stacked.allocation[[0, 1, 2, 3, 5]].sum(axis=-1), power,
+                               rtol=1e-12)
+    # a leading axis of any depth
+    g = rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5))
+    deep = capacity_waterfilling(g, 1.5, 1.0)
+    assert deep.capacity.shape == (2, 3)
+    assert deep.capacity[1, 2] == capacity_waterfilling(g[1, 2], 1.5, 1.0).capacity

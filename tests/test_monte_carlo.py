@@ -1,20 +1,24 @@
-"""The batched Monte Carlo engine of the densely-spaced study against the
-per-realization computation it replaced, and its independence of chunking,
-worker count and worker BLAS threads."""
+"""The batched Monte Carlo engines of the densely-spaced and tri-pol studies
+against the per-realization computations they replaced, their independence
+of chunking and worker count, and the BLAS threads they run on."""
 
 import ctypes
+import functools
 import os
 import re
 
 import numpy as np
 import pytest
 
-from emchan import DenselySpacedScenario, TriPolScenario, load_scenario, studies, write_results
+from emchan import (DenselySpacedScenario, EmCoreValidationScenario, NearFieldScenario,
+                    TriPolScenario, load_scenario, nearfield, studies, write_results)
 from emchan import scenario as sc
 from emchan.cdl import bundled_cdl_b, mixture_from_clusters
 from emchan.emcore import WaveContext
 from emchan.patterns import PatternSet, dipole, unit_gain
 from emchan.seeds import STUDY_IDS, realization_rng
+from emchan.tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
+                           simulate_tripol_channel)
 from emchan.wavenumber import (EfficiencyMatrix, apply_polarization, assemble_channel,
                                coupling_variances, fourier_harmonics, isotropic_mixture,
                                sample_wavenumber_channel, uniform_planar_array,
@@ -87,6 +91,44 @@ def test_engine_matches_per_realization_oracle():
     assert np.allclose(caps, want, rtol=1e-12, atol=0.0)
 
 
+def tri_pol_trial_oracle(i: int, payload) -> tuple:
+    """(joint capacity, benchmark capacity, joint MSE, benchmark MSE) of tri-pol
+    trial i alone: one channel, one call per step."""
+    seed, study_id, rx_split, tx_split, z_gain_db, xpr_db, pilot_snr_db = payload
+    seq = np.random.SeedSequence([seed, study_id, i])
+    ch_seed, est_seed, bench_seed = seq.spawn(3)
+    channel = simulate_tripol_channel(rx_ports=rx_split, tx_ports=tx_split,
+                                      z_gain_db=z_gain_db, xpr_db=xpr_db,
+                                      rng=np.random.default_rng(ch_seed))
+    h = channel.matrix
+    row_power = np.mean(np.abs(h) ** 2, axis=1)
+    grouping = group_ports(row_power, rule="median")
+    est = estimate_joint(channel, grouping, pilot_snr_db, pilot_snr_db, est_seed)
+    per_port = pilot_snr_db + 10.0 * np.log10(row_power / row_power.max())
+    bench = benchmark_uplink_only(channel, per_port, bench_seed)
+
+    _, err_joint = scalar_aligned(est.assembled, h)
+    _, err_bench = scalar_aligned(bench, h)
+
+    power = 10.0 ** (pilot_snr_db / 10.0)
+    return (studies._row_space_capacity(h, est.assembled, power),
+            studies._row_space_capacity(h, bench, power), err_joint**2, err_bench**2)
+
+
+@pytest.mark.parametrize("ue_ports", [8, 12])
+def test_tri_pol_chunks_match_per_trial_oracle(ue_ports):
+    scn = TriPolScenario(ue_ports=ue_ports)
+    half = scn.bs_ports // 2
+    payload = (5, STUDY_IDS[sc.TRI_POL], scn.rx_split(), (half, scn.bs_ports - half, 0),
+               scn.z_gain_db, scn.xpr_db, scn.pilot_snr_db)
+    count = studies._CHUNK + 3  # one full chunk and one partial chunk
+    rows = studies._map_chunks(functools.partial(studies._tri_pol_chunk, payload=payload),
+                               count, jobs=1)
+    want = np.array([tri_pol_trial_oracle(i, payload) for i in range(count)])
+    assert rows.shape == want.shape == (count, 4)
+    np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0.0)
+
+
 def _tables(tmp_path, tag, scenarios, jobs) -> dict:
     out = {}
     for scn in scenarios:
@@ -148,25 +190,106 @@ def test_workers_run_blas_on_one_thread():
     assert blas_thread_counts() == parent  # the parent process keeps its threads
 
 
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded BLAS library set to two threads for the test, and back to
+    its own count afterwards; yields the counts the test starts from."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("loaded libraries are listed in /proc/self/maps only")
+    pairs = [pair for library, _ in studies._loaded_blas() for pair in library]
+    before = [get_threads() for get_threads, _ in pairs]
+    for _, set_threads in pairs:
+        set_threads(2)
+    try:
+        counts = blas_thread_counts()
+        if max(counts, default=0) < 2:
+            pytest.skip("no loaded BLAS library runs two threads here")
+        yield counts
+    finally:
+        for (_, set_threads), count in zip(pairs, before):
+            set_threads(count)
+
+
+def _record_blas_threads(monkeypatch, owner, name) -> list:
+    """Wrap owner.name so that each call records the largest BLAS thread count."""
+    seen = []
+    real = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(max(blas_thread_counts()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("scn, kernel", [
+    (DenselySpacedScenario(name="ds", tx_side_wavelengths=1.0, rx_side_wavelengths=0.5,
+                           rx_spacing_wavelengths=(0.5,), realizations=3, quadrature_order=4),
+     "capacity_equal_power"),
+    (TriPolScenario(name="tp", cells=1, ues_per_cell=3, bs_ports=16), "capacity_waterfilling"),
+])
+def test_serial_monte_carlo_studies_run_blas_on_one_thread(scn, kernel, two_blas_threads,
+                                                           monkeypatch):
+    seen = _record_blas_threads(monkeypatch, studies, kernel)
+    studies.run_study(scn, jobs=1)
+    assert seen and set(seen) == {1}
+    assert blas_thread_counts() == two_blas_threads
+
+
+def test_run_study_restores_blas_threads_when_a_study_raises(two_blas_threads, monkeypatch):
+    def broken(*args):
+        assert max(blas_thread_counts()) == 1
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(studies, "capacity_waterfilling", broken)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        studies.run_study(TriPolScenario(name="tp", cells=1, ues_per_cell=3, bs_ports=16))
+    assert blas_thread_counts() == two_blas_threads
+
+
+def test_near_field_and_em_core_studies_keep_the_blas_thread_count(two_blas_threads,
+                                                                  monkeypatch):
+    seen = _record_blas_threads(monkeypatch, nearfield, "channel_impulse_response")
+    studies.run_study(NearFieldScenario(name="nf", bs_elements=8, ue_elements=2,
+                                        drop_distances_m=(5.0,), profile_elements=4))
+    em_seen = _record_blas_threads(monkeypatch, studies, "green_decomposition")
+    studies.run_study(EmCoreValidationScenario(name="em", samples=25))
+    assert seen and em_seen
+    assert set(seen + em_seen) == {max(two_blas_threads)}
+    assert blas_thread_counts() == two_blas_threads
+
+
 def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     calls = []
+    powers = []
     real = studies.assemble_channel
+    real_capacity = studies.capacity_equal_power
 
     def counted(*args):
         calls.append(args[1].shape)  # stacked receive factors: (spacings, rows, 2 x support)
         return real(*args)
 
+    def counted_capacity(g, power, noise_power):
+        powers.append(np.shape(power))
+        return real_capacity(g, power, noise_power)
+
     monkeypatch.setattr(studies, "assemble_channel", counted)
+    monkeypatch.setattr(studies, "capacity_equal_power", counted_capacity)
     scn = load_scenario(os.path.join(SCENARIOS, "densely_spaced.json"))
     studies._densely_spaced_capacities(scn, 5, 2 * studies._CHUNK, jobs=1)
-    # ideal (isotropic, unit), ni (CDL-B, unit), ni-pd and proposed (CDL-B, dipole)
+    # ideal (isotropic, unit), ni (CDL-B, unit), ni-pd and proposed (CDL-B, dipole);
+    # the schemes of one assembly share its capacity call
     assert len(calls) == 2 * 3
     assert all(shape[0] == len(scn.rx_spacing_wavelengths) for shape in calls)
+    assert sorted(powers) == [(1, 1, 1)] * 4 + [(2, 1, 1)] * 2
 
     calls.clear()
+    powers.clear()
     scn = DenselySpacedScenario(name="pd", schemes=("ni-pd", "proposed"), realizations=3)
     studies._densely_spaced_capacities(scn, 5, 3, jobs=1)
     assert len(calls) == 1
+    assert powers == [(2, 1, 1)]
 
 
 def test_padded_stacked_rx_factors_match_per_spacing_channels():

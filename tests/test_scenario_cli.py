@@ -123,6 +123,20 @@ def test_quadrature_order_bound():
     assert exc.value.messages == ["quadrature_order: must be at most 1000, got 1001"]
 
 
+@pytest.mark.parametrize("samples", [1, 24, 26, 49, 0, -25])
+def test_em_core_samples_must_be_a_positive_multiple_of_the_sweep_points(samples):
+    # each of the 25 k0*r points runs samples / 25 directions, so any other
+    # count would run a different number than the file asks for
+    base = {"study": "em-core-validation", "name": "v"}
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict({**base, "samples": samples})
+    assert exc.value.messages == [
+        f"samples: must be a positive multiple of 25, the sweep points, got {samples}"]
+    assert validate_scenario(EmCoreValidationScenario(samples=samples)) == exc.value.messages
+    scn = scenario_from_dict({**base, "samples": 50})
+    assert len(run_study(scn)["decomposition"].rows) == 25
+
+
 def test_all_violations_collected():
     with pytest.raises(ValidationError) as exc:
         scenario_from_dict({

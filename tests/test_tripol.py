@@ -346,14 +346,73 @@ def test_rx_split_is_one_two_one_and_sums_to_ue_ports(ue_ports):
 def test_twelve_port_trial_builds_a_twelve_row_channel(monkeypatch):
     from emchan import TriPolScenario, run_study, studies
 
-    rows = []
+    shapes = []
     real = studies.simulate_tripol_channel
 
     def recorded(**kwargs):
         channel = real(**kwargs)
-        rows.append(channel.matrix.shape[0])
+        shapes.append(channel.matrix.shape)
         return channel
 
     monkeypatch.setattr(studies, "simulate_tripol_channel", recorded)
     run_study(TriPolScenario(name="tp12", cells=1, ues_per_cell=2, bs_ports=16, ue_ports=12))
-    assert rows == [12, 12]
+    # one stacked call for the chunk: 2 trials of 12 rows each
+    assert shapes == [(2, 12, 16)]
+
+
+def test_stacked_calls_give_each_trial_its_single_channel_result():
+    chans = [small_channel(seed=40 + k) for k in range(4)]
+    stack = TriPolChannel(matrix=np.stack([c.matrix for c in chans]), rx_ports=(2, 4, 2),
+                          tx_ports=(8, 8, 0))
+    power = np.mean(np.abs(stack.matrix) ** 2, axis=-1)
+    power[2] = 1.0  # equal powers: trial 2 has no weak group
+    grouping = group_ports(power, rule="median")
+    singles = [group_ports(p, rule="median") for p in power]
+    assert grouping.strong == tuple(g.strong for g in singles)
+    assert grouping.weak == tuple(g.weak for g in singles)
+    assert grouping.weak[2] == ()
+    assert np.array_equal(grouping.is_strong, [g.is_strong for g in singles])
+
+    seeds = [100 + k for k in range(4)]
+    for bits in (None, 3):
+        est = estimate_joint(stack, grouping, 5.0, 12.0, seeds, quantize_bits=bits)
+        assert est.assembled.shape == stack.matrix.shape and est.delta.shape == (4,)
+        for k, ch in enumerate(chans):
+            alone = estimate_joint(ch, singles[k], 5.0, 12.0, seeds[k], quantize_bits=bits)
+            assert np.array_equal(est.assembled[k], alone.assembled)
+            assert est.delta[k] == alone.delta
+        assert est.delta[2] == 1.0
+        assert np.array_equal(est.strong_rows, np.concatenate(
+            [estimate_joint(ch, singles[k], 5.0, 12.0, seeds[k], quantize_bits=bits).strong_rows
+             for k, ch in enumerate(chans)]))
+
+    snrs = np.array([[10.0, 3.5, -2.0, 0.0, 7.25, 10.0, -11.0, 4.0],
+                     [np.inf, 3.5, -np.inf, 0.0, np.inf, 10.0, -11.0, -np.inf],
+                     [np.inf] * 8,
+                     [-np.inf, 12.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    bench = benchmark_uplink_only(stack, snrs, seeds)
+    for k, ch in enumerate(chans):
+        assert np.array_equal(bench[k], benchmark_uplink_only(ch, snrs[k], seeds[k]))
+
+    aligned, errs = scalar_aligned(bench, stack.matrix)
+    assert errs.shape == (4,)
+    for k, ch in enumerate(chans):
+        alone, err = scalar_aligned(bench[k], ch.matrix)
+        assert np.array_equal(aligned[k], alone) and errs[k] == err
+
+    with pytest.raises(ShapeError):
+        estimate_joint(stack, grouping, 5.0, 12.0, 7)  # a stack takes one seed per trial
+    with pytest.raises(ShapeError):
+        benchmark_uplink_only(stack, snrs[0], seeds)
+
+
+def test_simulated_stack_draws_each_channel_from_its_own_generator():
+    seeds = [np.random.SeedSequence([3, k]) for k in range(3)]
+    stack = simulate_tripol_channel(rx_ports=(3, 6, 3), tx_ports=(4, 4, 0),
+                                    rng=[np.random.default_rng(s) for s in seeds])
+    assert stack.matrix.shape == (3, 12, 8)
+    assert stack.block(2, 1).shape == (3, 3, 4)
+    for k, seed in enumerate(seeds):
+        alone = simulate_tripol_channel(rx_ports=(3, 6, 3), tx_ports=(4, 4, 0),
+                                        rng=np.random.default_rng(seed))
+        assert np.array_equal(stack.matrix[k], alone.matrix)
