@@ -12,7 +12,6 @@ import ctypes
 import functools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +130,8 @@ def _map_chunks(func, count: int, jobs: int) -> np.ndarray:
     if jobs <= 1:
         parts = list(map(func, starts, stops))
     else:
+        # the pool's modules (multiprocessing, sockets, ...) load only here
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
             parts = list(pool.map(func, starts, stops,
                                   chunksize=max(1, len(stops) // (jobs * 4))))

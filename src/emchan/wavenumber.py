@@ -144,6 +144,9 @@ def wavenumber_to_angles(l_x: int, l_y: int, length_x: float, length_y: float,
 # ---------------------------------------------------------------------------
 # coupling variances
 
+# evaluation points (node-cell pairs x u nodes) per block of the cell quadrature
+_QUAD_POINTS = 1 << 15
+
 
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,32 +164,41 @@ def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
     clipped to the disk, indexed [l_x + nx, l_y + ny].
 
     Work in (k_x, u) with k_y = B sin(u), B = sqrt(k0^2 - k_x^2); the
-    substitution absorbs the 1/k_z area factor so the rim is regular. One pass
-    per k_x node serves every column at once: memory is O(cells x order).
+    substitution absorbs the 1/k_z area factor so the rim is regular. The k_x
+    geometry of all nodes is laid out at once as (order, X, Y) arrays; the
+    u-quadrature runs only on the (node, cell) pairs whose cell meets the disk,
+    in blocks of at most _QUAD_POINTS points, and each cell sums its node
+    contributions in node order. Memory is O(cells x order).
     """
     k0 = ctx.wavenumber
     xg, xw = _gauss_legendre(order)
-    l_x = np.arange(-nx, nx + 1)[:, None, None]
-    l_y = np.arange(-ny, ny + 1)[None, :, None]
+    l_x = np.arange(-nx, nx + 1)[:, None]
+    l_y = np.arange(-ny, ny + 1)
     kx_lo = np.maximum(2.0 * np.pi * (l_x - 0.5) / length_x, -k0)
     kx_hi = np.minimum(2.0 * np.pi * (l_x + 0.5) / length_x, k0)
-    total = np.zeros((l_x.size, l_y.size, 1))
-    for g, w in zip(xg, xw):
-        kx = 0.5 * (kx_hi + kx_lo) + 0.5 * (kx_hi - kx_lo) * g
-        b2 = k0**2 - kx**2
-        live = (kx_hi > kx_lo) & (b2 > 0.0)
-        b = np.sqrt(np.where(live, b2, 1.0))
-        ky_lo = np.maximum(2.0 * np.pi * (l_y - 0.5) / length_y, -b)
-        ky_hi = np.minimum(2.0 * np.pi * (l_y + 0.5) / length_y, b)
-        u_lo = np.arcsin(np.clip(ky_lo / b, -1.0, 1.0))
-        u_hi = np.arcsin(np.clip(ky_hi / b, -1.0, 1.0))
+    half = 0.5 * (kx_hi - kx_lo)
+    # axes (node, l_x, l_y): kx and b are (order, X, 1), the ky bounds (order, X, Y)
+    kx = 0.5 * (kx_hi + kx_lo) + half * xg[:, None, None]
+    b2 = k0**2 - kx**2
+    live = (kx_hi > kx_lo) & (b2 > 0.0)
+    b = np.sqrt(np.where(live, b2, 1.0))
+    ky_lo = np.maximum(2.0 * np.pi * (l_y - 0.5) / length_y, -b)
+    ky_hi = np.minimum(2.0 * np.pi * (l_y + 0.5) / length_y, b)
+    node, cx, cy = np.nonzero(live & (ky_hi > ky_lo))
+    masses = np.zeros(ky_lo.shape)
+    step = max(1, _QUAD_POINTS // order)
+    for start in range(0, node.size, step):
+        n, i, j = (a[start:start + step] for a in (node, cx, cy))
+        bi = b[n, i]
+        u_lo = np.arcsin(np.clip(ky_lo[n, i, j][:, None] / bi, -1.0, 1.0))
+        u_hi = np.arcsin(np.clip(ky_hi[n, i, j][:, None] / bi, -1.0, 1.0))
         u = 0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * xg
         wu = 0.5 * (u_hi - u_lo) * xw
-        theta = np.arccos(np.clip(b * np.cos(u) / k0, -1.0, 1.0))
-        phi = np.arctan2(b * np.sin(u), kx)
-        mass = 0.5 * (kx_hi - kx_lo) * w * np.sum(wu * aps.pdf(theta, phi), -1, keepdims=True) / k0
-        total += np.where(live & (ky_hi > ky_lo), mass, 0.0)
-    return total[..., 0]
+        theta = np.arccos(np.clip(bi * np.cos(u) / k0, -1.0, 1.0))
+        phi = np.arctan2(bi * np.sin(u), kx[n, i])
+        masses[n, i, j] = half[i, 0] * xw[n] * np.sum(wu * aps.pdf(theta, phi), -1) / k0
+    # reducing the leading axis adds the nodes one after another, in node order
+    return np.add.reduce(masses, axis=0)
 
 
 def _hemisphere_mass(aps: VmfMixture, n_theta: int = 128, n_phi: int = 256) -> float:

@@ -189,26 +189,29 @@ def test_bundled_scenarios_are_valid():
         assert validate_scenario(scn) == []
 
 
-# Run in a fresh interpreter: reports the scipy modules `import emchan` loads,
-# and per scenario file the numpy or scipy modules its run_study loads.
+# Run in a fresh interpreter: reports the scipy and process-pool modules
+# `import emchan` loads, and per scenario file the numpy, scipy or
+# process-pool modules its jobs=1 run_study loads.
 _MODULE_PROBE = """
 import json, sys
 from pathlib import Path
 
+POOL = ("multiprocessing", "concurrent.futures.process")
 import emchan
-report = {"import emchan": sorted(m for m in sys.modules if m.startswith("scipy"))}
+report = {"import emchan": sorted(m for m in sys.modules if m.startswith(("scipy",) + POOL))}
 for path in sorted(Path(sys.argv[1]).glob("*.json")):
     scn = emchan.load_scenario(path)
     loaded = set(sys.modules)
     emchan.run_study(scn, scale=0.02, jobs=1)
     report[path.name] = sorted(m for m in set(sys.modules) - loaded
-                               if m.startswith(("numpy.", "scipy")))
+                               if m.startswith(("numpy.", "scipy") + POOL))
 print(json.dumps(report))
 """
 
 
 def test_studies_load_no_modules_and_no_scipy():
-    """Import cost stays out of the study phase, and scipy out of the package."""
+    """Import cost stays out of the study phase, and scipy out of the package;
+    the process pool loads only for jobs > 1."""
     src = Path(studies.__file__).resolve().parents[1]
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     env = {**os.environ,

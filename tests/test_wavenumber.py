@@ -30,7 +30,8 @@ from emchan import (
     wavenumber_support,
     wavenumber_to_angles,
 )
-from emchan.wavenumber import _gauss_legendre, _hemisphere_mass
+from emchan import wavenumber
+from emchan.wavenumber import _box_masses, _gauss_legendre, _hemisphere_mass
 
 CTX = WaveContext.from_frequency(4.7e9)
 LAM = CTX.wavelength
@@ -258,13 +259,80 @@ def test_cell_fractions_match_per_cell_oracle(spectrum, order):
                                    rtol=1e-13, atol=0, err_msg=f"{side_x}x{side_y} wavelengths")
 
 
-def test_cell_fractions_memory_is_linear_in_order():
+def box_masses_oracle(length_x, length_y, nx, ny, aps, ctx, order, live_counts=None):
+    """The quadrature as one array-valued pass per k_x node over the whole
+    (2nx+1) x (2ny+1) box, dead (node, cell) pairs masked to zero; appends
+    each node's live pair count to ``live_counts`` when given."""
+    k0 = ctx.wavenumber
+    xg, xw = _gauss_legendre(order)
+    l_x = np.arange(-nx, nx + 1)[:, None, None]
+    l_y = np.arange(-ny, ny + 1)[None, :, None]
+    kx_lo = np.maximum(2.0 * np.pi * (l_x - 0.5) / length_x, -k0)
+    kx_hi = np.minimum(2.0 * np.pi * (l_x + 0.5) / length_x, k0)
+    total = np.zeros((l_x.size, l_y.size, 1))
+    for g, w in zip(xg, xw):
+        kx = 0.5 * (kx_hi + kx_lo) + 0.5 * (kx_hi - kx_lo) * g
+        b2 = k0**2 - kx**2
+        live = (kx_hi > kx_lo) & (b2 > 0.0)
+        b = np.sqrt(np.where(live, b2, 1.0))
+        ky_lo = np.maximum(2.0 * np.pi * (l_y - 0.5) / length_y, -b)
+        ky_hi = np.minimum(2.0 * np.pi * (l_y + 0.5) / length_y, b)
+        u_lo = np.arcsin(np.clip(ky_lo / b, -1.0, 1.0))
+        u_hi = np.arcsin(np.clip(ky_hi / b, -1.0, 1.0))
+        u = 0.5 * (u_hi + u_lo) + 0.5 * (u_hi - u_lo) * xg
+        wu = 0.5 * (u_hi - u_lo) * xw
+        theta = np.arccos(np.clip(b * np.cos(u) / k0, -1.0, 1.0))
+        phi = np.arctan2(b * np.sin(u), kx)
+        mass = 0.5 * (kx_hi - kx_lo) * w * np.sum(wu * aps.pdf(theta, phi), -1, keepdims=True) / k0
+        total += np.where(live & (ky_hi > ky_lo), mass, 0.0)
+        if live_counts is not None:
+            live_counts.append(int(np.count_nonzero(live & (ky_hi > ky_lo))))
+    return total[..., 0]
+
+
+def box_args(side_x, side_y):
+    """_box_masses arguments before the spectrum: the sides and a box two cells wider than the support."""
+    return (side_x * LAM, side_y * LAM, int(np.ceil(side_x)) + 2, int(np.ceil(side_y)) + 2)
+
+
+# order 300 runs the supports up to 2.5 wavelengths: the per-node oracle takes
+# about a minute more on the boxes with a 4- or 7.3-wavelength side
+@pytest.mark.parametrize("order", [4, 16, 300])
+@pytest.mark.parametrize("spectrum", sorted(ORACLE_SPECTRA))
+def test_box_masses_equal_per_node_loop_bit_for_bit(spectrum, order):
+    aps = ORACLE_SPECTRA[spectrum]
+    for side_x, side_y in ORACLE_SUPPORTS:
+        if order > 16 and max(side_x, side_y) > 2.5:
+            continue
+        args = box_args(side_x, side_y)
+        assert np.array_equal(_box_masses(*args, aps, CTX, order),
+                              box_masses_oracle(*args, aps, CTX, order)), f"{side_x}x{side_y}"
+
+
+@pytest.mark.parametrize("spectrum", sorted(ORACLE_SPECTRA))
+def test_box_masses_do_not_depend_on_the_block_size(spectrum, monkeypatch):
+    aps, order = ORACLE_SPECTRA[spectrum], 16
+    for side_x, side_y in ORACLE_SUPPORTS:
+        args = box_args(side_x, side_y)
+        counts = []
+        want = box_masses_oracle(*args, aps, CTX, order, counts)
+        assert counts[0] >= 3
+        # one pair per block; then node 0 split over two blocks, the second
+        # of which runs on into node 1
+        for points in (order, (counts[0] - 1) * order):
+            monkeypatch.setattr(wavenumber, "_QUAD_POINTS", points)
+            assert np.array_equal(_box_masses(*args, aps, CTX, order), want), (side_x, side_y, points)
+
+
+@pytest.mark.parametrize("spectrum", ["isotropic", "cdl-b"])
+def test_cell_fractions_memory_is_linear_in_order(spectrum):
     # 300 Gauss nodes per axis on a 4-wavelength support (169 box cells): a
-    # (cells, order, order) array takes 122 MB, a (cells, order) one 0.4 MB
+    # (cells, order, order) array takes 122 MB, a (cells, order) one 0.4 MB;
+    # the 23-cluster CDL-B spectrum holds its per-point temporaries too
     sup = wavenumber_support(4 * LAM, 4 * LAM, CTX)
     tracemalloc.start()
     try:
-        f = cell_power_fractions(sup, isotropic_mixture(), CTX, order=300)
+        f = cell_power_fractions(sup, ORACLE_SPECTRA[spectrum], CTX, order=300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
