@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import EmchanError, ValidationError
 from .results import write_results
+from . import scenario as sc
 from .scenario import STUDIES, load_scenario, scenario_hash
 from .studies import manifest_text, run_study
 
@@ -59,6 +60,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _work_estimate(scn) -> str:
+    """The work of a run at scale 1, from the scenario alone."""
+    if scn.study == sc.DENSELY_SPACED:
+        schemes, spacings = len(scn.schemes), len(scn.rx_spacing_wavelengths)
+        return (f"{scn.realizations} realizations x {schemes} schemes x {spacings} spacings"
+                f" = {scn.realizations * schemes * spacings} capacities")
+    if scn.study == sc.NEAR_FIELD:
+        cases = len(scn.drop_distances_m) + int(scn.include_far_field_check)
+        entries = 2 * (cases * scn.bs_elements * scn.ue_elements + scn.profile_elements)
+        return (f"2 x ({cases} cases x {scn.bs_elements} x {scn.ue_elements} + "
+                f"{scn.profile_elements} profile) = {entries} channel entries")
+    if scn.study == sc.TRI_POL:
+        return f"{scn.trials()} trials of {scn.ue_ports} x {scn.bs_ports} channels"
+    return f"{scn.samples} samples"
+
+
 def _cmd_validate(path: str) -> int:
     try:
         scn = load_scenario(path)
@@ -67,6 +84,7 @@ def _cmd_validate(path: str) -> int:
             print(f"invalid: {message}", file=sys.stderr)
         return 1
     print(f"valid: {scn.study} scenario {scn.name!r} (hash {scenario_hash(scn)})")
+    print(f"work: {_work_estimate(scn)}")
     return 0
 
 

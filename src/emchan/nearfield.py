@@ -8,6 +8,7 @@ wavefront-mismatch correlation studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,9 +26,9 @@ RAY_OFFSETS = np.array(
 
 LOS_POLARIZATION = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-# NLOS taps are built in blocks of whole rays holding at most this many
-# (ray, u, s) entries, or one ray if a ray alone holds more. It bounds the
-# per-block temporaries; the taps do not depend on it.
+# NLOS taps and LOS placements are built in blocks of whole rays (or
+# placements) holding at most this many (ray, u, s) entries, or one if it
+# alone holds more. It bounds the per-block temporaries; no entry depends on it.
 _BLOCK_ENTRIES = 1 << 12
 
 
@@ -138,6 +139,12 @@ class Tap:
 # LOS
 
 
+def _blocks(count: int, geom: ArrayGeometry):
+    """Slices of ``count`` rays or placements, _BLOCK_ENTRIES entries at most."""
+    step = max(1, _BLOCK_ENTRIES // (geom.n_rx * geom.n_tx))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveContext):
     rate = direction @ motion.velocity / ctx.wavelength
     return np.exp(2j * np.pi * rate * t)
@@ -146,46 +153,56 @@ def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveCont
 def los_coefficient(u: int, s: int, t: float, geom: ArrayGeometry,
                     motion: MotionState, ctx: WaveContext) -> complex:
     """Exact-geometry LOS entry for receive element u and transmit element s."""
-    return complex(_los_matrix(geom, t, motion, ctx, planar=False)[u, s])
+    return complex(_los_matrix(geom, t, motion, ctx, planar=False)[0, u, s])
 
 
 def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveContext,
-                planar: bool) -> np.ndarray:
+                planar: bool, shifts=None) -> np.ndarray:
+    """(C, n_rx, n_tx) LOS entries of the transmit array moved by each row of
+    ``shifts`` (C, 3), or where it stands (C = 1) if ``shifts`` is None. Each
+    entry is bit for bit that of its placement alone: a batched norm would
+    round the norms of single vectors (reference distance, planar axis)
+    differently, so they are taken one placement at a time."""
     rx = geom.rx_positions
-    tx = geom.tx_positions
+    tx = geom.tx_positions[None] if shifts is None else geom.tx_positions + shifts[:, None]
     lam = ctx.wavelength
-    d_ref = float(np.linalg.norm(tx[0] - rx[0]))
-    if planar:
-        # expansion directions from the array centroids, absolute phase
-        # anchored at the element-0 pair
-        axis = tx.mean(axis=0) - rx.mean(axis=0)
-        dist = np.linalg.norm(axis)
-        if dist == 0.0:
-            raise DomainError("coincident array centroids")
-        arr_dir = axis / dist  # arrival direction, points from Rx toward Tx
-        lin = (rx - rx[0]) @ arr_dir
-        lin_t = (tx - tx[0]) @ (-arr_dir)
-        phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(
-            2j * np.pi * (lin[:, None] + lin_t[None, :]) / lam
-        )
-        th_r, ph_r = angles_from_vector(np.broadcast_to(arr_dir, rx.shape))
-        th_t, ph_t = angles_from_vector(np.broadcast_to(-arr_dir, tx.shape))
-        fr = geom.rx_patterns.element_gains(th_r, ph_r)
-        ft = geom.tx_patterns.element_gains(th_t, ph_t)
-        gains = fr @ (LOS_POLARIZATION @ ft.T)
-        return gains * phase * _doppler(arr_dir, motion, t, ctx)
-    sep = tx[None, :, :] - rx[:, None, :]  # (n_rx, n_tx, 3)
-    d_us = np.linalg.norm(sep, axis=-1)
-    if np.any(d_us == 0.0):
-        raise DomainError("coincident transmit and receive elements")
-    arr_dir = sep / d_us[..., None]
-    th_r, ph_r = angles_from_vector(arr_dir)
-    th_t, ph_t = angles_from_vector(-arr_dir)
-    fr = geom.rx_patterns.element_gains(th_r, ph_r)
-    ft = geom.tx_patterns.element_gains(th_t.T, ph_t.T).transpose(1, 0, 2)
-    gain = np.einsum("...i,ij,...j->...", fr, LOS_POLARIZATION, ft)
-    phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
-    return gain * phase * _doppler(arr_dir, motion, t, ctx)
+    d_ref = np.array([float(np.linalg.norm(p[0] - rx[0])) for p in tx])
+    anchor = np.array([np.exp(-2j * np.pi * d / lam) for d in d_ref.tolist()])
+    out = np.empty((len(tx), geom.n_rx, geom.n_tx), dtype=complex)
+    # element_gains wants the element index on axis 0, hence the transposes
+    for c in _blocks(len(tx), geom):
+        if planar:
+            # expansion directions from the array centroids, absolute phase
+            # anchored at the element-0 pair
+            axis = tx[c].mean(axis=1) - rx.mean(axis=0)
+            dist = np.array([np.linalg.norm(a) for a in axis])
+            if np.any(dist == 0.0):
+                raise DomainError("coincident array centroids")
+            arr_dir = axis / dist[:, None]  # arrival direction, points from Rx toward Tx
+            lin = (rx - rx[0]) @ arr_dir[:, :, None]  # (C, n_rx, 1)
+            lin_t = (tx[c] - tx[c, :1]) @ -arr_dir[:, :, None]  # (C, n_tx, 1)
+            phase = anchor[c, None, None] * np.exp(
+                2j * np.pi * (lin + lin_t.transpose(0, 2, 1)) / lam)
+            th_r, ph_r = angles_from_vector(np.broadcast_to(arr_dir, (geom.n_rx,) + axis.shape))
+            th_t, ph_t = angles_from_vector(np.broadcast_to(-arr_dir, (geom.n_tx,) + axis.shape))
+            fr = geom.rx_patterns.element_gains(th_r, ph_r).transpose(1, 0, 2)
+            ft = geom.tx_patterns.element_gains(th_t, ph_t).transpose(1, 2, 0)
+            gain = fr @ (LOS_POLARIZATION @ ft)
+            arr_dir = arr_dir[:, None, None]
+        else:
+            sep = tx[c, None] - rx[:, None]  # (C, n_rx, n_tx, 3)
+            d_us = np.linalg.norm(sep, axis=-1)
+            if np.any(d_us == 0.0):
+                raise DomainError("coincident transmit and receive elements")
+            arr_dir = sep / d_us[..., None]
+            fr = geom.rx_patterns.element_gains(*angles_from_vector(arr_dir.transpose(1, 0, 2, 3)))
+            ft = geom.tx_patterns.element_gains(*angles_from_vector(-arr_dir.transpose(2, 0, 1, 3)))
+            gain = np.einsum("...i,ij,...j->...", fr.transpose(1, 0, 2, 3), LOS_POLARIZATION,
+                             ft.transpose(1, 2, 0, 3))
+            phase = anchor[c, None, None] * np.exp(
+                2j * np.pi * (d_ref[c, None, None] - d_us) / lam)
+        out[c] = gain * phase * _doppler(arr_dir, motion, t, ctx)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +297,6 @@ def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
     return _one_ray_bounce(ray, geom, planar=False)
 
 
-def _planar_bounce(ray: ClusterRay, geom: ArrayGeometry, ctx: WaveContext) -> BounceGeometry:
-    """Far-field variant: ray directions extended linearly from the references."""
-    return _one_ray_bounce(ray, geom, planar=True)
-
-
 # ---------------------------------------------------------------------------
 # NLOS
 
@@ -353,6 +365,15 @@ def visibility_probability(power: float, max_power: float, model: VisibilityMode
     return float(np.clip(raw, 0.0, 1.0))
 
 
+@functools.lru_cache(maxsize=256)
+def _seeded_visibility(power: float, max_power: float, model: VisibilityModel,
+                       visibility_seed: int, cluster: int) -> float:
+    """visibility_probability seeded by (visibility_seed, cluster), cluster 0
+    being the LOS tap; the spherical and planar responses share each draw."""
+    seed = np.random.SeedSequence([visibility_seed, cluster])
+    return visibility_probability(power, max_power, model, seed)
+
+
 def _logistic(x):
     """1 / (1 + exp(-x)), written so that no argument overflows."""
     return np.exp(-np.logaddexp(0.0, -x))
@@ -388,8 +409,8 @@ def _cluster_attenuation(rays, tx_distances: np.ndarray, model: VisibilityModel,
     max_power = max(rays[idx[0]].power for idx in members.values())
     v, d_min, d_max = np.empty((3, len(rays), 1))
     for n, idx in sorted(members.items()):
-        seed = np.random.SeedSequence([int(visibility_seed), int(n)])
-        v[idx] = visibility_probability(rays[idx[0]].power, max_power, model, seed)
+        v[idx] = _seeded_visibility(rays[idx[0]].power, max_power, model,
+                                    int(visibility_seed), int(n))
         span = tx_distances[idx]
         d_min[idx], d_max[idx] = span.min(), span.max()
     return _element_attenuation(tx_distances, d_min, d_max, v, model.rolloff)
@@ -411,16 +432,17 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
                    visibility: VisibilityModel | None, t: float, motion: MotionState,
                    ctx: WaveContext, visibility_seed: int, drop_below: float,
                    planar: bool) -> list[Tap]:
+    if ctx is None:
+        raise DomainError("a WaveContext is required")
     w_los, w_nlos = _k_weights(k_factor)
     rays = list(rays) if rays is not None else []
 
     d_ref = float(np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0]))
-    los = _los_matrix(geom, t, motion, ctx, planar=planar)
+    los = _los_matrix(geom, t, motion, ctx, planar=planar)[0]
     if visibility is None:
         alpha_los = np.ones(geom.n_tx)
     else:
-        seed = np.random.SeedSequence([int(visibility_seed), 0])
-        v_los = visibility_probability(1.0, 1.0, visibility, seed)
+        v_los = _seeded_visibility(1.0, 1.0, visibility, int(visibility_seed), 0)
         if planar:
             axis = geom.tx_positions.mean(0) - geom.rx_positions.mean(0)
             u_ax = axis / np.linalg.norm(axis)
@@ -449,10 +471,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
     weight = w_nlos * alpha
     pol, amp = _ray_factors(rays)
 
-    # blocks of whole rays with at most _BLOCK_ENTRIES entries (at least one ray)
-    step = max(1, _BLOCK_ENTRIES // (geom.n_rx * geom.n_tx))
-    for start in range(0, len(rays), step):
-        block = slice(start, start + step)
+    for block in _blocks(len(rays), geom):
         coeff = _nlos_block(pol[block], amp[block], _take(bounce, block), weight[block],
                             t, geom, motion, ctx)
         taps.extend(Tap(delay=ray.delay, coefficients=c) for ray, c in zip(rays[block], coeff))
@@ -464,8 +483,6 @@ def channel_impulse_response(geom: ArrayGeometry, rays, k_factor: float,
                              motion: MotionState = MotionState(), ctx: WaveContext = None,
                              visibility_seed: int = 0, drop_below: float = 0.0) -> list[Tap]:
     """Spherical-wavefront taps: one LOS tap plus one tap per surviving ray."""
-    if ctx is None:
-        raise DomainError("a WaveContext is required")
     return _assemble_taps(geom, rays, k_factor, visibility, t, motion, ctx,
                           visibility_seed, drop_below, planar=False)
 
@@ -475,8 +492,6 @@ def planar_wave_channel(geom: ArrayGeometry, rays=None, k_factor: float = np.inf
                         motion: MotionState = MotionState(), ctx: WaveContext = None,
                         visibility_seed: int = 0, drop_below: float = 0.0) -> list[Tap]:
     """Far-field baseline with the same tap layout as the spherical response."""
-    if ctx is None:
-        raise DomainError("a WaveContext is required")
     return _assemble_taps(geom, rays, k_factor, visibility, t, motion, ctx,
                           visibility_seed, drop_below, planar=True)
 

@@ -298,21 +298,17 @@ def _linear_array(length: float, count: int) -> np.ndarray:
     return np.stack([np.zeros(count), ys, np.zeros(count)], axis=1)
 
 
-def _los_pair(bs_pos, ue_pos, ctx, time_s, velocity) -> tuple[np.ndarray, np.ndarray]:
-    geom = nearfield.ArrayGeometry(tx_positions=ue_pos, rx_positions=bs_pos)
-    motion = nearfield.MotionState(velocity=np.asarray(velocity, dtype=float))
-    exact = nearfield.channel_impulse_response(geom, rays=(), k_factor=np.inf,
-                                               t=time_s, motion=motion, ctx=ctx)
-    planar = nearfield.planar_wave_channel(geom, rays=(), k_factor=np.inf,
-                                           t=time_s, motion=motion, ctx=ctx)
-    return nearfield.narrowband_channel(exact), nearfield.narrowband_channel(planar)
+def _los_stacks(geom, shifts, scn: sc.NearFieldScenario, ctx) -> list[np.ndarray]:
+    """Exact and planar (C, n_rx, n_tx) LOS channels of every placement."""
+    motion = nearfield.MotionState(velocity=np.asarray(scn.velocity_mps, dtype=float))
+    return [nearfield._los_matrix(geom, scn.time_s, motion, ctx, planar, shifts)
+            for planar in (False, True)]
 
 
 def _run_near_field(scn: sc.NearFieldScenario, seed: int, scale: float,
                     jobs: int) -> dict[str, ResultTable]:
     ctx = WaveContext.from_frequency(scn.frequency_hz)
     lam = ctx.wavelength
-    bs_pos = _linear_array(scn.aperture_m, scn.bs_elements)
     rayleigh = rayleigh_distance(scn.aperture_m, ctx)
 
     corr = ResultTable(
@@ -322,27 +318,29 @@ def _run_near_field(scn: sc.NearFieldScenario, seed: int, scale: float,
     cases = [("drop", float(d)) for d in scn.drop_distances_m]
     if scn.include_far_field_check:
         cases.append(("far-field", 10.0 * rayleigh))
-    for case, dist in cases:
-        ue = _linear_array((scn.ue_elements - 1) * scn.ue_spacing_wavelengths * lam,
-                           scn.ue_elements)
-        ue = ue + np.array([dist, 0.0, 0.0])
-        h_exact, h_planar = _los_pair(bs_pos, ue, ctx, scn.time_s, scn.velocity_mps)
-        rho = nearfield.spatial_correlation(h_planar, h_exact)
-        corr.append(case, dist, rho)
+    ue = _linear_array((scn.ue_elements - 1) * scn.ue_spacing_wavelengths * lam,
+                       scn.ue_elements)
+    geom = nearfield.ArrayGeometry(tx_positions=ue,
+                                   rx_positions=_linear_array(scn.aperture_m, scn.bs_elements))
+    shifts = np.array([[dist, 0.0, 0.0] for _, dist in cases])
+    for (case, dist), h_exact, h_planar in zip(cases, *_los_stacks(geom, shifts, scn, ctx)):
+        corr.append(case, dist, nearfield.spatial_correlation(h_planar, h_exact))
 
-    prof_bs = _linear_array(scn.profile_aperture_m, scn.profile_elements)
-    prof_ue = np.array([[scn.profile_distance_m, 0.0, 0.0]])
-    h_exact, h_planar = _los_pair(prof_bs, prof_ue, ctx, scn.time_s, scn.velocity_mps)
+    prof = nearfield.ArrayGeometry(
+        tx_positions=np.array([[scn.profile_distance_m, 0.0, 0.0]]),
+        rx_positions=_linear_array(scn.profile_aperture_m, scn.profile_elements))
+    exact, planar = (h[0, :, 0] for h in _los_stacks(prof, None, scn, ctx))
+    # exact * conj(planar), rounded as the scalar product rounds it (an
+    # array product may fuse its multiply-adds)
+    deviation = np.arctan2(exact.imag * planar.real - exact.real * planar.imag,
+                           exact.real * planar.real + exact.imag * planar.imag)
     profile = ResultTable(
         columns=(Column("element", "index"), Column("exact_phase", "rad"),
                  Column("planar_phase", "rad"), Column("deviation", "rad")),
         metadata=_metadata(scn, seed, scale),
     )
-    for u in range(scn.profile_elements):
-        exact = complex(h_exact[u, 0])
-        planar = complex(h_planar[u, 0])
-        profile.append(u, float(np.angle(exact)), float(np.angle(planar)),
-                       float(np.angle(exact * np.conj(planar))))
+    for u, row in enumerate(zip(*np.angle([exact, planar]).tolist(), deviation.tolist())):
+        profile.append(u, *row)
     return {"correlation": corr, "phase_profile": profile}
 
 

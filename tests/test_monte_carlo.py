@@ -254,7 +254,7 @@ def test_run_study_restores_blas_threads_when_a_study_raises(two_blas_threads, m
 
 def test_near_field_and_em_core_studies_keep_the_blas_thread_count(two_blas_threads,
                                                                   monkeypatch):
-    seen = _record_blas_threads(monkeypatch, nearfield, "channel_impulse_response")
+    seen = _record_blas_threads(monkeypatch, nearfield, "_los_matrix")
     studies.run_study(NearFieldScenario(name="nf", bs_elements=8, ue_elements=2,
                                         drop_distances_m=(5.0,), profile_elements=4))
     em_seen = _record_blas_threads(monkeypatch, studies, "green_decomposition")

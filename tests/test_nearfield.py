@@ -38,13 +38,16 @@ from emchan import (
     visibility_probability,
 )
 from emchan import nearfield
+from emchan.scenario import NearFieldScenario
+from emchan.studies import run_study
 from emchan.emcore import SPEED_OF_LIGHT
 from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _logistic, _los_matrix,
-                              _nlos_matrix, _planar_bounce)
+                              _nlos_matrix)
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
 STILL = MotionState()
+MOVING = MotionState(velocity=np.array([-3.0, 1.5, 0.5]))
 
 
 def bs_ue_geometry(n_bs=64, aperture=1.4, dist=20.0, n_ue=1, ue_spacing=None):
@@ -306,10 +309,83 @@ def test_los_matrix_matches_per_entry_oracle():
     geom = mixed_pattern_geometry()
     moving = MotionState(velocity=np.array([4.0, -2.5, 1.0]))
     t = 7e-3
-    assert_matches_oracle(_los_matrix(geom, t, moving, CTX, planar=False),
+    assert_matches_oracle(_los_matrix(geom, t, moving, CTX, planar=False)[0],
                           oracle_matrix(los_oracle, geom, t, geom, moving, CTX))
-    assert_matches_oracle(_los_matrix(geom, t, moving, CTX, planar=True),
+    assert_matches_oracle(_los_matrix(geom, t, moving, CTX, planar=True)[0],
                           oracle_matrix(planar_los_oracle, geom, t, geom, moving, CTX))
+
+
+# placements of the mixed-pattern transmit array, all clear of the receive array
+PLACEMENTS = np.array([[0.0, 0.0, 0.0], [1.5, -0.4, 0.2], [-2.0, 0.3, 0.0],
+                       [6.0, 2.0, -1.0], [0.5, 0.5, 0.5]])
+
+
+def one_call_per_placement(geom, shifts, planar, t=7e-3, motion=MOVING):
+    return np.stack([
+        _los_matrix(dataclasses.replace(geom, tx_positions=geom.tx_positions + shift),
+                    t, motion, CTX, planar)[0]
+        for shift in shifts
+    ])
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_los_stack_matches_one_call_per_placement(planar):
+    geom = mixed_pattern_geometry(seed=4)
+    got = _los_matrix(geom, 7e-3, MOVING, CTX, planar, shifts=PLACEMENTS)
+    assert got.shape == (len(PLACEMENTS), geom.n_rx, geom.n_tx)
+    assert got.tobytes() == one_call_per_placement(geom, PLACEMENTS, planar).tobytes()
+    # no shift is the array where it stands
+    assert (_los_matrix(geom, 7e-3, MOVING, CTX, planar)[0].tobytes()
+            == _los_matrix(geom, 7e-3, MOVING, CTX, planar, shifts=PLACEMENTS[:1])[0].tobytes())
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_los_stack_does_not_depend_on_block_size(monkeypatch, planar):
+    geom = mixed_pattern_geometry(seed=6)
+    want = one_call_per_placement(geom, PLACEMENTS, planar)
+    per_placement = geom.n_rx * geom.n_tx
+    # one placement per block, blocks of two with a short last one, one block
+    for budget in (1, 2 * per_placement + 1, sys.maxsize):
+        monkeypatch.setattr(nearfield, "_BLOCK_ENTRIES", budget)
+        got = _los_matrix(geom, 7e-3, MOVING, CTX, planar, shifts=PLACEMENTS)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("planar, message", [(False, "coincident transmit and receive"),
+                                             (True, "coincident array centroids")])
+def test_degenerate_placement_raises_as_alone(monkeypatch, planar, message):
+    # placement 2 lays the transmit array exactly onto the receive array
+    geom = ArrayGeometry(tx_positions=np.array([[4.0, 0.0, 0.0], [4.0, 0.5, 0.0]]),
+                         rx_positions=np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]]))
+    shifts = np.array([[1.0, 0.0, 0.0], [2.0, 0.5, 0.0], [-4.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match=message):
+        one_call_per_placement(geom, shifts[2:], planar)
+    monkeypatch.setattr(nearfield, "_BLOCK_ENTRIES", 2 * geom.n_rx * geom.n_tx)
+    with pytest.raises(DomainError, match=message):
+        _los_matrix(geom, 7e-3, MOVING, CTX, planar, shifts=shifts)
+    one_call_per_placement(geom, shifts[:2], planar)  # the others are fine
+
+
+def test_near_field_study_builds_los_in_one_pass_per_kind(monkeypatch):
+    """Every distance of the sweep shares one exact and one planar build, and
+    the phase profile takes one of each, whatever the number of distances."""
+    builds = []
+    original = nearfield._los_matrix
+
+    def counted(geom, t, motion, ctx, planar, shifts=None):
+        builds.append((planar, 1 if shifts is None else len(shifts)))
+        return original(geom, t, motion, ctx, planar, shifts)
+
+    monkeypatch.setattr(nearfield, "_los_matrix", counted)
+    runs = {}
+    for drops in (7, 20):
+        builds.clear()
+        scn = dataclasses.replace(NearFieldScenario(),
+                                  drop_distances_m=tuple(np.geomspace(20.0, 500.0, drops)))
+        run_study(scn)
+        runs[drops] = list(builds)
+    assert runs[7] == [(False, 8), (True, 8), (False, 1), (True, 1)]
+    assert runs[20] == [(False, 21), (True, 21), (False, 1), (True, 1)]
 
 
 def test_nlos_matrix_matches_per_entry_oracle():
@@ -321,7 +397,8 @@ def test_nlos_matrix_matches_per_entry_oracle():
                         rays_per_cluster=2)
     assert len(rays) >= 20
     for ray in rays:
-        for bounce in (locate_bounce_scatterers(ray, geom, CTX), _planar_bounce(ray, geom, CTX)):
+        for bounce in (locate_bounce_scatterers(ray, geom, CTX),
+                       nearfield._one_ray_bounce(ray, geom, planar=True)):
             assert_matches_oracle(
                 _nlos_matrix(ray, bounce, t, geom, moving, CTX),
                 oracle_matrix(nlos_oracle, geom, ray, bounce, t, geom, moving, CTX),
@@ -669,7 +746,6 @@ def test_spatial_correlation_properties():
     assert rho(500.0) > rho(100.0) > rho(20.0)
 
 
-MOVING = MotionState(velocity=np.array([-3.0, 1.5, 0.5]))
 # a low visibility floor spreads the rays' strongest attenuation across (0, 1)
 LOW_VISIBILITY = VisibilityModel(amplitude=0.3, floor=0.2)
 
@@ -764,6 +840,40 @@ def test_taps_do_not_depend_on_block_size(monkeypatch):
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             assert_same_taps(got, want)
+
+
+def test_responses_share_one_visibility_draw_per_cluster(monkeypatch):
+    """The spherical and planar responses on the same rays and seed make one
+    visibility draw per cluster and one for the LOS tap between them, and
+    give the taps they give when every call draws anew."""
+    calls = []
+    draw = nearfield.visibility_probability
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(nearfield, "visibility_probability", counted)
+    geom = mixed_pattern_geometry(seed=7)
+    rays = cdl_rays(geom, seed=12)
+    draws = len({ray.cluster for ray in rays}) + 1
+    kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), t=3e-3, motion=MOVING, ctx=CTX,
+                  visibility_seed=13)
+    responses = (channel_impulse_response, planar_wave_channel)
+
+    cached = nearfield._seeded_visibility
+    with monkeypatch.context() as m:
+        m.setattr(nearfield, "_seeded_visibility", cached.__wrapped__)
+        uncached = [response(geom, rays, **kwargs) for response in responses]
+    assert len(calls) == 2 * draws
+
+    calls.clear()
+    cached.cache_clear()
+    for response, want in zip(responses, uncached):
+        assert_same_taps(response(geom, rays, **kwargs), want)
+    assert len(calls) == draws
+    channel_impulse_response(geom, rays, **{**kwargs, "visibility_seed": 14})
+    assert len(calls) == 2 * draws  # a new seed draws anew
 
 
 def test_block_temporaries_stay_within_the_budget(monkeypatch):

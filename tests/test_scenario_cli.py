@@ -35,6 +35,8 @@ from emchan import (
 from emchan import studies
 from emchan.cli import main
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
 
 def test_minimal_payload_gets_defaults():
     scn = scenario_from_dict({"study": "densely-spaced", "name": "d"})
@@ -275,6 +277,14 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert main(["validate", str(scn_path)]) == 0
     out = capsys.readouterr().out
     assert "valid" in out and "em-core-validation" in out
+    assert "work: 25 samples\n" in out
+    for name, work in (
+        ("densely_spaced", "1000 realizations x 4 schemes x 3 spacings = 12000 capacities"),
+        ("nearfield_6p7ghz", "2 x (8 cases x 128 x 4 + 64 profile) = 8320 channel entries"),
+        ("tripol", "150 trials of 8 x 256 channels"),
+    ):
+        assert main(["validate", str(SCENARIOS / f"{name}.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"work: {work}"
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"study": "em-core-validation", "name": "", "samples": -1}))
