@@ -7,6 +7,22 @@ spatial non-stationarity, a grouped tri-polarized estimation protocol, and
 water-filling capacity analysis, all driven by a reproducible scenario CLI.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads its thread count once, when numpy loads it, and its idle pool
+# threads spin through start-up. Parallel work comes from --jobs, so numpy
+# starts on one BLAS thread unless it is already loaded or the user set a
+# thread variable; the variable is removed again, so subprocesses inherit nothing.
+_blas_start_pinned = "numpy" not in _sys.modules and not any(
+    name in _os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _blas_start_pinned:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .capacity import CapacityResult, capacity_equal_power, capacity_waterfilling
 from .cdl import (CDL_B_SPREADS_DEG, CDL_B_XPR_DB, ClusterRow, ClusterTable, bundled_cdl_b,
                   load_cluster_table, mixture_from_clusters)

@@ -12,11 +12,12 @@ import os
 import sys
 from pathlib import Path
 
+from . import _blas_start_pinned
 from .errors import EmchanError, ValidationError
 from .results import write_results
 from . import scenario as sc
 from .scenario import STUDIES, load_scenario, scenario_hash
-from .studies import manifest_text, run_study
+from .studies import _blas_controls, _blas_paths, manifest_text, run_study
 
 log = logging.getLogger("emchan")
 
@@ -94,6 +95,19 @@ def _cmd_list_studies() -> int:
     return 0
 
 
+def _log_blas() -> None:
+    """One INFO line: each loaded BLAS library with its thread count, and
+    whether emchan set the count numpy started with."""
+    libraries = []
+    for path in _blas_paths():
+        pairs, _ = _blas_controls(path)
+        threads = ", ".join(str(get_threads()) for get_threads, _ in pairs) or "unknown"
+        libraries.append(f"{os.path.basename(path)} on {threads} thread(s)")
+    start = ("set to 1 by emchan" if _blas_start_pinned
+             else "left to numpy (a thread variable is set or numpy was imported first)")
+    log.info("BLAS: %s; start-up count %s", "; ".join(libraries) or "no library found", start)
+
+
 def _cmd_run(args) -> int:
     try:
         scn = load_scenario(args.scenario)
@@ -101,6 +115,8 @@ def _cmd_run(args) -> int:
         for message in exc.messages:
             print(f"invalid: {message}", file=sys.stderr)
         return 1
+    if log.isEnabledFor(logging.INFO):  # only then read /proc/self/maps
+        _log_blas()
     seed = scn.master_seed if args.seed is None else args.seed
     try:
         tables = run_study(scn, seed=seed, scale=args.scale, jobs=args.jobs)

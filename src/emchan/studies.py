@@ -76,11 +76,11 @@ def _blas_controls(path: str) -> tuple[tuple, object]:
     return tuple(pairs), shutdown
 
 
-def _loaded_blas() -> list[tuple[tuple, object]]:
-    """_blas_controls of every lib*blas* library mapped into this process.
+def _blas_paths() -> list[str]:
+    """Paths of the lib*blas* libraries mapped into this process.
 
-    Libraries are listed from /proc/self/maps on each call, because one can
-    load after another (scipy brings its own OpenBLAS); where the file is
+    They are listed from /proc/self/maps on each call, because one library
+    can load after another (scipy brings its own OpenBLAS); where the file is
     missing, the list is empty.
     """
     try:
@@ -88,8 +88,13 @@ def _loaded_blas() -> list[tuple[tuple, object]]:
             paths = {line.split()[-1] for line in fh}
     except OSError:
         return []
-    return [_blas_controls(path) for path in sorted(paths)
+    return [path for path in sorted(paths)
             if path.startswith("/") and re.match(r"lib.*blas", os.path.basename(path).lower())]
+
+
+def _loaded_blas() -> list[tuple[tuple, object]]:
+    """_blas_controls of every BLAS library mapped into this process."""
+    return [_blas_controls(path) for path in _blas_paths()]
 
 
 def _pin_blas_threads() -> None:
@@ -463,8 +468,9 @@ def _run_em_core(scn: sc.EmCoreValidationScenario, seed: int, scale: float,
 
 # The two Monte Carlo studies run many small matrix products and
 # factorizations, on which a second BLAS thread only spins; they run BLAS on
-# one thread. The near-field and em-core studies keep the default count,
-# which measured faster for the near-field one.
+# one thread. The near-field and em-core studies keep the process's count:
+# each pin reads /proc/self/maps (0.55-0.58 ms), a cost their short runs
+# would feel, and a process that imports emchan first starts on one thread.
 _ONE_BLAS_THREAD = frozenset({sc.DENSELY_SPACED, sc.TRI_POL})
 
 _RUNNERS = {

@@ -4,8 +4,12 @@ of chunking and worker count, and the BLAS threads they run on."""
 
 import ctypes
 import functools
+import inspect
+import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,6 +266,81 @@ def test_near_field_and_em_core_studies_keep_the_blas_thread_count(two_blas_thre
     assert seen and em_seen
     assert set(seen + em_seen) == {max(two_blas_threads)}
     assert blas_thread_counts() == two_blas_threads
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(studies.__file__)))
+_THREAD_VARIABLE = re.compile(r"(OPENBLAS|GOTO|OMP|MKL)_")
+
+
+def _fresh_python(code: str, *args: str, **variables: str) -> str:
+    """stdout of `python -c code args` with the package on PYTHONPATH and no
+    BLAS or OpenMP thread variable in its environment but the given ones."""
+    env = {key: value for key, value in os.environ.items() if not _THREAD_VARIABLE.match(key)}
+    env.update(variables, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+# Runs the preamble's imports, then reports the process's OS threads, its BLAS
+# thread counts and whether the preamble left the environment unchanged.
+_START_UP_PROBE = """
+import json, os
+before = dict(os.environ)
+{preamble}
+threads = len(os.listdir("/proc/self/task"))
+import ctypes, re
+_BLAS_THREAD_GETTERS = {getters!r}
+{counts}
+print(json.dumps({{"threads": threads, "counts": blas_thread_counts(),
+                  "environ_kept": dict(os.environ) == before}}))
+"""
+
+
+def _start_up(preamble: str, **variables) -> dict:
+    code = _START_UP_PROBE.format(preamble=preamble, getters=_BLAS_THREAD_GETTERS,
+                                  counts=inspect.getsource(blas_thread_counts))
+    return json.loads(_fresh_python(code, **variables))
+
+
+def test_import_emchan_starts_blas_on_one_thread_unless_told_otherwise():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("loaded libraries are listed in /proc/self/maps only")
+    default = _start_up("import numpy")["counts"]
+    if not default:
+        pytest.skip("no loaded BLAS library exports a thread-count getter")
+    pinned = _start_up("import emchan")
+    assert pinned == {"threads": 1, "counts": [1] * len(default), "environ_kept": True}
+    # importing numpy first keeps its own default
+    assert _start_up("import numpy, emchan")["counts"] == default
+    if max(default) < 2:
+        pytest.skip("numpy starts BLAS on one thread here already")
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # the user's variable wins
+        assert _start_up("import emchan", **{name: "2"})["counts"] == [2] * len(default), name
+
+
+_RUN_EVERY_SCENARIO = """
+import sys
+from pathlib import Path
+from emchan.cli import main
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    assert main(["run", str(path), "--scale", "0.05", "--jobs", sys.argv[3],
+                 "--out", sys.argv[2]]) == 0
+"""
+
+
+def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Every scenario file's tables and manifest, from a default start-up at
+    one and two jobs and from two BLAS threads for the whole run."""
+    runs = {"jobs1": ("1", {}), "jobs2": ("2", {}),
+            "two_threads": ("1", {"OPENBLAS_NUM_THREADS": "2"})}
+    outputs = {}
+    for tag, (jobs, variables) in runs.items():
+        out = tmp_path / tag
+        _fresh_python(_RUN_EVERY_SCENARIO, SCENARIOS, str(out), jobs, **variables)
+        outputs[tag] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sum(name.endswith("_manifest.txt") for name in outputs["jobs1"]) == 5
+    assert outputs["jobs2"] == outputs["jobs1"]
+    assert outputs["two_threads"] == outputs["jobs1"]
 
 
 def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):

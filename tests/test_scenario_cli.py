@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -298,14 +299,22 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
         assert study in out
 
 
-def test_cli_run_writes_outputs_and_is_reproducible(tmp_path, capsys):
+def test_cli_run_writes_outputs_and_is_reproducible(tmp_path, capsys, caplog, monkeypatch):
     scn_path = save_scenario(
         scenario_from_dict({"study": "em-core-validation", "name": "demo", "samples": 25}),
         tmp_path / "s.json",
     )
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert main(["run", str(scn_path), "--out", str(out_a), "--format", "json"]) == 0
+    with caplog.at_level(logging.INFO, logger="emchan"):
+        assert main(["run", str(scn_path), "--out", str(out_a), "--format", "json"]) == 0
+    blas_lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("BLAS: ")]
+    assert len(blas_lines) == 1 and "start-up count " in blas_lines[0]
+    for path in studies._blas_paths():
+        assert f"{os.path.basename(path)} on " in blas_lines[0]
+    # below INFO the run does not look for BLAS libraries at all
+    caplog.set_level(logging.WARNING, logger="emchan")
+    monkeypatch.setattr("emchan.cli._blas_paths", lambda: pytest.fail("maps read at WARNING"))
     assert main(["run", str(scn_path), "--out", str(out_b), "--format", "json"]) == 0
     capsys.readouterr()
     files_a = sorted(p.name for p in out_a.iterdir())
