@@ -52,11 +52,10 @@ from .tripol import (NormalizationRecord, PortGrouping, TriPolChannel, TriPolEst
                      estimate_joint, group_ports, joint_estimate, normalize,
                      quantize_feedback, scalar_aligned, simulate_tripol_channel,
                      uplink_estimate)
-from .wavenumber import (EfficiencyMatrix, PlanarArray, VmfCluster, VmfMixture,
-                         WavenumberSupport, apply_polarization, assemble_channel,
-                         cell_power_fractions, coupling_variances, fourier_harmonics,
-                         hannan_efficiency, isotropic_mixture, sample_wavenumber_channel,
-                         uniform_planar_array, vmf_pdf, wavenumber_support,
-                         wavenumber_to_angles)
+from .wavenumber import (EfficiencyMatrix, VmfCluster, VmfMixture, WavenumberSupport,
+                         apply_polarization, assemble_channel, cell_power_fractions,
+                         coupling_variances, fourier_harmonics, hannan_efficiency,
+                         isotropic_mixture, sample_wavenumber_channel, uniform_planar_array,
+                         vmf_pdf, wavenumber_support, wavenumber_to_angles)
 
 __version__ = VERSION

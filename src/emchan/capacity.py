@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacityResult:
     """Capacity in bits/s/Hz plus the eigenmode allocation that achieved it.
 

@@ -9,7 +9,7 @@ Conventions: time dependence e^{+j omega t}, outgoing phase e^{-j k R}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,46 +28,35 @@ class WaveContext:
     """Carrier and medium constants shared by all physics routines."""
 
     frequency: float
-    wavelength: float
-    wavenumber: float
-    angular_frequency: float
     permeability: float = VACUUM_PERMEABILITY
 
     def __post_init__(self):
-        vals = (
-            self.frequency,
-            self.wavelength,
-            self.wavenumber,
-            self.angular_frequency,
-            self.permeability,
-        )
-        if any(not np.isfinite(v) or v <= 0.0 for v in vals):
+        if any(not np.isfinite(v) or v <= 0.0 for v in (self.frequency, self.permeability)):
             raise DomainError("WaveContext fields must be finite and positive")
-        if abs(self.wavenumber * self.wavelength - 2.0 * np.pi) > 1e-9:
-            raise DomainError("wavenumber inconsistent with wavelength")
-        if abs(self.wavelength * self.frequency - SPEED_OF_LIGHT) > 1e-3:
-            raise DomainError("wavelength inconsistent with frequency")
 
     @classmethod
     def from_frequency(cls, frequency: float, permeability: float = VACUUM_PERMEABILITY):
-        lam = SPEED_OF_LIGHT / frequency
-        return cls(
-            frequency=frequency,
-            wavelength=lam,
-            wavenumber=2.0 * np.pi / lam,
-            angular_frequency=2.0 * np.pi * frequency,
-            permeability=permeability,
-        )
+        return cls(frequency=frequency, permeability=permeability)
+
+    @property
+    def wavelength(self) -> float:
+        return SPEED_OF_LIGHT / self.frequency
+
+    @property
+    def wavenumber(self) -> float:
+        return 2.0 * np.pi / self.wavelength
+
+    @property
+    def angular_frequency(self) -> float:
+        return 2.0 * np.pi * self.frequency
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Aperture:
     """Quadrature discretization of a source or observation region."""
 
     points: np.ndarray
     weights: np.ndarray
-    dimensionality: int
-    extent: float = field(default=-1.0)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -80,21 +69,20 @@ class Aperture:
             raise DomainError("aperture needs at least one point")
         if np.any(w <= 0.0):
             raise DomainError("quadrature weights must be positive")
-        if self.dimensionality not in (1, 2, 3):
-            raise DomainError("dimensionality must be 1, 2 or 3")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-        d = _max_pairwise_distance(pts)
-        if self.extent >= 0.0 and abs(self.extent - d) > 1e-9 * max(1.0, d):
-            raise DomainError("declared extent does not match point set")
-        object.__setattr__(self, "extent", d)
 
     @property
     def count(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def extent(self) -> float:
+        """Largest distance between two points (the aperture's diameter)."""
+        return _max_pairwise_distance(self.points)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PortFunction:
     """Vector-valued port map sampled on an aperture grid."""
 
@@ -246,7 +234,7 @@ def assemble_em_channel(
 def delta_aperture(positions) -> Aperture:
     """Point 'aperture' with unit weights, for conventional antenna arrays."""
     pts = np.asarray(positions, dtype=float)
-    return Aperture(points=pts, weights=np.ones(pts.shape[0]), dimensionality=1)
+    return Aperture(points=pts, weights=np.ones(pts.shape[0]))
 
 
 def delta_ports(count: int, kind: str, polarizations=None) -> list[PortFunction]:

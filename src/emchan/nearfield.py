@@ -32,7 +32,7 @@ LOS_POLARIZATION = np.array([[1.0, 0.0], [0.0, -1.0]])
 _BLOCK_ENTRIES = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionState:
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -43,7 +43,7 @@ class MotionState:
         object.__setattr__(self, "velocity", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
     """Tx/Rx element positions; element 0 on each side is the phase reference."""
 
@@ -95,7 +95,7 @@ class ClusterRay:
             raise DomainError("ray_count must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BounceGeometry:
     first_bounce: np.ndarray
     last_bounce: np.ndarray
@@ -129,7 +129,7 @@ class VisibilityModel:
             raise DomainError("rolloff coefficient must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tap:
     delay: float
     coefficients: np.ndarray  # (n_rx, n_tx)

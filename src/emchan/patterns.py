@@ -28,9 +28,13 @@ class Pattern:
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
         shape = np.broadcast_shapes(theta.shape, phi.shape)
-        ft = np.broadcast_to(np.asarray(self._f_theta(theta, phi), dtype=complex), shape)
-        fp = np.broadcast_to(np.asarray(self._f_phi(theta, phi), dtype=complex), shape)
-        return ft.copy(), fp.copy()
+        # 0-d angles are evaluated as length-1 arrays: numpy's scalar math
+        # (say, **) can round differently from its array loops
+        theta, phi = np.atleast_1d(theta, phi)
+        full = np.broadcast_shapes(theta.shape, phi.shape)
+        ft = np.broadcast_to(np.asarray(self._f_theta(theta, phi), dtype=complex), full)
+        fp = np.broadcast_to(np.asarray(self._f_phi(theta, phi), dtype=complex), full)
+        return ft.copy().reshape(shape), fp.copy().reshape(shape)
 
 
 def unit_gain() -> Pattern:

@@ -158,7 +158,7 @@ def _metadata(scn, seed: int, scale: float) -> dict:
 # densely spaced capacity sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Assembly:
     """One channel stack per chunk: a variance set and a pattern over every
     receive spacing, shared by the schemes that differ only in efficiency."""
@@ -268,7 +268,7 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
         _Assembly(variance_set=var, psi_s=psi_s[pat], rx=r_r[pat], schemes=tuple(members))
         for (var, pat), members in shared.items()
     )
-    coef_power = float(tx_array.count) * 10.0 ** (scn.snr_db / 10.0)
+    coef_power = float(len(tx_array)) * 10.0 ** (scn.snr_db / 10.0)
     payload = (seed, STUDY_IDS[sc.DENSELY_SPACED], scn.xpr_mu_db, scn.xpr_sigma_db,
                coef_power, variances, len(scn.schemes), assemblies)
     caps = _map_chunks(functools.partial(_densely_spaced_chunk, payload=payload), count, jobs)

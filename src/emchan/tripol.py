@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriPolChannel:
     """Channel whose receive/transmit ports group into x/y/z polarizations.
 
@@ -99,41 +99,40 @@ def _trial_stack(h: np.ndarray, rng_seed) -> tuple[np.ndarray, list]:
 # grouping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortGrouping:
-    """Strong/weak split of the receive ports, each group in ascending port
-    order. With a leading trial axis on ``power``, ``strong`` and ``weak``
-    hold one tuple of port indices per trial."""
+    """Strong/weak split of the receive ports: ``is_strong`` is a boolean
+    mask shaped like ``power``, which may carry a leading trial axis."""
 
-    strong: tuple
-    weak: tuple
+    is_strong: np.ndarray
     power: np.ndarray
 
     def __post_init__(self):
+        mask = np.asarray(self.is_strong, dtype=bool)
         power = np.asarray(self.power, dtype=float)
-        stacked = power.ndim == 2
-        strongs = self.strong if stacked else (self.strong,)
-        weaks = self.weak if stacked else (self.weak,)
-        if len(strongs) != len(weaks) or len(strongs) != len(np.atleast_2d(power)):
-            raise DomainError("need one strong and one weak group per trial")
-        strongs = tuple(tuple(sorted(s)) for s in strongs)
-        weaks = tuple(tuple(sorted(w)) for w in weaks)
-        for strong, weak, p in zip(strongs, weaks, np.atleast_2d(power)):
-            if sorted(strong + weak) != list(range(p.size)):
-                raise DomainError("groups must partition the port indices")
-            if weak and strong and min(p[list(strong)]) < max(p[list(weak)]) - 1e-12:
-                raise DomainError("every strong-group power must reach the weak-group maximum")
-        object.__setattr__(self, "strong", strongs if stacked else strongs[0])
-        object.__setattr__(self, "weak", weaks if stacked else weaks[0])
+        if mask.shape != power.shape or power.ndim not in (1, 2):
+            raise DomainError("need a strong-port mask shaped like the 1-D or 2-D port powers")
+        lowest_strong = np.min(power, axis=-1, initial=np.inf, where=mask)
+        highest_weak = np.max(power, axis=-1, initial=-np.inf, where=~mask)
+        if np.any(lowest_strong < highest_weak - 1e-12):
+            raise DomainError("every strong-group power must reach the weak-group maximum")
+        object.__setattr__(self, "is_strong", mask)
         object.__setattr__(self, "power", power)
 
     @property
-    def is_strong(self) -> np.ndarray:
-        """Boolean mask shaped like ``power``: True on strong ports."""
-        mask = np.zeros(np.atleast_2d(self.power).shape, dtype=bool)
-        for row, strong in zip(mask, self.strong if self.power.ndim == 2 else (self.strong,)):
-            row[list(strong)] = True
-        return mask.reshape(self.power.shape)
+    def strong(self) -> tuple:
+        """Strong port indices in ascending order; one tuple per trial for a stack."""
+        return _port_tuples(self.is_strong)
+
+    @property
+    def weak(self) -> tuple:
+        """Weak port indices in ascending order; one tuple per trial for a stack."""
+        return _port_tuples(~self.is_strong)
+
+
+def _port_tuples(mask: np.ndarray) -> tuple:
+    ports = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in np.atleast_2d(mask))
+    return ports if mask.ndim == 2 else ports[0]
 
 
 def group_ports(receive_power, rule: str = "median", threshold: float = 0.5) -> PortGrouping:
@@ -154,13 +153,7 @@ def group_ports(receive_power, rule: str = "median", threshold: float = 0.5) -> 
         cut = threshold * power.max(axis=-1, keepdims=True)
     else:
         raise DomainError("rule must be 'median' or 'threshold'")
-    ports = lambda mask: tuple(tuple(int(i) for i in np.flatnonzero(row))
-                               for row in np.atleast_2d(mask))
-    strong = ports(power >= cut)
-    weak = ports(power < cut)
-    if power.ndim == 1:
-        strong, weak = strong[0], weak[0]
-    return PortGrouping(strong=strong, weak=weak, power=power)
+    return PortGrouping(is_strong=power >= cut, power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,7 @@ def downlink_measure(channel, grouping: PortGrouping, pilot_snr_db: float,
     noisy = h[None].copy()
     _add_noise(noisy, np.ones(noisy.shape[:2], dtype=bool), pilot_snr_db,
                _mean_entry_power(noisy), [np.random.default_rng(rng_seed)])
-    return noisy[0, list(grouping.strong), :], noisy[0, list(grouping.weak), :]
+    return noisy[0, grouping.is_strong, :], noisy[0, ~grouping.is_strong, :]
 
 
 def benchmark_uplink_only(channel, per_port_snr_db, rng_seed) -> np.ndarray:
@@ -269,7 +262,7 @@ def benchmark_uplink_only(channel, per_port_snr_db, rng_seed) -> np.ndarray:
 # normalization and combining
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationRecord:
     """Frobenius norm and leading phase of a matrix; arrays for a stack."""
 
@@ -332,7 +325,7 @@ def quantize_feedback(matrix, bits: int) -> np.ndarray:
 # assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriPolEstimate:
     """Assembled estimate, shaped like the channel, with the combining
     reference (one per trial for a stack) and the grouping it used."""
@@ -367,22 +360,23 @@ def _assemble(rows: np.ndarray, strong: np.ndarray, delta: np.ndarray) -> np.nda
 def joint_estimate(h_strong_uplink, delta, h_weak_normalized, grouping: PortGrouping) -> TriPolEstimate:
     """Rescale the normalized uplink part by 1/delta and interleave the rows."""
     h_u = np.asarray(h_strong_uplink, dtype=complex)
-    if grouping.power.ndim != 1:
+    strong = grouping.is_strong
+    if strong.ndim != 1:
         raise ShapeError("joint_estimate takes one channel; estimate_joint takes stacks")
-    if h_u.shape[0] != len(grouping.strong):
+    if h_u.shape[0] != np.count_nonzero(strong):
         raise ShapeError("uplink rows must match the strong group")
-    rows = np.zeros((grouping.power.size, h_u.shape[1]), dtype=complex)
-    rows[list(grouping.strong)] = h_u
-    if grouping.weak:
+    rows = np.zeros((strong.size, h_u.shape[1]), dtype=complex)
+    rows[strong] = h_u
+    if not strong.all():
         h_w = np.asarray(h_weak_normalized, dtype=complex)
-        if h_w.shape[0] != len(grouping.weak) or h_w.shape[1] != h_u.shape[1]:
+        if h_w.shape[0] != np.count_nonzero(~strong) or h_w.shape[1] != h_u.shape[1]:
             raise ShapeError("weak rows must match the weak group and column count")
         if delta == 0:
             raise DomainError("combining reference must be nonzero")
-        rows[list(grouping.weak)] = h_w
+        rows[~strong] = h_w
     else:
         delta = 1.0
-    _assemble(rows[None], grouping.is_strong[None], np.array([delta], dtype=complex))
+    _assemble(rows[None], strong[None], np.array([delta], dtype=complex))
     return TriPolEstimate(assembled=rows, delta=complex(delta), grouping=grouping)
 
 

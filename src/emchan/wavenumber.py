@@ -300,33 +300,6 @@ def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
 # arrays, harmonics, efficiencies, assembly
 
 
-@dataclass(frozen=True)
-class PlanarArray:
-    """Rectangular-aperture element grid in its local xy plane."""
-
-    length_x: float
-    length_y: float
-    spacing_x: float
-    spacing_y: float
-    element_positions: np.ndarray
-
-    def __post_init__(self):
-        if min(self.length_x, self.length_y, self.spacing_x, self.spacing_y) <= 0.0:
-            raise DomainError("aperture lengths and spacings must be positive")
-        pos = np.asarray(self.element_positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ShapeError("element positions must have shape (n, 3)")
-        eps = 1e-9
-        if (pos[:, 0].min() < -eps or pos[:, 0].max() > self.length_x + eps
-                or pos[:, 1].min() < -eps or pos[:, 1].max() > self.length_y + eps):
-            raise DomainError("element positions must lie inside the aperture")
-        object.__setattr__(self, "element_positions", pos)
-
-    @property
-    def count(self) -> int:
-        return self.element_positions.shape[0]
-
-
 def grid_intervals(length: float, spacing: float) -> int:
     """Spacings along one aperture side, which must be a whole multiple of the spacing."""
     n = int(round(length / spacing))
@@ -336,23 +309,25 @@ def grid_intervals(length: float, spacing: float) -> int:
 
 
 def uniform_planar_array(length_x: float, length_y: float, spacing_x: float,
-                         spacing_y: float, z: float = 0.0) -> PlanarArray:
-    """Edge-inclusive uniform grid: L/spacing + 1 elements per side."""
+                         spacing_y: float, z: float = 0.0) -> np.ndarray:
+    """(n, 3) element positions of an edge-inclusive uniform grid in the xy
+    plane at height z: L/spacing + 1 elements per side."""
     nx = grid_intervals(length_x, spacing_x)
     ny = grid_intervals(length_y, spacing_y)
     xs = np.arange(nx + 1) * spacing_x
     ys = np.arange(ny + 1) * spacing_y
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pos = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))], axis=1)
-    return PlanarArray(length_x=length_x, length_y=length_y,
-                       spacing_x=spacing_x, spacing_y=spacing_y,
-                       element_positions=pos)
+    return np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))], axis=1)
 
 
-def fourier_harmonics(array: PlanarArray, support: WavenumberSupport,
+def fourier_harmonics(positions, support: WavenumberSupport,
                       patterns: PatternSet, ctx: WaveContext) -> np.ndarray:
     """[Psi^theta Psi^phi], shape (n, 2B): pattern-weighted plane-wave
-    steering columns, one per support index and polarization."""
+    steering columns at the (n, 3) element positions, one per support index
+    and polarization."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
+        raise ShapeError("element positions must have shape (n, 3)")
     k0 = ctx.wavenumber
     idx = np.asarray(support.indices, dtype=float)
     k_x = 2.0 * np.pi * idx[:, 0] / support.length_x
@@ -363,10 +338,9 @@ def fourier_harmonics(array: PlanarArray, support: WavenumberSupport,
     gamma = np.sqrt(np.maximum(gamma_sq, 0.0))
     theta = np.arccos(np.clip(gamma / k0, -1.0, 1.0))
     phi = np.arctan2(k_y, k_x)
-    pos = array.element_positions
     phase = np.exp(
         1j * (np.outer(pos[:, 0], k_x) + np.outer(pos[:, 1], k_y) + np.outer(pos[:, 2], gamma))
-    ) / np.sqrt(array.count)
+    ) / np.sqrt(len(pos))
     gains = patterns.element_gains(np.broadcast_to(theta, phase.shape),
                                    np.broadcast_to(phi, phase.shape))
     return np.hstack([phase * gains[..., 0], phase * gains[..., 1]])
@@ -379,7 +353,7 @@ def hannan_efficiency(spacing_x: float, spacing_y: float, ctx: WaveContext) -> f
     return min(1.0, np.pi * spacing_x * spacing_y / ctx.wavelength**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EfficiencyMatrix:
     """Diagonal per-element amplitude efficiencies in (0, 1]."""
 

@@ -62,7 +62,7 @@ def densely_spaced_oracle(scn, seed: int, count: int) -> np.ndarray:
         "ni-pd": (var_cdl, "dipole", 1.0),
         "proposed": (var_cdl, "dipole", scn.element_efficiency),
     }
-    n_tx = tx_array.count
+    n_tx = len(tx_array)
     coef = 10.0 ** (scn.snr_db / 10.0)  # P / (K sigma^2) with P = K * SNR
     rows = []
     for i in range(count):

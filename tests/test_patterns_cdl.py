@@ -45,6 +45,19 @@ def test_analytic_pattern_gains():
         dipole("w")
 
 
+@pytest.mark.parametrize("pattern", [patch(70.0), patch(120.0), dipole("x"), unit_gain(),
+                                     vertical()], ids=lambda p: p.name)
+def test_scalar_angles_give_the_array_gains(pattern):
+    rng = np.random.default_rng(11)
+    th = rng.uniform(0.0, np.pi, 2000)
+    ph = rng.uniform(-np.pi, np.pi, 2000)
+    ft, fp = pattern.gains(th, ph)
+    scalar = [pattern.gains(t, p) for t, p in zip(th, ph)]
+    assert all(g.shape == () for pair in scalar for g in pair)
+    assert np.array_equal([g for g, _ in scalar], ft)
+    assert np.array_equal([g for _, g in scalar], fp)
+
+
 def test_patch_envelope():
     p = patch(70.0)
     ft0, _ = p.gains(0.0, 0.0)

@@ -16,7 +16,7 @@ from emchan import (
     simulate_tripol_channel,
     uplink_estimate,
 )
-from emchan.tripol import NormalizationRecord, downlink_measure
+from emchan.tripol import NormalizationRecord, PortGrouping, downlink_measure
 
 
 def small_channel(seed=0, rx=(2, 4, 2), tx=(8, 8, 0)):
@@ -68,6 +68,30 @@ def test_group_ports_median_and_threshold():
         group_ports(power, rule="quartile")
     with pytest.raises(DomainError):
         group_ports(power, rule="threshold", threshold=1.5)
+
+
+def test_port_grouping_checks_mask_shape_and_reach():
+    power = np.array([[4.0, 1.0, 3.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    good = np.array([[True, False, True, False], [False, False, True, True]])
+    for p, mask in ((power[0], good[0]), (power, good)):
+        g = PortGrouping(is_strong=mask, power=p)
+        rows = (g.strong, g.weak) if p.ndim == 2 else ((g.strong,), (g.weak,))
+        for strong, weak, row in zip(*rows, np.atleast_2d(mask)):
+            assert list(strong) == sorted(strong) and list(weak) == sorted(weak)
+            assert sorted(strong + weak) == list(range(p.shape[-1]))
+            assert list(strong) == list(np.flatnonzero(row))
+        # a mask of another shape
+        with pytest.raises(DomainError):
+            PortGrouping(is_strong=mask[..., :3], power=p)
+        # a strong port below a weak one
+        with pytest.raises(DomainError):
+            PortGrouping(is_strong=~mask, power=p)
+    with pytest.raises(DomainError):
+        PortGrouping(is_strong=good[0], power=power)
+    # ties within 1e-12 still reach; all-strong and all-weak groups pass
+    PortGrouping(is_strong=np.array([True, False]), power=np.array([1.0, 1.0 + 1e-13]))
+    assert PortGrouping(is_strong=np.ones(3, bool), power=np.ones(3)).weak == ()
+    assert PortGrouping(is_strong=np.zeros(3, bool), power=np.ones(3)).strong == ()
 
 
 def test_z_ports_group_weak():

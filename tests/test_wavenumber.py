@@ -419,7 +419,7 @@ def test_harmonics_reference_column_and_entry_oracle():
     arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
     pats = PatternSet.uniform(unit_gain())
     psi_t, psi_p = np.split(fourier_harmonics(arr, sup, pats, CTX), 2, axis=1)
-    n = arr.count
+    n = len(arr)
     assert n == 9
     i00 = list(sup.indices).index((0, 0))
     assert np.allclose(psi_t[:, i00], np.full(n, 1 / np.sqrt(n)), rtol=0, atol=1e-14)
@@ -438,7 +438,7 @@ def test_harmonics_reference_column_and_entry_oracle():
             theta = np.arccos(gamma / k0)
             phi = np.arctan2(ky, kx)
             ft, fp = pat.gains(theta, phi)
-            x, y, z = arr.element_positions[q]
+            x, y, z = arr[q]
             want = np.exp(1j * (kx * x + ky * y + gamma * z)) / np.sqrt(n)
             assert abs(psi_t[q, i] - want * complex(ft)) < 1e-14
             assert abs(psi_p[q, i] - want * complex(fp)) < 1e-14
@@ -448,19 +448,19 @@ def test_per_element_harmonics_entry_oracle_and_count():
     sup = wavenumber_support(2 * LAM, LAM, CTX)
     arr = uniform_planar_array(2 * LAM, LAM, LAM / 2, LAM / 2, z=0.1 * LAM)
     kinds = (dipole("x"), dipole("y"), dipole("z"), patch(70.0), unit_gain())
-    pats = PatternSet.per_element([kinds[q % len(kinds)] for q in range(arr.count)])
+    pats = PatternSet.per_element([kinds[q % len(kinds)] for q in range(len(arr))])
     psi = fourier_harmonics(arr, sup, pats, CTX)
-    assert psi.shape == (arr.count, 2 * sup.count)
+    assert psi.shape == (len(arr), 2 * sup.count)
     psi_t, psi_p = np.split(psi, 2, axis=1)
     k0 = CTX.wavenumber
-    n = arr.count
+    n = len(arr)
     for q in range(n):
         for i, (lx, ly) in enumerate(sup.indices):
             kx = 2 * np.pi * lx / (2 * LAM)
             ky = 2 * np.pi * ly / LAM
             gamma = np.sqrt(max(k0**2 - kx**2 - ky**2, 0.0))
             ft, fp = pats.element(q).gains(np.arccos(gamma / k0), np.arctan2(ky, kx))
-            x, y, z = arr.element_positions[q]
+            x, y, z = arr[q]
             want = np.exp(1j * (kx * x + ky * y + gamma * z)) / np.sqrt(n)
             assert abs(psi_t[q, i] - want * complex(ft)) < 1e-14
             assert abs(psi_p[q, i] - want * complex(fp)) < 1e-14
@@ -495,9 +495,9 @@ def test_hannan_efficiency_values():
 
 def test_uniform_planar_array_grid():
     arr = uniform_planar_array(LAM, LAM, LAM / 8, LAM / 8)
-    assert arr.count == 81
-    assert arr.element_positions[:, 0].min() == 0.0
-    assert arr.element_positions[:, 0].max() == pytest.approx(LAM)
+    assert len(arr) == 81
+    assert arr[:, 0].min() == 0.0
+    assert arr[:, 0].max() == pytest.approx(LAM)
     with pytest.raises(DomainError):
         uniform_planar_array(LAM, LAM, 0.3 * LAM, 0.3 * LAM)
 
@@ -516,9 +516,9 @@ def test_assemble_channel_block_oracle():
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
     h_tt, h_tp, h_pt, h_pp = pol[:5, :5], pol[:5, 5:], pol[5:, :5], pol[5:, 5:]
     c_r, c_s = 0.9, 0.7
-    h = assemble_channel(EfficiencyMatrix.uniform(c_r, arr_r.count), psi_r, pol,
-                         psi_s, EfficiencyMatrix.uniform(c_s, arr_s.count))
-    assert h.shape == (arr_r.count, arr_s.count)
+    h = assemble_channel(EfficiencyMatrix.uniform(c_r, len(arr_r)), psi_r, pol,
+                         psi_s, EfficiencyMatrix.uniform(c_s, len(arr_s)))
+    assert h.shape == (len(arr_r), len(arr_s))
     for u in (0, 5):
         for v in (0, 11):
             acc = 0j
@@ -540,10 +540,10 @@ def test_assemble_channel_efficiency_scaling_and_linearity():
     psi = fourier_harmonics(arr, sup, pats, CTX)
     h_a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
-    ones = EfficiencyMatrix.uniform(1.0, arr.count)
+    ones = EfficiencyMatrix.uniform(1.0, len(arr))
     h1 = assemble_channel(ones, psi, pol, psi, ones)
     c = np.sqrt(0.8)
-    eff = EfficiencyMatrix.uniform(c, arr.count)
+    eff = EfficiencyMatrix.uniform(c, len(arr))
     h2 = assemble_channel(eff, psi, pol, psi, eff)
     assert np.allclose(h2, 0.8 * h1, rtol=1e-12, atol=0)
 
@@ -592,11 +592,11 @@ def test_stacked_assemble_channel_matches_per_draw_calls():
     pats = PatternSet.uniform(dipole())
     psi_r = fourier_harmonics(arr_r, sup, pats, CTX)
     psi_s = fourier_harmonics(arr_s, sup, pats, CTX)
-    g_r = EfficiencyMatrix.uniform(0.9, arr_r.count)
-    g_s = EfficiencyMatrix.uniform(0.9, arr_s.count)
+    g_r = EfficiencyMatrix.uniform(0.9, len(arr_r))
+    g_s = EfficiencyMatrix.uniform(0.9, len(arr_s))
     draws = [apply_polarization(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
                                 8.0, 3.0, rng) for _ in range(3)]
     h = assemble_channel(g_r, psi_r, np.stack(draws), psi_s, g_s)
-    assert h.shape == (3, arr_r.count, arr_s.count)
+    assert h.shape == (3, len(arr_r), len(arr_s))
     for d, h_d in zip(draws, h):
         assert np.array_equal(h_d, assemble_channel(g_r, psi_r, d, psi_s, g_s))
