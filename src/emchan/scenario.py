@@ -16,7 +16,6 @@ from pathlib import Path
 from .cdl import bundled_cdl_b, load_cluster_table
 from .emcore import WaveContext
 from .errors import DomainError, ValidationError
-from .wavenumber import grid_intervals
 
 DENSELY_SPACED = "densely-spaced"
 NEAR_FIELD = "near-field"
@@ -232,6 +231,7 @@ def validate_scenario(scn) -> list[str]:
         if scn.rx_boresight not in _BORESIGHTS:
             errors.append(f"rx_boresight: unknown boresight {scn.rx_boresight!r}")
         # the study's own grid rule, on the lengths in metres it builds arrays with
+        from .wavenumber import grid_intervals
         lam = WaveContext.from_frequency(REFERENCE_FREQUENCY_HZ).wavelength
         for side, spacings in (("tx", (scn.tx_spacing_wavelengths,)),
                                ("rx", scn.rx_spacing_wavelengths)):
@@ -321,6 +321,9 @@ def scenario_from_dict(payload: dict) -> object:
     errors.extend(validate_scenario(scn))
     if errors:
         raise ValidationError(errors)
+    # the study's channel modules load with its scenario, before any run
+    from .studies import _bind_study
+    _bind_study(study)
     return scn
 
 

@@ -10,32 +10,68 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
-# numpy 2 loads numpy.ma on first use, and np.median (tripol.group_ports),
-# np.percentile and np.unique all reach it: load it here, not inside a study
-import numpy.ma  # noqa: F401
 
-from . import nearfield, scenario as sc
-from .capacity import capacity_waterfilling, capacity_equal_power
+from . import scenario as sc
 from .cdl import bundled_cdl_b, load_cluster_table, mixture_from_clusters
 from .emcore import WaveContext, green_decomposition, dyadic_green, rayleigh_distance, reactive_boundary
 from .errors import ValidationError
-from .patterns import PatternSet, dipole, unit_gain
 from .results import Column, ResultTable
 from .scenario import scenario_hash, validate_scenario
 from .seeds import STUDY_IDS, realization_rng
-from .tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
-                     simulate_tripol_channel)
-from .wavenumber import (EfficiencyMatrix, VmfCluster, VmfMixture, apply_polarization,
-                         assemble_channel, coupling_variances, fourier_harmonics,
-                         isotropic_mixture, sample_wavenumber_channel, uniform_planar_array,
-                         wavenumber_support)
 
 VERSION = "1.0.0"
+
+# The channel-module names each study's runner calls, by module; a name equal
+# to its module's is the module itself (the near-field runner calls through
+# it). They are bound into this namespace when a scenario of the study is
+# built (scenario_from_dict), and on first use by run_study and by the
+# functions that spawned workers or tests call alone, so a process imports
+# only the modules of the studies it runs, and imports them before the study
+# starts.
+_STUDY_NAMES = {
+    sc.DENSELY_SPACED: {
+        "capacity": ("capacity_equal_power",),
+        "patterns": ("PatternSet", "dipole", "unit_gain"),
+        "wavenumber": ("EfficiencyMatrix", "VmfCluster", "VmfMixture", "apply_polarization",
+                       "assemble_channel", "coupling_variances", "fourier_harmonics",
+                       "isotropic_mixture", "sample_wavenumber_channel",
+                       "uniform_planar_array", "wavenumber_support"),
+    },
+    sc.NEAR_FIELD: {"nearfield": ("nearfield",)},
+    sc.TRI_POL: {
+        "capacity": ("capacity_waterfilling",),
+        "tripol": ("benchmark_uplink_only", "estimate_joint", "group_ports", "percentiles",
+                   "scalar_aligned", "simulate_tripol_channel"),
+    },
+    sc.EM_CORE_VALIDATION: {},
+}
+_HOMES = {name: module for modules in _STUDY_NAMES.values()
+          for module, names in modules.items() for name in names}
+
+
+def _bind_study(study: str) -> None:
+    """Bind the names of a study's runner here. A name already set, such as
+    a tracing wrapper or a test's stand-in, is kept."""
+    for names in _STUDY_NAMES[study].values():
+        for name in names:
+            if name not in globals():
+                __getattr__(name)
+
+
+def __getattr__(name: str):
+    """Bind one runner's name, also when it is looked up before its study is
+    bound (say, to wrap it)."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
+    globals()[name] = value = module if name == _HOMES[name] else getattr(module, name)
+    return value
 
 
 # Realizations (or trials) per chunk. A chunk of either Monte Carlo study
@@ -198,6 +234,7 @@ def _rx_factors(harmonics) -> np.ndarray:
 
 def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
     """Capacities of realizations [start, stop), one column per (scheme, rx spacing)."""
+    _bind_study(sc.DENSELY_SPACED)  # a spawned worker starts with none bound
     seed, study_id, mu, sigma, coef_power, variances, n_schemes, assemblies = payload
     # one draw per realization (noise, phases, XPR), shared by every scheme:
     # h_pol[v, k] is the polarized channel of variance set v, realization k
@@ -361,6 +398,7 @@ def _row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float):
     With estimate^T = Q R (reduced), V = conj(Q) is such a basis; h conj(Q)
     is taken row by column with vecdot, so that no conjugated copy of the
     estimate or of Q is made."""
+    _bind_study(sc.TRI_POL)  # also called on its own
     q, _ = np.linalg.qr(estimate.swapaxes(-1, -2))
     return capacity_waterfilling(np.vecdot(q.swapaxes(-1, -2)[..., None, :, :], h[..., None, :]),
                                  power, 1.0).capacity
@@ -369,6 +407,7 @@ def _row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float):
 def _tri_pol_chunk(start: int, stop: int, payload) -> np.ndarray:
     """(joint capacity, benchmark capacity, joint MSE, benchmark MSE) of
     trials [start, stop), one row per trial, from one stacked pass."""
+    _bind_study(sc.TRI_POL)  # a spawned worker starts with none bound
     seed, study_id, rx_split, tx_split, z_gain_db, xpr_db, pilot_snr_db = payload
     # trial i draws its channel, estimate and benchmark noise from three
     # streams of its own, exactly as it would alone
@@ -405,8 +444,9 @@ def _run_tri_pol(scn: sc.TriPolScenario, seed: int, scale: float,
                  Column("benchmark_capacity", "bit/s/Hz")),
         metadata=_metadata(scn, seed, scale),
     )
-    for p in scn.percentiles:
-        cdf.append(float(p), float(np.percentile(c_joint, p)), float(np.percentile(c_bench, p)))
+    for p, joint, bench in zip(scn.percentiles, percentiles(c_joint, scn.percentiles),
+                               percentiles(c_bench, scn.percentiles)):
+        cdf.append(float(p), joint, bench)
 
     summary = ResultTable(
         columns=(Column("metric"), Column("value")),
@@ -508,6 +548,7 @@ def run_study(scn, seed: int | None = None, scale: float = 1.0,
         raise ValidationError(["scale: must be positive"])
     if jobs < 1:
         raise ValidationError(["jobs: must be >= 1"])
+    _bind_study(scn.study)  # a scenario built in code
     effective = scn.master_seed if seed is None else int(seed)
     blas = _one_blas_thread() if scn.study in _ONE_BLAS_THREAD else contextlib.nullcontext()
     with blas:

@@ -13,6 +13,7 @@ channel is the stack-of-one case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,35 @@ def _port_tuples(mask: np.ndarray) -> tuple:
     return ports if mask.ndim == 2 else ports[0]
 
 
+# Order statistics come from a sort: np.median and np.percentile load
+# numpy.ma (through np.unique and the median's NaN check), about 14 ms and
+# 1.2 MB per process.
+
+
+def _median(power: np.ndarray) -> np.ndarray:
+    """np.median(power, axis=-1, keepdims=True) of finite powers, bit for
+    bit: the middle value, or the mean of the middle two."""
+    s = np.sort(power, axis=-1)
+    h = s.shape[-1] // 2
+    if s.shape[-1] % 2:
+        return s[..., h:h + 1]
+    return (s[..., h - 1:h] + s[..., h:h + 1]) / 2.0
+
+
+def percentiles(values, qs) -> list[float]:
+    """np.percentile(values, q) of a 1-D sample of finite values, for each q
+    in qs, bit for bit: numpy's default 'linear' rule on one sort."""
+    s = np.sort(np.asarray(values, dtype=float))
+    last = s.size - 1
+    out = []
+    for q in qs:
+        index = last * (q / 100.0)
+        lo = min(math.floor(index), last)
+        a, b, t = s[lo], s[min(lo + 1, last)], index - lo
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+    return out
+
+
 def group_ports(receive_power, rule: str = "median", threshold: float = 0.5) -> PortGrouping:
     """Split ports into strong/weak by receive power.
 
@@ -145,8 +175,10 @@ def group_ports(receive_power, rule: str = "median", threshold: float = 0.5) -> 
     power = np.asarray(receive_power, dtype=float)
     if power.ndim not in (1, 2) or power.shape[-1] < 1:
         raise DomainError("receive power must be a nonempty 1-D array, or 2-D for a stack")
+    if not np.all(np.isfinite(power)):
+        raise DomainError("receive power must be finite")
     if rule == "median":
-        cut = np.median(power, axis=-1, keepdims=True)
+        cut = _median(power)
     elif rule == "threshold":
         if not 0.0 < threshold <= 1.0:
             raise DomainError("threshold must lie in (0, 1]")

@@ -159,6 +159,32 @@ def test_tables_identical_for_any_chunk_size_and_job_count(tmp_path, monkeypatch
             assert _tables(tmp_path, f"c{chunk}j{jobs}", scenarios, jobs) == reference, (chunk, jobs)
 
 
+_SPAWNED_WORKERS = """
+import multiprocessing, sys
+from pathlib import Path
+multiprocessing.set_start_method("spawn")
+from emchan import load_scenario, run_study, write_results
+for name in ("densely_spaced.json", "tripol.json"):
+    scn = load_scenario(Path(sys.argv[1]) / name)
+    for jobs in (1, 2):
+        for key, table in run_study(scn, scale=0.05, jobs=jobs).items():
+            write_results(table, Path(sys.argv[2]) / f"jobs{jobs}" / f"{scn.name}_{key}.csv")
+print(multiprocessing.get_start_method())
+"""
+
+
+def test_spawned_workers_give_the_serial_tables(tmp_path):
+    """A spawned worker imports the package afresh, so its chunk functions
+    must find their channel-module names themselves."""
+    for jobs in (1, 2):
+        (tmp_path / f"jobs{jobs}").mkdir()
+    assert _fresh_python(_SPAWNED_WORKERS, SCENARIOS, str(tmp_path)).split() == ["spawn"]
+    tables = {jobs: {path.name: path.read_bytes() for path in sorted((tmp_path / jobs).iterdir())}
+              for jobs in ("jobs1", "jobs2")}
+    assert len(tables["jobs1"]) == 3
+    assert tables["jobs2"] == tables["jobs1"]
+
+
 _BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
                         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
 

@@ -26,8 +26,6 @@ from emchan.wavenumber import EfficiencyMatrix
 
 def _package_dataclasses():
     for info in pkgutil.iter_modules(emchan.__path__):
-        if info.name == "__main__":  # importing it runs the CLI
-            continue
         module = importlib.import_module(f"emchan.{info.name}")
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:

@@ -201,29 +201,48 @@ from pathlib import Path
 
 POOL = ("multiprocessing", "concurrent.futures.process")
 import emchan
-report = {"import emchan": sorted(m for m in sys.modules if m.startswith(("scipy",) + POOL))}
-for path in sorted(Path(sys.argv[1]).glob("*.json")):
+report = {"import emchan": sorted(m for m in sys.modules
+                                  if m.startswith(("emchan.", "scipy") + POOL))}
+for path in sys.argv[1:]:
     scn = emchan.load_scenario(path)
     loaded = set(sys.modules)
     emchan.run_study(scn, scale=0.02, jobs=1)
-    report[path.name] = sorted(m for m in set(sys.modules) - loaded
-                               if m.startswith(("numpy.", "scipy") + POOL))
-print(json.dumps(report))
+    report[Path(path).name] = sorted(m for m in set(sys.modules) - loaded
+                                     if m.startswith(("emchan.", "numpy.", "scipy") + POOL))
+print(json.dumps({"phases": report, "loaded": sorted(sys.modules)}))
 """
 
 
-def test_studies_load_no_modules_and_no_scipy():
-    """Import cost stays out of the study phase, and scipy out of the package;
-    the process pool loads only for jobs > 1."""
+def _probe_modules(*names: str) -> dict:
     src = Path(studies.__file__).resolve().parents[1]
-    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, str(scenarios)], env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    report = json.loads(out.stdout.splitlines()[-1])
-    assert len(report) == 1 + len(list(scenarios.glob("*.json")))
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *(str(SCENARIOS / n) for n in names)],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_studies_load_no_modules_and_no_scipy():
+    """`import emchan` loads none of the package's modules, and import cost
+    stays out of the study phase: a study's modules load with its scenario,
+    scipy never, and the process pool only for jobs > 1."""
+    every = sorted(path.name for path in SCENARIOS.glob("*.json"))
+    report = _probe_modules(*every)["phases"]
+    assert len(report) == 1 + len(every) == 6
     assert report == {name: [] for name in report}
+
+
+@pytest.mark.parametrize("files, never", [
+    (("nearfield_6p7ghz.json", "nearfield_15ghz.json"),
+     ("emchan.tripol", "emchan.wavenumber", "emchan.capacity", "numpy.ma", "numpy.polynomial")),
+    (("densely_spaced.json", "tripol.json"), ("emchan.nearfield", "numpy.ma")),
+])
+def test_a_process_loads_only_the_modules_of_its_studies(files, never):
+    probe = _probe_modules(*files)
+    assert probe["phases"] == {name: [] for name in probe["phases"]}
+    loaded = set(probe["loaded"])
+    assert {"emchan.studies", "emchan.scenario"} <= loaded
+    assert not loaded & set(never)
 
 
 def test_result_table_roundtrip(tmp_path):

@@ -16,7 +16,8 @@ from emchan import (
     simulate_tripol_channel,
     uplink_estimate,
 )
-from emchan.tripol import NormalizationRecord, PortGrouping, downlink_measure
+from emchan import tripol
+from emchan.tripol import NormalizationRecord, PortGrouping, downlink_measure, percentiles
 
 
 def small_channel(seed=0, rx=(2, 4, 2), tx=(8, 8, 0)):
@@ -68,6 +69,9 @@ def test_group_ports_median_and_threshold():
         group_ports(power, rule="quartile")
     with pytest.raises(DomainError):
         group_ports(power, rule="threshold", threshold=1.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            group_ports(np.array([[4.0, 1.0], [bad, 1.0]]))
 
 
 def test_port_grouping_checks_mask_shape_and_reach():
@@ -440,3 +444,20 @@ def test_simulated_stack_draws_each_channel_from_its_own_generator():
         alone = simulate_tripol_channel(rx_ports=(3, 6, 3), tx_ports=(4, 4, 0),
                                         rng=np.random.default_rng(seed))
         assert np.array_equal(stack.matrix[k], alone.matrix)
+
+
+def test_order_statistics_equal_numpys_bit_for_bit():
+    """The sort-based median and percentiles against np.median and
+    np.percentile, on odd and even sizes, with and without ties."""
+    rng = np.random.default_rng(21)
+    qs = [float(q) for q in range(5, 100, 5)] + list(rng.uniform(0.0, 100.0, 30)) + [0.1, 99.9]
+    for size in range(1, 64):
+        for values in (rng.standard_normal(size) * 10.0 ** rng.uniform(-6.0, 6.0),
+                       np.round(rng.exponential(size=size), 1)):
+            assert percentiles(values, qs) == [float(np.percentile(values, q)) for q in qs]
+            assert np.array_equal(tripol._median(values),
+                                  np.median(values, axis=-1, keepdims=True))
+        stack = rng.exponential(size=(5, size))
+        assert np.array_equal(tripol._median(stack), np.median(stack, axis=-1, keepdims=True))
+        assert np.array_equal(group_ports(stack).is_strong,
+                              stack >= np.median(stack, axis=-1, keepdims=True))
