@@ -36,9 +36,8 @@ _EXPORTS = {name: module for module, names in {
             "load_cluster_table", "mixture_from_clusters"),
     "emcore": ("FAR", "RADIATING_NEAR", "REACTIVE_NEAR", "SPEED_OF_LIGHT", "VACUUM_PERMEABILITY",
                "Aperture", "PortFunction", "WaveContext", "assemble_em_channel",
-               "delta_aperture", "delta_ports", "dyadic_green", "em_channel_entry",
-               "field_region", "green_decomposition", "rayleigh_distance",
-               "reactive_boundary", "scalar_green"),
+               "delta_aperture", "delta_ports", "dyadic_green", "field_region",
+               "green_decomposition", "rayleigh_distance", "reactive_boundary"),
     "errors": ("DomainError", "EmchanError", "GeometryError", "NumericalError", "ShapeError",
                "SingularityError", "ValidationError"),
     "geometry": ("angles_from_vector", "panel_frame", "to_local_angles", "unit_vector"),
@@ -57,15 +56,13 @@ _EXPORTS = {name: module for module, names in {
     "seeds": ("STUDY_IDS", "realization_rng"),
     "studies": ("VERSION", "axes_note", "manifest_text", "run_study"),
     "tripol": ("NormalizationRecord", "PortGrouping", "TriPolChannel", "TriPolEstimate",
-               "benchmark_uplink_only", "combining_reference", "downlink_measure",
-               "estimate_joint", "group_ports", "joint_estimate", "normalize",
-               "quantize_feedback", "scalar_aligned", "simulate_tripol_channel",
-               "uplink_estimate"),
+               "benchmark_uplink_only", "combining_reference", "estimate_joint",
+               "group_ports", "scalar_aligned", "simulate_tripol_channel"),
     "wavenumber": ("EfficiencyMatrix", "VmfCluster", "VmfMixture", "WavenumberSupport",
                    "apply_polarization", "assemble_channel", "cell_power_fractions",
                    "coupling_variances", "fourier_harmonics", "hannan_efficiency",
                    "isotropic_mixture", "sample_wavenumber_channel", "uniform_planar_array",
-                   "vmf_pdf", "wavenumber_support", "wavenumber_to_angles"),
+                   "vmf_pdf", "wavenumber_support"),
 }.items() for name in names}
 # submodules reachable as attributes, as `import emchan.<module>` would make them
 _SUBMODULES = frozenset(_EXPORTS.values())

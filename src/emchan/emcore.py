@@ -1,6 +1,6 @@
 """Free-space electromagnetic primitives.
 
-Scalar and dyadic Green functions, the 1/R^3 + 1/R^2 + 1/R split with its
+The dyadic Green function, the 1/R^3 + 1/R^2 + 1/R split with its
 field-region classifier, and the port-to-port channel quadrature that reduces
 to a conventional MIMO matrix when the port functions are deltas.
 
@@ -109,14 +109,6 @@ def _max_pairwise_distance(pts: np.ndarray) -> float:
     return best
 
 
-def scalar_green(p, ctx: WaveContext) -> complex:
-    """e^{-j k |p|} / (4 pi |p|) for a separation vector p."""
-    r = float(np.linalg.norm(np.asarray(p, dtype=float)))
-    if r == 0.0:
-        raise SingularityError("scalar Green function is singular at zero separation")
-    return complex(np.exp(-1j * ctx.wavenumber * r) / (4.0 * np.pi * r))
-
-
 def _dyadic_terms(r, s, ctx: WaveContext):
     """Shared geometry for the dyadic forms; R may be broadcast (..., 3)."""
     rv = np.asarray(r, dtype=float) - np.asarray(s, dtype=float)
@@ -181,18 +173,6 @@ def _pairwise_green(aperture_r: Aperture, aperture_s: Aperture, ctx: WaveContext
     rp = aperture_r.points
     sp = aperture_s.points
     return dyadic_green(rp[:, None, :], sp[None, :, :], ctx)
-
-
-def em_channel_entry(
-    phi_m: PortFunction,
-    psi_n: PortFunction,
-    aperture_r: Aperture,
-    aperture_s: Aperture,
-    ctx: WaveContext,
-) -> complex:
-    """Quadrature of -j omega mu  phi_m^H G psi_n over both apertures."""
-    g = assemble_em_channel([phi_m], [psi_n], aperture_r, aperture_s, ctx)
-    return complex(g[0, 0])
 
 
 def assemble_em_channel(

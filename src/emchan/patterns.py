@@ -173,11 +173,6 @@ class PatternSet:
             raise DomainError("pattern set needs at least one pattern")
         return cls(patterns=tuple(patterns), shared=False)
 
-    def element(self, index: int) -> Pattern:
-        if self.shared:
-            return self.patterns[0]
-        return self.patterns[index]
-
     def count(self) -> int | None:
         return None if self.shared else len(self.patterns)
 

@@ -172,6 +172,23 @@ def _coerce(field: dataclasses.Field, value, errors: list) -> object:
     return value
 
 
+def _floats(value):
+    """The floats in a field value, in list entries at any depth too."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _floats(v)
+
+
+def _finite(scn, errors):
+    """JSON reads NaN and Infinity as floats; no field may hold one."""
+    for f in dataclasses.fields(scn):
+        bad = [v for v in _floats(getattr(scn, f.name)) if not math.isfinite(v)]
+        if bad:
+            errors.append(f"{f.name}: must be finite, got {bad[0]!r}")
+
+
 def _positive(scn, names, errors, strict=True):
     for n in names:
         v = getattr(scn, n)
@@ -205,6 +222,7 @@ def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
 def validate_scenario(scn) -> list[str]:
     """Every violated invariant as one message; empty list when valid."""
     errors: list[str] = []
+    _finite(scn, errors)
     if isinstance(scn, DenselySpacedScenario):
         _counts(scn, ["realizations", "quadrature_order"], errors)
         _positive(scn, ["tx_side_wavelengths", "rx_side_wavelengths",
@@ -265,10 +283,9 @@ def validate_scenario(scn) -> list[str]:
         for d in scn.drop_distances_m:
             if not (isinstance(d, (int, float)) and d > 0):
                 errors.append(f"drop_distances_m: distance must be positive, got {d!r}")
-        if len(scn.velocity_mps) != 3 or any(
-            not isinstance(v, (int, float)) or not math.isfinite(v) for v in scn.velocity_mps
-        ):
-            errors.append("velocity_mps: expected three finite components")
+        if len(scn.velocity_mps) != 3 or any(not isinstance(v, (int, float))
+                                             for v in scn.velocity_mps):
+            errors.append("velocity_mps: expected three numbers")
     elif isinstance(scn, TriPolScenario):
         _counts(scn, ["cells", "ues_per_cell", "bs_ports"], errors)
         if scn.ue_ports not in (8, 12):

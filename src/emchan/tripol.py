@@ -5,10 +5,14 @@ and a weak group (measured on the downlink and fed back after
 normalization); a combining reference rescales the uplink part so the two
 halves agree up to one global complex scalar.
 
-Every step takes one channel, shaped (R, T), or a stack of trials, shaped
-(n, R, T). A stack takes its seeds as a list with one seed (or generator)
-per trial, and each trial draws exactly what it would draw alone: a single
-channel is the stack-of-one case.
+The protocol runs whole: `estimate_joint` does the downlink measurement,
+normalization, uplink estimate and assembly in one call, and
+`benchmark_uplink_only` is the estimate it is compared with. Each takes one
+channel, shaped (R, T), or a stack of trials, shaped (n, R, T). A stack takes
+its seeds as a list with one seed (or generator) per trial, and each trial
+draws exactly what it would draw alone: a single channel is the stack-of-one
+case. The groups are the `PortGrouping.is_strong` mask, and a group's rows
+are the channel or estimate indexed by it.
 """
 
 from __future__ import annotations
@@ -41,13 +45,6 @@ class TriPolChannel:
         if any(n < 0 for n in self.rx_ports + self.tx_ports):
             raise DomainError("port counts must be nonnegative")
         object.__setattr__(self, "matrix", m)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        if not (0 <= i < 3 and 0 <= j < 3):
-            raise DomainError("polarization block indices must lie in 0..2")
-        r0 = sum(self.rx_ports[:i])
-        c0 = sum(self.tx_ports[:j])
-        return self.matrix[..., r0 : r0 + self.rx_ports[i], c0 : c0 + self.tx_ports[j]]
 
 
 def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: float = -10.0,
@@ -119,21 +116,6 @@ class PortGrouping:
             raise DomainError("every strong-group power must reach the weak-group maximum")
         object.__setattr__(self, "is_strong", mask)
         object.__setattr__(self, "power", power)
-
-    @property
-    def strong(self) -> tuple:
-        """Strong port indices in ascending order; one tuple per trial for a stack."""
-        return _port_tuples(self.is_strong)
-
-    @property
-    def weak(self) -> tuple:
-        """Weak port indices in ascending order; one tuple per trial for a stack."""
-        return _port_tuples(~self.is_strong)
-
-
-def _port_tuples(mask: np.ndarray) -> tuple:
-    ports = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in np.atleast_2d(mask))
-    return ports if mask.ndim == 2 else ports[0]
 
 
 # Order statistics come from a sort: np.median and np.percentile load
@@ -239,28 +221,6 @@ def _add_noise(x: np.ndarray, rows: np.ndarray, snr_db: float, ref_power: np.nda
     x.imag[rows] += z[1]
 
 
-def uplink_estimate(channel, strong, pilot_snr_db: float, rng_seed) -> np.ndarray:
-    """Reciprocity estimate of the strong-group rows plus pilot noise."""
-    h = _as_matrix(channel)
-    strong = list(strong)
-    if len(strong) == 0:
-        raise DomainError("strong group must be nonempty")
-    rows = h[strong, :]
-    _add_noise(rows[None], np.ones((1, len(strong)), dtype=bool), pilot_snr_db,
-               _mean_entry_power(h[None]), [np.random.default_rng(rng_seed)])
-    return rows
-
-
-def downlink_measure(channel, grouping: PortGrouping, pilot_snr_db: float,
-                     rng_seed) -> tuple[np.ndarray, np.ndarray]:
-    """Full-dimension noisy measurement split into the two groups' rows."""
-    h = _as_matrix(channel)
-    noisy = h[None].copy()
-    _add_noise(noisy, np.ones(noisy.shape[:2], dtype=bool), pilot_snr_db,
-               _mean_entry_power(noisy), [np.random.default_rng(rng_seed)])
-    return noisy[0, grouping.is_strong, :], noisy[0, ~grouping.is_strong, :]
-
-
 def benchmark_uplink_only(channel, per_port_snr_db, rng_seed) -> np.ndarray:
     """Uplink-only estimate of the full channel with per-port pilot SNRs.
 
@@ -317,16 +277,6 @@ def _records(x: np.ndarray, rows: np.ndarray) -> NormalizationRecord:
     return NormalizationRecord(amplitude=amplitude, phase=np.angle(first))
 
 
-def normalize(matrix) -> tuple[np.ndarray, NormalizationRecord]:
-    """Scale out the Frobenius norm and the first nonzero entry's phase."""
-    m = np.asarray(matrix, dtype=complex)
-    rec = _records(m.reshape(1, 1, -1), np.ones((1, 1), dtype=bool))
-    if rec.amplitude[0] == 0.0:
-        raise DomainError("cannot normalize a zero matrix")
-    record = NormalizationRecord(amplitude=float(rec.amplitude[0]), phase=float(rec.phase[0]))
-    return m / record.factor(), record
-
-
 def combining_reference(rec1: NormalizationRecord,
                         rec2: NormalizationRecord) -> complex | np.ndarray:
     """delta = rho1 e^{j omega1} / (rho2 e^{j omega2}); one per trial for the
@@ -335,22 +285,6 @@ def combining_reference(rec1: NormalizationRecord,
         raise DomainError("reference normalization amplitude must be nonzero")
     delta = rec1.factor() / rec2.factor()
     return complex(delta) if np.ndim(delta) == 0 else delta
-
-
-def quantize_feedback(matrix, bits: int) -> np.ndarray:
-    """Uniform mid-rise quantizer on real/imaginary parts, range +/- max|.|
-    of each matrix (the last two axes)."""
-    if bits < 1:
-        raise DomainError("need at least one quantizer bit")
-    m = np.asarray(matrix, dtype=complex)
-    axes = tuple(range(m.ndim))[-2:]
-    scale = np.maximum(np.abs(m.real).max(axis=axes, keepdims=True),
-                       np.abs(m.imag).max(axis=axes, keepdims=True))
-    levels = 2**bits
-    # an all-zero matrix comes back unchanged
-    step = np.where(scale == 0.0, 1.0, 2.0 * scale / levels)
-    q = lambda x: np.clip((np.floor(x / step) + 0.5) * step, -scale, scale)
-    return np.where(scale == 0.0, m, q(m.real) + 1j * q(m.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +300,6 @@ class TriPolEstimate:
     delta: complex | np.ndarray
     grouping: PortGrouping
 
-    @property
-    def strong_rows(self) -> np.ndarray:
-        """The strong-group rows, in (trial, port) order."""
-        return self.assembled[self.grouping.is_strong]
-
-    @property
-    def weak_rows(self) -> np.ndarray:
-        """The weak-group rows, in (trial, port) order."""
-        return self.assembled[~self.grouping.is_strong]
-
 
 def _assemble(rows: np.ndarray, strong: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Normalize each trial's strong rows of the (n, R, T) stack ``rows`` and
@@ -389,31 +313,8 @@ def _assemble(rows: np.ndarray, strong: np.ndarray, delta: np.ndarray) -> np.nda
     return rows
 
 
-def joint_estimate(h_strong_uplink, delta, h_weak_normalized, grouping: PortGrouping) -> TriPolEstimate:
-    """Rescale the normalized uplink part by 1/delta and interleave the rows."""
-    h_u = np.asarray(h_strong_uplink, dtype=complex)
-    strong = grouping.is_strong
-    if strong.ndim != 1:
-        raise ShapeError("joint_estimate takes one channel; estimate_joint takes stacks")
-    if h_u.shape[0] != np.count_nonzero(strong):
-        raise ShapeError("uplink rows must match the strong group")
-    rows = np.zeros((strong.size, h_u.shape[1]), dtype=complex)
-    rows[strong] = h_u
-    if not strong.all():
-        h_w = np.asarray(h_weak_normalized, dtype=complex)
-        if h_w.shape[0] != np.count_nonzero(~strong) or h_w.shape[1] != h_u.shape[1]:
-            raise ShapeError("weak rows must match the weak group and column count")
-        if delta == 0:
-            raise DomainError("combining reference must be nonzero")
-        rows[~strong] = h_w
-    else:
-        delta = 1.0
-    _assemble(rows[None], strong[None], np.array([delta], dtype=complex))
-    return TriPolEstimate(assembled=rows, delta=complex(delta), grouping=grouping)
-
-
 def estimate_joint(channel, grouping: PortGrouping, uplink_snr_db: float,
-                   downlink_snr_db: float, rng_seed, quantize_bits: int | None = None) -> TriPolEstimate:
+                   downlink_snr_db: float, rng_seed) -> TriPolEstimate:
     """Run the full grouped protocol on one channel draw, or on a stack of
     trials with a stacked grouping and a list of seeds, one per trial.
 
@@ -443,8 +344,6 @@ def estimate_joint(channel, grouping: PortGrouping, uplink_snr_db: float,
     # a trial without a weak group keeps the uplink normalization: delta = 1
     delta = np.where(has_weak, combining_reference(rec_weak, rec_strong), 1.0)
     x /= np.where(has_weak, rec_weak.factor(), 1.0)[:, None, None]
-    if quantize_bits is not None:
-        x = quantize_feedback(np.where(weak[..., None], x, 0.0), quantize_bits)
     # uplink: the strong rows, in the same buffer, plus pilot noise
     x[strong] = h[strong]
     _add_noise(x, strong, uplink_snr_db, ref,

@@ -103,10 +103,6 @@ class WavenumberSupport:
     length_y: float
     wavelength: float
 
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
 
 def wavenumber_support(length_x: float, length_y: float, ctx: WaveContext) -> WavenumberSupport:
     """All (l_x, l_y) with (l_x lam/L_x)^2 + (l_y lam/L_y)^2 <= 1."""
@@ -123,22 +119,6 @@ def wavenumber_support(length_x: float, length_y: float, ctx: WaveContext) -> Wa
     )
     return WavenumberSupport(indices=tuple(indices), length_x=length_x, length_y=length_y,
                              wavelength=lam)
-
-
-def wavenumber_to_angles(l_x: int, l_y: int, length_x: float, length_y: float,
-                         ctx: WaveContext) -> tuple[float, float]:
-    """Propagation angles of one lattice index on the front hemisphere."""
-    lam = ctx.wavelength
-    rad = (l_x * lam / length_x) ** 2 + (l_y * lam / length_y) ** 2
-    if rad > 1.0:
-        raise DomainError(f"index ({l_x}, {l_y}) lies outside the propagating disk")
-    k0 = ctx.wavenumber
-    k_x = 2.0 * np.pi * l_x / length_x
-    k_y = 2.0 * np.pi * l_y / length_y
-    k_z = np.sqrt(max(k0**2 - k_x**2 - k_y**2, 0.0))
-    theta = float(np.arccos(np.clip(k_z / k0, -1.0, 1.0)))
-    phi = float(np.arctan2(k_y, k_x))
-    return theta, phi
 
 
 # ---------------------------------------------------------------------------

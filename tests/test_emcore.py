@@ -18,16 +18,25 @@ from emchan import (
     delta_aperture,
     delta_ports,
     dyadic_green,
-    em_channel_entry,
     field_region,
     green_decomposition,
     rayleigh_distance,
     reactive_boundary,
-    scalar_green,
 )
 from emchan.emcore import _max_pairwise_distance
 
 CTX = WaveContext.from_frequency(4.7e9)
+
+
+def scalar_green(p, ctx):
+    """e^{-j k |p|} / (4 pi |p|) for a separation vector p."""
+    r = float(np.linalg.norm(p))
+    return complex(np.exp(-1j * ctx.wavenumber * r) / (4.0 * np.pi * r))
+
+
+def em_channel_entry(phi, psi, aperture_r, aperture_s, ctx):
+    """One port-to-port channel entry: the 1 x 1 assembly."""
+    return complex(assemble_em_channel([phi], [psi], aperture_r, aperture_s, ctx)[0, 0])
 
 
 def fd_dyadic_oracle(r, s, ctx, dps=40):
@@ -85,9 +94,17 @@ def test_scalar_green_magnitude_and_phase():
     assert abs(np.angle(got) - np.angle(np.exp(-1j * CTX.wavenumber * r))) < 1e-12
 
 
-def test_scalar_green_singular():
-    with pytest.raises(SingularityError):
-        scalar_green(np.zeros(3), CTX)
+def test_dyadic_green_far_field_is_the_transverse_scalar_kernel():
+    # G -> g(R) (I - R^ R^T) with relative corrections of order 1/(k0 R)
+    rng = np.random.default_rng(3)
+    for k0r in (1e3, 1e5):
+        for _ in range(5):
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            r = direction * (k0r / CTX.wavenumber)
+            want = scalar_green(r, CTX) * (np.eye(3) - np.outer(direction, direction))
+            got = dyadic_green(r, np.zeros(3), CTX)
+            assert np.linalg.norm(got - want) <= 2.0 / k0r * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("k0r", [0.5, 3.0, 100.0])

@@ -412,10 +412,10 @@ def test_padded_stacked_rx_factors_match_per_spacing_channels():
     harmonics = [fourier_harmonics(uniform_planar_array(lam, lam, d * lam, d * lam),
                                    sup_r, pats, ctx) for d in (0.5, 0.25, 0.125)]
     r = studies._rx_factors(harmonics)
-    rows = 2 * sup_r.count
+    rows = 2 * len(sup_r.indices)
     assert r.shape == (3, rows, rows)
     rng = np.random.default_rng(8)
-    shape = (2, sup_r.count, sup_s.count)  # two draws
+    shape = (2, len(sup_r.indices), len(sup_s.indices))  # two draws
     pol = apply_polarization(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                              8.0, 3.0, rng)
     ones_s = EfficiencyMatrix.uniform(1.0, psi_s.shape[0])

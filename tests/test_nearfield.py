@@ -66,6 +66,11 @@ def bs_ue_geometry(n_bs=64, aperture=1.4, dist=20.0, n_ue=1, ue_spacing=None):
 # Per-entry reference implementations: one pattern call per side and entry.
 
 
+def element(patterns, index):
+    """The pattern of element ``index`` of a PatternSet."""
+    return patterns.patterns[0 if patterns.shared else index]
+
+
 def los_oracle(u, s, t, geom, motion, ctx):
     """Exact-geometry LOS entry for receive element u and transmit element s."""
     sep = geom.tx_positions[s] - geom.rx_positions[u]
@@ -74,8 +79,8 @@ def los_oracle(u, s, t, geom, motion, ctx):
     arr_dir = sep / d_us
     th_r, ph_r = angles_from_vector(arr_dir)
     th_t, ph_t = angles_from_vector(-arr_dir)
-    fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
-    ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
+    fr = np.array(element(geom.rx_patterns, u).gains(th_r, ph_r))
+    ft = np.array(element(geom.tx_patterns, s).gains(th_t, ph_t))
     gain = fr @ LOS_POLARIZATION @ ft
     lam = ctx.wavelength
     phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * (d_ref - d_us) / lam)
@@ -94,16 +99,16 @@ def planar_los_oracle(u, s, t, geom, motion, ctx):
     phase = np.exp(-2j * np.pi * d_ref / lam) * np.exp(2j * np.pi * lin / lam)
     th_r, ph_r = angles_from_vector(arr_dir)
     th_t, ph_t = angles_from_vector(-arr_dir)
-    fr = np.array(geom.rx_patterns.element(u).gains(th_r, ph_r))
-    ft = np.array(geom.tx_patterns.element(s).gains(th_t, ph_t))
+    fr = np.array(element(geom.rx_patterns, u).gains(th_r, ph_r))
+    ft = np.array(element(geom.tx_patterns, s).gains(th_t, ph_t))
     doppler = np.exp(2j * np.pi * (arr_dir @ motion.velocity) / lam * t)
     return complex(fr @ LOS_POLARIZATION @ ft * phase * doppler)
 
 
 def nlos_oracle(u, s, ray, bounce, t, geom, motion, ctx):
     """One bounce-ray entry: pattern/XPR contraction times phase offsets."""
-    fr = np.array(geom.rx_patterns.element(u).gains(bounce.rx_theta[u], bounce.rx_phi[u]))
-    ft = np.array(geom.tx_patterns.element(s).gains(bounce.tx_theta[s], bounce.tx_phi[s]))
+    fr = np.array(element(geom.rx_patterns, u).gains(bounce.rx_theta[u], bounce.rx_phi[u]))
+    ft = np.array(element(geom.tx_patterns, s).gains(bounce.tx_theta[s], bounce.tx_phi[s]))
     inv = 1.0 / np.sqrt(ray.xpr)
     p_tt, p_tp, p_pt, p_pp = ray.phases
     pol = np.array([[np.exp(1j * p_tt), inv * np.exp(1j * p_tp)],

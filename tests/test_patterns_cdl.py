@@ -169,10 +169,10 @@ def test_table_pattern_validation(tmp_path):
 def test_pattern_set_modes():
     shared = PatternSet.uniform(unit_gain())
     assert shared.count() is None
-    assert shared.element(0) is shared.element(7)
+    assert shared.shared and len(shared.patterns) == 1
     per = PatternSet.per_element([unit_gain(), dipole("x")])
     assert per.count() == 2
-    assert per.element(1).name == "dipole-x"
+    assert not per.shared and per.patterns[1].name == "dipole-x"
     with pytest.raises(DomainError):
         PatternSet.per_element([])
 

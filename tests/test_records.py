@@ -8,25 +8,21 @@ must therefore opt out with ``eq=False``.
 
 import copy
 import dataclasses
-import importlib
 import inspect
-import pkgutil
 import types
 import typing
 
 import numpy as np
 import pytest
 
-import emchan
 from emchan import nearfield, studies, tripol
 from emchan.capacity import capacity_equal_power
 from emchan.emcore import delta_aperture, delta_ports
 from emchan.wavenumber import EfficiencyMatrix
 
 
-def _package_dataclasses():
-    for info in pkgutil.iter_modules(emchan.__path__):
-        module = importlib.import_module(f"emchan.{info.name}")
+def _package_dataclasses(modules):
+    for module in modules:
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
                 yield cls
@@ -58,7 +54,7 @@ def _examples():
         nearfield.Tap(delay=0.0, coefficients=np.ones((2, 2), dtype=complex)),
         channel,
         grouping,
-        tripol.normalize(np.ones((2, 2)))[1],
+        tripol.NormalizationRecord(amplitude=np.ones(2), phase=np.zeros(2)),
         tripol.estimate_joint(channel, grouping, np.inf, np.inf, 0),
         EfficiencyMatrix.uniform(0.5, 3),
         studies._Assembly(variance_set=0, psi_s=np.ones((2, 2)), rx=np.ones((1, 2, 2)),
@@ -66,8 +62,8 @@ def _examples():
     ]
 
 
-def test_every_array_record_has_an_example():
-    holders = {cls for cls in _package_dataclasses() if _holds_arrays(cls)}
+def test_every_array_record_has_an_example(package_modules):
+    holders = {cls for cls in _package_dataclasses(package_modules) if _holds_arrays(cls)}
     assert holders == {type(x) for x in _examples()}
 
 

@@ -98,6 +98,30 @@ def test_cli_densely_spaced_field_errors_exit_one(tmp_path, capsys, command, ove
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("study, field, value, bad", [
+    ("tri-pol", "pilot_snr_db", math.nan, math.nan),
+    ("near-field", "drop_distances_m", [5.0, math.inf], math.inf),
+    ("densely-spaced", "cluster_weights", [math.nan] + [0.0] * (bundled_cdl_b().count - 1),
+     math.nan),
+    ("densely-spaced", "xpr_mu_db", math.inf, math.inf),
+], ids=["nan-snr", "inf-distance", "nan-weight", "inf-xpr"])
+def test_non_finite_numbers_are_invalid(tmp_path, capsys, command, study, field, value, bad):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": study, "name": "s", field: value}))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"invalid: {field}: must be finite, got {bad!r}\n"
+    assert not (tmp_path / "o").exists()
+    # a scenario built in code is checked by the run as well
+    scn = dataclasses.replace(scenario_from_dict({"study": study, "name": "s"}),
+                              **{field: tuple(value) if isinstance(value, list) else value})
+    with pytest.raises(ValidationError) as exc:
+        run_study(scn)
+    assert exc.value.messages == [f"{field}: must be finite, got {bad!r}"]
+
+
 def test_cluster_weights_counted_against_the_table_the_run_loads(tmp_path):
     n = bundled_cdl_b().count
     weights = [1.0] + [0.0] * (n - 1)

@@ -9,15 +9,11 @@ from emchan import (
     combining_reference,
     estimate_joint,
     group_ports,
-    joint_estimate,
-    normalize,
-    quantize_feedback,
     scalar_aligned,
     simulate_tripol_channel,
-    uplink_estimate,
 )
 from emchan import tripol
-from emchan.tripol import NormalizationRecord, PortGrouping, downlink_measure, percentiles
+from emchan.tripol import NormalizationRecord, PortGrouping, percentiles
 
 
 def small_channel(seed=0, rx=(2, 4, 2), tx=(8, 8, 0)):
@@ -26,14 +22,62 @@ def small_channel(seed=0, rx=(2, 4, 2), tx=(8, 8, 0)):
                                    xpr_db=8.0, rng=rng)
 
 
+# The grouped protocol one step at a time on one channel: the uplink
+# estimate, the downlink measurement, normalization and the row assembly.
+
+
+def normalize(matrix):
+    """Scale out the Frobenius norm and the first nonzero entry's phase."""
+    m = np.asarray(matrix, dtype=complex)
+    record = NormalizationRecord(amplitude=float(np.linalg.norm(m)),
+                                 phase=float(np.angle(m.flat[np.flatnonzero(m)[0]])))
+    return m / record.factor(), record
+
+
+def noisy(h, rows, snr_db, ref_power, rng):
+    """h's rows plus complex noise at snr_db below ref_power: the real parts
+    of every row, then the imaginary parts."""
+    if np.isinf(snr_db):
+        return h[rows].copy()
+    amp = np.sqrt(ref_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+    re = rng.standard_normal(h[rows].shape)
+    im = rng.standard_normal(h[rows].shape)
+    return h[rows] + amp * (re + 1j * im)
+
+
+def joint_estimate(h_strong_uplink, delta, h_weak_normalized, strong):
+    """Normalize the uplink rows, rescale them by 1/delta and put both groups'
+    rows back at their port indices."""
+    up, _ = normalize(h_strong_uplink)
+    rows = np.empty((strong.size, up.shape[1]), dtype=complex)
+    rows[strong] = up / delta
+    rows[~strong] = h_weak_normalized
+    return rows
+
+
+def piecewise_estimate(h, strong, uplink_snr_db, downlink_snr_db, seed):
+    """estimate_joint on one channel, step by step."""
+    up_seed, down_seed = np.random.SeedSequence(seed).spawn(2)
+    ref = np.mean(np.abs(h) ** 2)
+    uplink = noisy(h, strong, uplink_snr_db, ref, np.random.default_rng(up_seed))
+    if strong.all():
+        return joint_estimate(uplink, 1.0, np.empty((0, h.shape[1])), strong)
+    measured = noisy(h, np.ones(strong.size, dtype=bool), downlink_snr_db, ref,
+                     np.random.default_rng(down_seed))
+    weak_normalized, rec_weak = normalize(measured[~strong])
+    _, rec_strong = normalize(measured[strong])
+    return joint_estimate(uplink, combining_reference(rec_weak, rec_strong), weak_normalized,
+                          strong)
+
+
 def test_simulated_channel_block_statistics():
     rng = np.random.default_rng(1)
     ch = simulate_tripol_channel(rx_ports=(200, 200, 200), tx_ports=(200, 200, 0),
                                  z_gain_db=-10.0, xpr_db=8.0, rng=rng)
     assert ch.matrix.shape == (600, 400)
-    co = np.mean(np.abs(ch.block(0, 0)) ** 2)
-    cross = np.mean(np.abs(ch.block(0, 1)) ** 2)
-    z_co = np.mean(np.abs(ch.block(2, 0)) ** 2)
+    co = np.mean(np.abs(ch.matrix[:200, :200]) ** 2)
+    cross = np.mean(np.abs(ch.matrix[:200, 200:]) ** 2)
+    z_co = np.mean(np.abs(ch.matrix[400:, :200]) ** 2)
     # cross-polarization sits xpr dB below co-pol; z rows carry the z deficit
     assert co == pytest.approx(1.0, rel=0.05)
     assert 10 * np.log10(co / cross) == pytest.approx(8.0, abs=0.5)
@@ -42,29 +86,31 @@ def test_simulated_channel_block_statistics():
 
 
 def test_block_indexing_and_validation():
+    # the port counts split rows and columns into the polarization blocks
     ch = small_channel()
-    assert ch.block(0, 0).shape == (2, 8)
-    assert ch.block(1, 1).shape == (4, 8)
-    assert ch.block(2, 0).shape == (2, 8)
-    assert np.allclose(ch.block(1, 0), ch.matrix[2:6, :8])
-    with pytest.raises(DomainError):
-        ch.block(3, 0)
+    rows = np.split(ch.matrix, np.cumsum(ch.rx_ports)[:-1], axis=0)
+    cols = np.split(ch.matrix, np.cumsum(ch.tx_ports)[:-1], axis=1)
+    assert [r.shape for r in rows] == [(2, 16), (4, 16), (2, 16)]
+    assert [c.shape for c in cols] == [(8, 8), (8, 8), (8, 0)]
     with pytest.raises(ShapeError):
         TriPolChannel(matrix=np.zeros((3, 4), dtype=complex), rx_ports=(2, 4, 2),
                       tx_ports=(2, 2, 0))
+    with pytest.raises(ShapeError):
+        TriPolChannel(matrix=np.zeros(4, dtype=complex), rx_ports=(1, 0, 0),
+                      tx_ports=(4, 0, 0))
+    with pytest.raises(DomainError):
+        TriPolChannel(matrix=np.zeros((2, 4), dtype=complex), rx_ports=(3, -1, 0),
+                      tx_ports=(4, 0, 0))
 
 
 def test_group_ports_median_and_threshold():
     power = np.array([4.0, 4.0, 1.0, 1.0])
     g = group_ports(power, rule="median")
-    assert list(g.strong) == [0, 1]
-    assert list(g.weak) == [2, 3]
+    assert g.is_strong.tolist() == [True, True, False, False]
     g2 = group_ports(power, rule="threshold", threshold=0.5)
-    assert list(g2.strong) == [0, 1]
+    assert g2.is_strong.tolist() == [True, True, False, False]
     # all-equal powers put everything in the strong set
-    ge = group_ports(np.ones(4), rule="median")
-    assert list(ge.strong) == [0, 1, 2, 3]
-    assert list(ge.weak) == []
+    assert group_ports(np.ones(4), rule="median").is_strong.all()
     with pytest.raises(DomainError):
         group_ports(power, rule="quartile")
     with pytest.raises(DomainError):
@@ -78,12 +124,9 @@ def test_port_grouping_checks_mask_shape_and_reach():
     power = np.array([[4.0, 1.0, 3.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
     good = np.array([[True, False, True, False], [False, False, True, True]])
     for p, mask in ((power[0], good[0]), (power, good)):
-        g = PortGrouping(is_strong=mask, power=p)
-        rows = (g.strong, g.weak) if p.ndim == 2 else ((g.strong,), (g.weak,))
-        for strong, weak, row in zip(*rows, np.atleast_2d(mask)):
-            assert list(strong) == sorted(strong) and list(weak) == sorted(weak)
-            assert sorted(strong + weak) == list(range(p.shape[-1]))
-            assert list(strong) == list(np.flatnonzero(row))
+        g = PortGrouping(is_strong=mask.tolist(), power=p.tolist())
+        assert g.is_strong.dtype == bool and np.array_equal(g.is_strong, mask)
+        assert np.array_equal(g.power, p)
         # a mask of another shape
         with pytest.raises(DomainError):
             PortGrouping(is_strong=mask[..., :3], power=p)
@@ -94,8 +137,8 @@ def test_port_grouping_checks_mask_shape_and_reach():
         PortGrouping(is_strong=good[0], power=power)
     # ties within 1e-12 still reach; all-strong and all-weak groups pass
     PortGrouping(is_strong=np.array([True, False]), power=np.array([1.0, 1.0 + 1e-13]))
-    assert PortGrouping(is_strong=np.ones(3, bool), power=np.ones(3)).weak == ()
-    assert PortGrouping(is_strong=np.zeros(3, bool), power=np.ones(3)).strong == ()
+    PortGrouping(is_strong=np.ones(3, bool), power=np.ones(3))
+    PortGrouping(is_strong=np.zeros(3, bool), power=np.ones(3))
 
 
 def test_z_ports_group_weak():
@@ -103,39 +146,19 @@ def test_z_ports_group_weak():
     row_power = np.mean(np.abs(ch.matrix) ** 2, axis=1)
     g = group_ports(row_power, rule="median")
     # the two z rows (indices 6, 7) sit 10 dB down and must land in the weak set
-    assert 6 in g.weak and 7 in g.weak
-
-
-def test_uplink_estimate_noiseless():
-    ch = small_channel(seed=4)
-    rows = np.arange(8)
-    est = uplink_estimate(ch, rows, pilot_snr_db=np.inf, rng_seed=0)
-    assert np.allclose(est, ch.matrix, atol=1e-15)
-    sub = uplink_estimate(ch, np.array([1, 5]), pilot_snr_db=np.inf, rng_seed=0)
-    assert np.allclose(sub, ch.matrix[[1, 5]], atol=1e-15)
+    assert not g.is_strong[6:].any()
 
 
 def test_uplink_noise_variance():
     ch = small_channel(seed=5)
-    rows = np.arange(8)
     snr = 7.0
     trials = 4000
-    acc = 0.0
-    for i in range(trials):
-        est = uplink_estimate(ch, rows, pilot_snr_db=snr, rng_seed=i)
-        acc += np.mean(np.abs(est - ch.matrix) ** 2)
+    stack = TriPolChannel(matrix=np.broadcast_to(ch.matrix, (trials,) + ch.matrix.shape),
+                          rx_ports=ch.rx_ports, tx_ports=ch.tx_ports)
+    est = benchmark_uplink_only(stack, np.full((trials, 8), snr), list(range(trials)))
     ref = np.mean(np.abs(ch.matrix) ** 2)
     want = ref * 10 ** (-snr / 10)
-    assert acc / trials == pytest.approx(want, rel=0.05)
-
-
-def test_downlink_measure_partition():
-    ch = small_channel(seed=6)
-    row_power = np.mean(np.abs(ch.matrix) ** 2, axis=1)
-    g = group_ports(row_power, rule="median")
-    strong_rows, weak_rows = downlink_measure(ch, g, pilot_snr_db=np.inf, rng_seed=0)
-    assert np.allclose(strong_rows, ch.matrix[list(g.strong)], atol=1e-15)
-    assert np.allclose(weak_rows, ch.matrix[list(g.weak)], atol=1e-15)
+    assert np.mean(np.abs(est - ch.matrix) ** 2) == pytest.approx(want, rel=0.05)
 
 
 def test_normalize_and_record():
@@ -146,19 +169,22 @@ def test_normalize_and_record():
     assert np.allclose(out, [[1.0]])
     assert rec.factor() == pytest.approx(2j)
 
+    # the records estimate_joint normalizes by: each trial's selected rows of
+    # a stack, against normalizing those rows alone
     rng = np.random.default_rng(7)
-    m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    out, rec = normalize(m)
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-    # leading entry is rotated onto the positive real axis
-    assert abs(np.angle(out.flat[np.flatnonzero(out)[0]])) < 1e-12
-    assert np.allclose(rec.factor() * out, m, atol=1e-12)
-    # scale invariance: normalizing c*m gives the same normalized matrix
-    out2, rec2 = normalize(5.0 * np.exp(0.3j) * m)
-    assert np.allclose(out2, out, atol=1e-12)
-    assert rec2.amplitude == pytest.approx(5.0 * rec.amplitude)
-    with pytest.raises(DomainError):
-        normalize(np.zeros((2, 2)))
+    x = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+    x[1, :2] = 0.0  # the first nonzero entry is not the first entry
+    rows = np.array([[True, False, True, True, False], [True, True, True, False, True],
+                     [False, False, False, True, False]])
+    records = tripol._records(x, rows)
+    for k in range(3):
+        out, rec = normalize(x[k][rows[k]])
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+        # leading entry is rotated onto the positive real axis
+        assert abs(np.angle(out.flat[np.flatnonzero(out)[0]])) < 1e-12
+        assert records.amplitude[k] == pytest.approx(rec.amplitude, rel=1e-14)
+        assert records.phase[k] == pytest.approx(rec.phase, abs=1e-15)
+    assert tripol._records(np.zeros((1, 2, 2)), np.ones((1, 2), bool)).amplitude[0] == 0.0
 
 
 def test_combining_reference():
@@ -166,17 +192,6 @@ def test_combining_reference():
     r2 = NormalizationRecord(amplitude=1.0, phase=0.0)
     assert combining_reference(r1, r2) == pytest.approx(2j)
     assert abs(combining_reference(r1, r2)) == pytest.approx(r1.amplitude / r2.amplitude)
-
-
-def test_quantize_feedback_roundtrip():
-    rng = np.random.default_rng(8)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q = quantize_feedback(m, bits=12)
-    assert np.max(np.abs(q - m)) < 2e-3 * np.max(np.abs(m))
-    coarse = quantize_feedback(m, bits=2)
-    assert not np.allclose(coarse, m, atol=1e-6)
-    with pytest.raises(DomainError):
-        quantize_feedback(m, bits=0)
 
 
 def test_joint_estimate_noiseless_end_to_end():
@@ -195,7 +210,7 @@ def test_joint_estimate_noiseless_end_to_end():
 def test_joint_estimate_empty_weak_group():
     ch = small_channel(seed=10)
     g = group_ports(np.ones(8), rule="median")
-    assert list(g.weak) == []
+    assert g.is_strong.all()
     est = estimate_joint(ch, g, uplink_snr_db=np.inf, downlink_snr_db=np.inf,
                          rng_seed=5)
     assert est.delta == pytest.approx(1.0)
@@ -204,22 +219,19 @@ def test_joint_estimate_empty_weak_group():
 
 
 def test_joint_estimate_row_interleaving():
-    ch = small_channel(seed=11)
-    power = np.mean(np.abs(ch.matrix) ** 2, axis=1)
-    g = group_ports(power, rule="median")
-    h_strong = ch.matrix[list(g.strong)]
-    h_weak_norm, _ = normalize(ch.matrix[list(g.weak)])
-    up_norm, rec_up = normalize(h_strong)
-    _, rec_weak = normalize(ch.matrix[list(g.weak)])
-    delta = combining_reference(rec_weak, rec_up)
-    est = joint_estimate(h_strong, delta, h_weak_norm, g)
-    # rows return to their original indices
-    _, err = scalar_aligned(est.assembled, ch.matrix)
-    assert err < 1e-12
-    for k, row in enumerate(g.strong):
-        assert np.allclose(est.assembled[row], est.strong_rows[k])
-    for k, row in enumerate(g.weak):
-        assert np.allclose(est.assembled[row], est.weak_rows[k])
+    # estimate_joint against the protocol run step by step, with and without
+    # noise and with an empty weak group; the rows come back at their indices
+    for seed in range(11, 16):
+        ch = small_channel(seed=seed)
+        power = np.mean(np.abs(ch.matrix) ** 2, axis=1)
+        for g in (group_ports(power, rule="median"), group_ports(np.ones(8))):
+            for up, down in ((np.inf, np.inf), (5.0, 12.0), (-3.0, np.inf)):
+                est = estimate_joint(ch, g, up, down, rng_seed=seed)
+                want = piecewise_estimate(ch.matrix, g.is_strong, up, down, seed)
+                assert np.allclose(est.assembled, want, rtol=1e-14, atol=0.0)
+        noiseless = estimate_joint(ch, group_ports(power), np.inf, np.inf, rng_seed=seed)
+        _, err = scalar_aligned(noiseless.assembled, ch.matrix)
+        assert err < 1e-12
 
 
 def test_scalar_aligned_properties():
@@ -396,23 +408,21 @@ def test_stacked_calls_give_each_trial_its_single_channel_result():
     power[2] = 1.0  # equal powers: trial 2 has no weak group
     grouping = group_ports(power, rule="median")
     singles = [group_ports(p, rule="median") for p in power]
-    assert grouping.strong == tuple(g.strong for g in singles)
-    assert grouping.weak == tuple(g.weak for g in singles)
-    assert grouping.weak[2] == ()
     assert np.array_equal(grouping.is_strong, [g.is_strong for g in singles])
+    assert grouping.is_strong[2].all()
 
     seeds = [100 + k for k in range(4)]
-    for bits in (None, 3):
-        est = estimate_joint(stack, grouping, 5.0, 12.0, seeds, quantize_bits=bits)
-        assert est.assembled.shape == stack.matrix.shape and est.delta.shape == (4,)
-        for k, ch in enumerate(chans):
-            alone = estimate_joint(ch, singles[k], 5.0, 12.0, seeds[k], quantize_bits=bits)
-            assert np.array_equal(est.assembled[k], alone.assembled)
-            assert est.delta[k] == alone.delta
-        assert est.delta[2] == 1.0
-        assert np.array_equal(est.strong_rows, np.concatenate(
-            [estimate_joint(ch, singles[k], 5.0, 12.0, seeds[k], quantize_bits=bits).strong_rows
-             for k, ch in enumerate(chans)]))
+    est = estimate_joint(stack, grouping, 5.0, 12.0, seeds)
+    assert est.assembled.shape == stack.matrix.shape and est.delta.shape == (4,)
+    alone = [estimate_joint(ch, singles[k], 5.0, 12.0, seeds[k]) for k, ch in enumerate(chans)]
+    for k in range(4):
+        assert np.array_equal(est.assembled[k], alone[k].assembled)
+        assert est.delta[k] == alone[k].delta
+    assert est.delta[2] == 1.0
+    # a group's rows of the stack, in (trial, port) order, are each trial's own
+    for mask in (grouping.is_strong, ~grouping.is_strong):
+        assert np.array_equal(est.assembled[mask], np.concatenate(
+            [a.assembled[m] for a, m in zip(alone, mask)]))
 
     snrs = np.array([[10.0, 3.5, -2.0, 0.0, 7.25, 10.0, -11.0, 4.0],
                      [np.inf, 3.5, -np.inf, 0.0, np.inf, 10.0, -11.0, -np.inf],
@@ -439,7 +449,6 @@ def test_simulated_stack_draws_each_channel_from_its_own_generator():
     stack = simulate_tripol_channel(rx_ports=(3, 6, 3), tx_ports=(4, 4, 0),
                                     rng=[np.random.default_rng(s) for s in seeds])
     assert stack.matrix.shape == (3, 12, 8)
-    assert stack.block(2, 1).shape == (3, 3, 4)
     for k, seed in enumerate(seeds):
         alone = simulate_tripol_channel(rx_ports=(3, 6, 3), tx_ports=(4, 4, 0),
                                         rng=np.random.default_rng(seed))

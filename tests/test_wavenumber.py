@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from emchan import (
     DomainError,
     EfficiencyMatrix,
+    Pattern,
     PatternSet,
     ShapeError,
     VmfCluster,
@@ -28,7 +30,6 @@ from emchan import (
     unit_gain,
     vmf_pdf,
     wavenumber_support,
-    wavenumber_to_angles,
 )
 from emchan import wavenumber
 from emchan.wavenumber import _box_masses, _gauss_legendre, _hemisphere_mass
@@ -47,6 +48,19 @@ def sphere_integral(fn, n_theta=128, n_phi=256):
     return float(np.sum(w * fn(th, ph) * np.sin(th)))
 
 
+def wavenumber_to_angles(l_x, l_y, length_x, length_y, ctx):
+    """Propagation angles (theta, phi) of one lattice index on the front
+    hemisphere, one index at a time."""
+    lam = ctx.wavelength
+    if (l_x * lam / length_x) ** 2 + (l_y * lam / length_y) ** 2 > 1.0:
+        raise DomainError(f"index ({l_x}, {l_y}) lies outside the propagating disk")
+    k0 = ctx.wavenumber
+    k_x = 2.0 * np.pi * l_x / length_x
+    k_y = 2.0 * np.pi * l_y / length_y
+    k_z = np.sqrt(max(k0**2 - k_x**2 - k_y**2, 0.0))
+    return float(np.arccos(np.clip(k_z / k0, -1.0, 1.0))), float(np.arctan2(k_y, k_x))
+
+
 def brute_support(length_x, length_y, lam, margin=6):
     nx = int(np.ceil(length_x / lam)) + margin
     ny = int(np.ceil(length_y / lam)) + margin
@@ -59,8 +73,8 @@ def brute_support(length_x, length_y, lam, margin=6):
 
 
 def test_support_counts_for_study_apertures():
-    assert wavenumber_support(4 * LAM, 4 * LAM, CTX).count == 49
-    assert wavenumber_support(LAM, LAM, CTX).count == 5
+    assert len(wavenumber_support(4 * LAM, 4 * LAM, CTX).indices) == 49
+    assert len(wavenumber_support(LAM, LAM, CTX).indices) == 5
 
 
 def test_support_matches_brute_enumeration():
@@ -435,9 +449,7 @@ def test_harmonics_reference_column_and_entry_oracle():
             kx = 2 * np.pi * lx / LAM
             ky = 2 * np.pi * ly / LAM
             gamma = np.sqrt(max(k0**2 - kx**2 - ky**2, 0.0))
-            theta = np.arccos(gamma / k0)
-            phi = np.arctan2(ky, kx)
-            ft, fp = pat.gains(theta, phi)
+            ft, fp = pat.gains(*wavenumber_to_angles(lx, ly, LAM, LAM, CTX))
             x, y, z = arr[q]
             want = np.exp(1j * (kx * x + ky * y + gamma * z)) / np.sqrt(n)
             assert abs(psi_t[q, i] - want * complex(ft)) < 1e-14
@@ -450,7 +462,7 @@ def test_per_element_harmonics_entry_oracle_and_count():
     kinds = (dipole("x"), dipole("y"), dipole("z"), patch(70.0), unit_gain())
     pats = PatternSet.per_element([kinds[q % len(kinds)] for q in range(len(arr))])
     psi = fourier_harmonics(arr, sup, pats, CTX)
-    assert psi.shape == (len(arr), 2 * sup.count)
+    assert psi.shape == (len(arr), 2 * len(sup.indices))
     psi_t, psi_p = np.split(psi, 2, axis=1)
     k0 = CTX.wavenumber
     n = len(arr)
@@ -459,7 +471,7 @@ def test_per_element_harmonics_entry_oracle_and_count():
             kx = 2 * np.pi * lx / (2 * LAM)
             ky = 2 * np.pi * ly / LAM
             gamma = np.sqrt(max(k0**2 - kx**2 - ky**2, 0.0))
-            ft, fp = pats.element(q).gains(np.arccos(gamma / k0), np.arctan2(ky, kx))
+            ft, fp = pats.patterns[q].gains(*wavenumber_to_angles(lx, ly, 2 * LAM, LAM, CTX))
             x, y, z = arr[q]
             want = np.exp(1j * (kx * x + ky * y + gamma * z)) / np.sqrt(n)
             assert abs(psi_t[q, i] - want * complex(ft)) < 1e-14
@@ -472,6 +484,24 @@ def test_per_element_harmonics_entry_oracle_and_count():
 
 
 def test_wavenumber_angles_roundtrip_and_domain():
+    # the angles fourier_harmonics hands the element pattern, per support index
+    seen = {}
+
+    def probe(theta, phi):
+        seen["theta"], seen["phi"] = theta, phi
+        return np.ones_like(theta)
+
+    sup = wavenumber_support(3 * LAM, 2 * LAM, CTX)
+    arr = uniform_planar_array(3 * LAM, 2 * LAM, LAM / 2, LAM / 2)
+    fourier_harmonics(arr, sup, PatternSet.uniform(Pattern("probe", probe, probe)), CTX)
+    for i, (lx, ly) in enumerate(sup.indices):
+        theta, phi = wavenumber_to_angles(lx, ly, 3 * LAM, 2 * LAM, CTX)
+        assert np.allclose(seen["theta"][:, i], theta, rtol=0.0, atol=1e-12)
+        assert np.allclose(seen["phi"][:, i], phi, rtol=0.0, atol=1e-12)
+    evanescent = dataclasses.replace(sup, indices=((7, 0),))
+    with pytest.raises(DomainError, match="evanescent"):
+        fourier_harmonics(arr, evanescent, PatternSet.uniform(unit_gain()), CTX)
+
     theta, phi = wavenumber_to_angles(0, 0, LAM, LAM, CTX)
     assert theta == pytest.approx(0.0, abs=1e-12)
     k0 = CTX.wavenumber
@@ -577,7 +607,7 @@ def test_shared_draw_equals_one_draw_per_variance_set_bit_for_bit():
                      coupling_variances(sup_r, sup_s, cdl, iso, CTX, 6)])
     rng = np.random.default_rng(np.random.SeedSequence([3, 1, 7]))
     shared = apply_polarization(sample_wavenumber_channel(sets, rng), 8.0, 3.0, rng)
-    assert shared.shape == (2, 2 * sup_r.count, 2 * sup_s.count)
+    assert shared.shape == (2, 2 * len(sup_r.indices), 2 * len(sup_s.indices))
     for j, var in enumerate(sets):
         rng = np.random.default_rng(np.random.SeedSequence([3, 1, 7]))
         alone = apply_polarization(sample_wavenumber_channel(var, rng), 8.0, 3.0, rng)
