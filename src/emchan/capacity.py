@@ -11,7 +11,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Capacity in bits/s/Hz plus the eigenmode allocation that achieved it.
+    """Water-filling capacity in bits/s/Hz plus the allocation that achieved it.
 
     ``eigenvalues`` are those of G^H G sorted descending; ``allocation`` is
     aligned with them and sums to the power budget (zero for a zero channel).
@@ -23,44 +23,32 @@ class CapacityResult:
     eigenvalues: np.ndarray
 
 
-def _channel_eigenvalues(g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of G^H G, descending along the last axis; G may carry
-    leading stack axes, one matrix per index.
-
-    They come from the smaller Gram matrix (G G^H for a wide G), whose
-    nonzero eigenvalues are the same; the rest are zero.
-    """
+def _gram(g, power, noise_power) -> np.ndarray:
+    """The smaller Gram matrix of G (G G^H for a wide G, else G^H G), whose
+    nonzero eigenvalues are those of G^H G, after both kernels' checks."""
+    if not (np.isfinite(noise_power) and noise_power > 0.0):
+        raise DomainError("noise power must be positive and finite")
+    if not np.all(np.isfinite(power) & (np.asarray(power) >= 0.0)):
+        raise DomainError("power must be nonnegative and finite")
     g = np.asarray(g, dtype=complex)
     if g.ndim < 2:
         raise DomainError("channel matrix must be at least 2-D")
     if not np.all(np.isfinite(g)):
         raise DomainError("channel matrix entries must be finite")
-    m, k = g.shape[-2:]
     gh = g.conj().swapaxes(-1, -2)
-    gram = g @ gh if m < k else gh @ g
-    lam = np.zeros(g.shape[:-2] + (k,))
-    lam[..., : min(m, k)] = np.clip(np.linalg.eigvalsh(gram)[..., ::-1], 0.0, None)
-    return lam
+    return g @ gh if g.shape[-2] < g.shape[-1] else gh @ g
 
 
-def capacity_equal_power(g: np.ndarray, power, noise_power: float) -> CapacityResult:
-    """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams.
-
-    G may carry leading stack axes; the capacity, allocation and eigenvalues
-    then carry them too, and each matrix gives exactly what it gives alone.
-    ``power`` may be an array that broadcasts against the stack axes: the
-    eigenvalues are then computed once and serve every power.
-    """
-    if noise_power <= 0.0:
-        raise DomainError("noise power must be positive")
-    lam = _channel_eigenvalues(g)
-    k = lam.shape[-1]
-    power = np.asarray(power, dtype=float)[..., None]
-    coef = power / (k * noise_power)
-    cap = np.sum(np.log2(1.0 + coef * lam), axis=-1)
-    return CapacityResult(capacity=float(cap) if cap.ndim == 0 else cap,
-                          allocation=np.broadcast_to(power / k, cap.shape + (k,)).copy(),
-                          eigenvalues=lam)
+def capacity_equal_power(g: np.ndarray, power, noise_power: float) -> float | np.ndarray:
+    """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams, as 2 sum
+    log2 diag(L) for the Cholesky factor L of that (positive definite) matrix
+    on the smaller side. G may carry stack axes and ``power`` may broadcast
+    against them; each (power, matrix) pair gives exactly what it gives alone."""
+    gram = _gram(g, power, noise_power)
+    a = np.asarray(power, dtype=float)[..., None, None] / (np.shape(g)[-1] * noise_power) * gram
+    pivots = np.diagonal(np.linalg.cholesky(a + np.eye(a.shape[-1])), axis1=-2, axis2=-1).real
+    cap = 2.0 * np.sum(np.log2(pivots), axis=-1)
+    return float(cap) if cap.ndim == 0 else cap
 
 
 def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> CapacityResult:
@@ -68,10 +56,10 @@ def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> Ca
 
     G may carry leading stack axes, as in capacity_equal_power.
     """
-    if noise_power <= 0.0 or power <= 0.0:
-        raise DomainError("power and noise power must be positive")
-    lam = _channel_eigenvalues(g)
-    k = lam.shape[-1]
+    gram = _gram(g, power, noise_power)
+    m, k = np.shape(g)[-2:]
+    lam = np.zeros(gram.shape[:-2] + (k,))
+    lam[..., : min(m, k)] = np.clip(np.linalg.eigvalsh(gram)[..., ::-1], 0.0, None)
     # eigenvalues are sorted descending, so the positive ones are a prefix;
     # the rest get no power and an infinite inverse gain
     positive = lam > 0.0

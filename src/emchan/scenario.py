@@ -157,7 +157,10 @@ def _coerce(field: dataclasses.Field, value, errors: list) -> object:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{name}: expected a number, got {value!r}")
             return default
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return value  # validate_scenario reports it out of range
     if isinstance(default, str):
         if not isinstance(value, str):
             errors.append(f"{name}: expected a string, got {value!r}")
@@ -172,21 +175,33 @@ def _coerce(field: dataclasses.Field, value, errors: list) -> object:
     return value
 
 
-def _floats(value):
-    """The floats in a field value, in list entries at any depth too."""
-    if isinstance(value, float):
+def _numbers(value):
+    """The numbers in a field value, in list entries at any depth too."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         yield value
     elif isinstance(value, tuple):
         for v in value:
-            yield from _floats(v)
+            yield from _numbers(v)
 
 
-def _finite(scn, errors):
-    """JSON reads NaN and Infinity as floats; no field may hold one."""
+def _finite(scn, errors) -> bool:
+    """JSON reads NaN and Infinity as floats, and integers of any size; no
+    field but an integer one (a seed, a count) may hold one that is not a
+    finite float. False if an integer is too large for a float."""
+    in_range = True
     for f in dataclasses.fields(scn):
-        bad = [v for v in _floats(getattr(scn, f.name)) if not math.isfinite(v)]
-        if bad:
-            errors.append(f"{f.name}: must be finite, got {bad[0]!r}")
+        if isinstance(f.default, int) and not isinstance(f.default, bool):
+            continue
+        for v in _numbers(getattr(scn, f.name)):
+            try:
+                if not math.isfinite(v):
+                    errors.append(f"{f.name}: must be finite, got {v!r}")
+                    break
+            except OverflowError:
+                errors.append(f"{f.name}: out of range")
+                in_range = False
+                break
+    return in_range
 
 
 def _positive(scn, names, errors, strict=True):
@@ -222,7 +237,8 @@ def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
 def validate_scenario(scn) -> list[str]:
     """Every violated invariant as one message; empty list when valid."""
     errors: list[str] = []
-    _finite(scn, errors)
+    if not _finite(scn, errors):
+        return errors  # the checks below compute with the fields as floats
     if isinstance(scn, DenselySpacedScenario):
         _counts(scn, ["realizations", "quadrature_order"], errors)
         _positive(scn, ["tx_side_wavelengths", "rx_side_wavelengths",

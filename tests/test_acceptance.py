@@ -252,7 +252,7 @@ def test_criterion_10_waterfilling_oracles():
         p = rng.uniform(0.1, 50.0)
         wf = capacity_waterfilling(g, p, 1.0)
         ep = capacity_equal_power(g, p, 1.0)
-        worst_gap = max(worst_gap, ep.capacity - wf.capacity)
+        worst_gap = max(worst_gap, ep - wf.capacity)
         lam = wf.eigenvalues
         alloc = wf.allocation
         kkt = abs(alloc.sum() - p)

@@ -9,6 +9,22 @@ from emchan import (
 )
 
 
+def equal_power_oracle(g, power, noise_power):
+    """(capacity, allocation, eigenvalues) of the equal power split, from the
+    eigenvalues of G^H G (descending, via the smaller Gram matrix) as
+    sum log2(1 + P/(K sigma^2) lambda). G may carry stack axes and power may
+    broadcast against them."""
+    g = np.asarray(g, dtype=complex)
+    m, k = g.shape[-2:]
+    gh = g.conj().swapaxes(-1, -2)
+    lam = np.zeros(g.shape[:-2] + (k,))
+    lam[..., : min(m, k)] = np.clip(
+        np.linalg.eigvalsh(g @ gh if m < k else gh @ g)[..., ::-1], 0.0, None)
+    power = np.asarray(power, dtype=float)[..., None]
+    cap = np.sum(np.log2(1.0 + power / (k * noise_power) * lam), axis=-1)
+    return cap, np.broadcast_to(power / k, cap.shape + (k,)), lam
+
+
 def grid_search_waterfilling(lam, power, noise, levels=4_000_000):
     """Brute-force the water level on a fine grid; returns best capacity."""
     lam = np.sort(np.asarray(lam, dtype=float))[::-1]
@@ -31,10 +47,12 @@ def grid_search_waterfilling(lam, power, noise, levels=4_000_000):
 def test_identity_channel_equal_power():
     k = 4
     g = np.eye(k, dtype=complex)
-    res = capacity_equal_power(g, power=float(k), noise_power=1.0)
+    cap = capacity_equal_power(g, power=float(k), noise_power=1.0)
     # P/K = 1 per mode on unit eigenvalues: K * log2(2)
-    assert res.capacity == pytest.approx(k, abs=1e-12)
-    assert np.allclose(res.allocation, 1.0)
+    assert cap == pytest.approx(k, abs=1e-12)
+    want, allocation, _ = equal_power_oracle(g, float(k), 1.0)
+    assert cap == pytest.approx(want, rel=1e-12)
+    assert np.allclose(allocation, 1.0)
 
 
 def test_eigen_sum_oracle():
@@ -46,7 +64,7 @@ def test_eigen_sum_oracle():
         lam = np.sort(np.linalg.eigvalsh(g.conj().T @ g))[::-1]
         lam = np.clip(lam, 0.0, None)
         want = np.sum(np.log2(1.0 + p / (n * sig) * lam))
-        got = capacity_equal_power(g, p, sig).capacity
+        got = capacity_equal_power(g, p, sig)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -64,7 +82,7 @@ def test_equal_eigenvalues_match_equal_power():
     g = 1.7 * np.eye(3, dtype=complex)
     wf = capacity_waterfilling(g, power=6.0, noise_power=0.5)
     ep = capacity_equal_power(g, power=6.0, noise_power=0.5)
-    assert wf.capacity == pytest.approx(ep.capacity, abs=1e-12)
+    assert wf.capacity == pytest.approx(ep, abs=1e-12)
     assert np.allclose(wf.allocation, 2.0)
 
 
@@ -109,10 +127,10 @@ def test_unitary_invariance():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    for fn in (capacity_equal_power, capacity_waterfilling):
-        a = fn(g, 5.0, 1.0).capacity
-        b = fn(q @ g @ u, 5.0, 1.0).capacity
-        assert a == pytest.approx(b, abs=1e-10)
+    a = capacity_equal_power(g, 5.0, 1.0)
+    assert a == pytest.approx(capacity_equal_power(q @ g @ u, 5.0, 1.0), abs=1e-10)
+    a = capacity_waterfilling(g, 5.0, 1.0).capacity
+    assert a == pytest.approx(capacity_waterfilling(q @ g @ u, 5.0, 1.0).capacity, abs=1e-10)
 
 
 def test_monotone_in_power_and_wf_dominates():
@@ -121,7 +139,7 @@ def test_monotone_in_power_and_wf_dominates():
     powers = np.linspace(0.1, 20.0, 30)
     prev_ep = prev_wf = -1.0
     for p in powers:
-        ep = capacity_equal_power(g, p, 1.0).capacity
+        ep = capacity_equal_power(g, p, 1.0)
         wf = capacity_waterfilling(g, p, 1.0).capacity
         assert wf >= ep - 1e-12
         assert ep > prev_ep and wf > prev_wf
@@ -141,6 +159,25 @@ def test_domain_errors():
     zero = capacity_waterfilling(np.zeros((2, 2)), 1.0, 1.0)
     assert zero.capacity == 0.0
     assert np.all(zero.allocation == 0.0)
+    assert capacity_equal_power(np.zeros((2, 3)), 1.0, 1.0) == 0.0
+    # no power: no capacity, and nothing to allocate
+    none = capacity_waterfilling(np.eye(3) * [1.0, 2.0, 3.0], 0.0, 1.0)
+    assert none.capacity == capacity_equal_power(np.eye(3), 0.0, 1.0) == 0.0
+    assert not np.any(none.allocation)
+
+
+@pytest.mark.parametrize("power, noise_power", [
+    (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.nan), (1.0, np.inf),
+    (1.0, -1.0), (np.array([1.0, -1.0]), 1.0), (np.array([1.0, np.nan]), 1.0),
+    (np.array([[np.inf], [2.0]]), 1.0),
+])
+def test_negative_or_non_finite_powers_are_domain_errors(power, noise_power):
+    g = np.ones((2, 2, 3), dtype=complex)
+    with pytest.raises(DomainError):
+        capacity_equal_power(g, power, noise_power)
+    if np.ndim(power) == 0:
+        with pytest.raises(DomainError):
+            capacity_waterfilling(g, power, noise_power)
 
 
 def test_rayleigh_high_snr_slope():
@@ -152,7 +189,7 @@ def test_rayleigh_high_snr_slope():
     means = []
     snrs = np.arange(20.0, 43.0, 3.0)
     for snr in snrs:
-        caps = [capacity_equal_power(g, 10 ** (snr / 10), 1.0).capacity for g in channels]
+        caps = [capacity_equal_power(g, 10 ** (snr / 10), 1.0) for g in channels]
         means.append(np.mean(caps))
     slopes = np.diff(means)
     assert np.all(np.abs(slopes - 2.0) < 0.2)
@@ -165,24 +202,28 @@ def test_stacked_equal_power_matches_per_matrix_calls_bit_for_bit():
         stacked = capacity_equal_power(g, 4.0, 0.5)
         flat = g.reshape((-1,) + shape[-2:])
         singles = [capacity_equal_power(h, 4.0, 0.5) for h in flat]
-        assert stacked.capacity.shape == shape[:-2]
-        assert np.array_equal(stacked.capacity.ravel(), [r.capacity for r in singles])
-        assert np.array_equal(stacked.eigenvalues.reshape(len(flat), -1),
-                              [r.eigenvalues for r in singles])
-        assert np.array_equal(stacked.allocation.reshape(len(flat), -1),
-                              [r.allocation for r in singles])
-        assert isinstance(singles[0].capacity, float)
-        # an array power broadcasts over the stack axes: one eigendecomposition
-        # serves every power, and each (power, matrix) pair gives its own call
+        assert stacked.shape == shape[:-2]
+        assert np.array_equal(stacked.ravel(), singles)
+        assert isinstance(singles[0], float)
+        # the oracle's stack gives what its members give alone, with one
+        # eigenvalue row and one allocation row per matrix
+        cap, allocation, lam = equal_power_oracle(g, 4.0, 0.5)
+        np.testing.assert_allclose(stacked, cap, rtol=1e-12, atol=0.0)
+        alone = [equal_power_oracle(h, 4.0, 0.5) for h in flat]
+        assert np.array_equal(lam.reshape(len(flat), -1), [x[2] for x in alone])
+        assert np.array_equal(allocation.reshape(len(flat), -1), [x[1] for x in alone])
+        # an array power broadcasts over the stack axes, and each (power,
+        # matrix) pair gives its own call
         powers = np.array([4.0, 0.3, 17.5])
         both = capacity_equal_power(g, powers.reshape((3,) + (1,) * (len(shape) - 2)), 0.5)
-        assert both.capacity.shape == (3,) + shape[:-2]
-        assert both.allocation.shape == (3,) + shape[:-2] + (shape[-1],)
-        for p, caps, alloc in zip(powers, both.capacity, both.allocation):
-            alone = [capacity_equal_power(h, float(p), 0.5) for h in flat]
-            assert np.array_equal(caps.ravel(), [r.capacity for r in alone])
-            assert np.array_equal(alloc.reshape(len(flat), -1), [r.allocation for r in alone])
-        assert np.array_equal(both.eigenvalues, stacked.eigenvalues)
+        assert both.shape == (3,) + shape[:-2]
+        for p, caps in zip(powers, both):
+            assert np.array_equal(caps.ravel(), [capacity_equal_power(h, float(p), 0.5)
+                                                 for h in flat])
+        _, allocation, lam = equal_power_oracle(
+            g, powers.reshape((3,) + (1,) * (len(shape) - 2)), 0.5)
+        assert allocation.shape == (3,) + shape[:-2] + (shape[-1],)
+        assert np.allclose(allocation.sum(axis=-1), powers.reshape((3,) + (1,) * (len(shape) - 2)))
     bad = np.ones((3, 2, 2), dtype=complex)
     bad[1, 0, 1] = np.nan
     with pytest.raises(DomainError):
@@ -197,15 +238,50 @@ def test_equal_power_eigenvalues_match_svd_on_wide_tall_and_rank_deficient_chann
     for g in (rng.normal(size=(10, 81)) + 1j * rng.normal(size=(10, 81)),
               rng.normal(size=(81, 10)) + 1j * rng.normal(size=(81, 10)),
               low_rank):
-        res = capacity_equal_power(g, 81.0, 1.0)
+        cap, _, lam = equal_power_oracle(g, 81.0, 1.0)
         sv2 = np.linalg.svd(g, compute_uv=False) ** 2
         want = np.zeros(g.shape[1])
         want[: sv2.size] = sv2
-        assert res.eigenvalues.shape == (g.shape[1],)
-        assert np.all(np.diff(res.eigenvalues) <= 0.0) and res.eigenvalues.min() >= 0.0
-        assert np.allclose(res.eigenvalues, want, rtol=0, atol=1e-12 * want[0])
-        assert res.capacity == pytest.approx(np.sum(np.log2(1.0 + 81.0 / g.shape[1] * want)),
-                                            rel=1e-13)
+        assert lam.shape == (g.shape[1],)
+        assert np.all(np.diff(lam) <= 0.0) and lam.min() >= 0.0
+        assert np.allclose(lam, want, rtol=0, atol=1e-12 * want[0])
+        want_cap = np.sum(np.log2(1.0 + 81.0 / g.shape[1] * want))
+        assert cap == pytest.approx(want_cap, rel=1e-13)
+        assert capacity_equal_power(g, 81.0, 1.0) == pytest.approx(want_cap, rel=1e-13)
+
+
+def test_equal_power_log_det_matches_eigenvalue_oracle():
+    """The Cholesky log-det against the eigenvalue sum on wide, tall,
+    rank-deficient and zero channels, alone, stacked and with power arrays."""
+    rng = np.random.default_rng(34)
+
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    stack = cn(5, 8, 12)
+    stack[1, :, 3:] = 0.0  # rank deficient
+    stack[2] = 0.0  # no channel at all
+    stack[3, 1:] = 0.0  # rank one
+    channels = [cn(10, 81), cn(81, 10), cn(10, 10), cn(1, 5), cn(5, 1), cn(3, 8, 256),
+                cn(3, 4, 10, 10), np.zeros((4, 6)), np.zeros((2, 6, 4)), 1e-160 * cn(10, 81),
+                1e6 * cn(6, 6), stack]
+    # a low-rank product's zero eigenvalues come out near eps * lambda_max in
+    # either method, and at high SNR each adds up to 1e-11 of relative
+    # capacity (against a 40-digit determinant): compared at low SNR only
+    products = [cn(9, 2) @ cn(2, 81), cn(81, 3) @ cn(3, 10), cn(2, 6, 2) @ cn(2, 2, 6),
+                np.outer(cn(8), cn(12))]
+    for g, powers in [(g, (0.0, 1e-3, 2.5, 81.0, 1e4)) for g in channels] + [
+            (g, (0.0, 1e-3, 2.5)) for g in products]:
+        for power in powers:
+            for noise in (0.3, 1.0):
+                got = capacity_equal_power(g, power, noise)
+                want = equal_power_oracle(g, power, noise)[0]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        powers = np.reshape(powers, (-1,) + (1,) * (g.ndim - 2))
+        got = capacity_equal_power(g, powers, 0.7)
+        assert got.shape == (len(powers),) + g.shape[:-2]
+        np.testing.assert_allclose(got, equal_power_oracle(g, powers, 0.7)[0], rtol=1e-12,
+                                   atol=0.0)
 
 
 def test_stacked_waterfilling_members_match_their_own_calls_exactly():

@@ -19,7 +19,9 @@ from emchan import (DenselySpacedScenario, EmCoreValidationScenario, NearFieldSc
                     write_results)
 from emchan import scenario as sc
 from emchan.cdl import bundled_cdl_b, mixture_from_clusters
+from emchan.capacity import capacity_waterfilling
 from emchan.emcore import WaveContext
+from emchan.errors import NumericalError
 from emchan.patterns import PatternSet, dipole, unit_gain
 from emchan.seeds import STUDY_IDS, realization_rng
 from emchan.tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
@@ -96,6 +98,15 @@ def test_engine_matches_per_realization_oracle():
     assert np.allclose(caps, want, rtol=1e-12, atol=0.0)
 
 
+def householder_row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float):
+    """Water-filling capacity of h on the orthonormal basis V = conj(Q) of the
+    estimate's row space, from the Householder QR estimate^T = Q R; both may
+    carry a leading trial axis."""
+    q, _ = np.linalg.qr(estimate.swapaxes(-1, -2))
+    return capacity_waterfilling(np.vecdot(q.swapaxes(-1, -2)[..., None, :, :], h[..., None, :]),
+                                 power, 1.0).capacity
+
+
 def tri_pol_trial_oracle(i: int, payload) -> tuple:
     """(joint capacity, benchmark capacity, joint MSE, benchmark MSE) of tri-pol
     trial i alone: one channel, one call per step."""
@@ -116,8 +127,8 @@ def tri_pol_trial_oracle(i: int, payload) -> tuple:
     _, err_bench = scalar_aligned(bench, h)
 
     power = 10.0 ** (pilot_snr_db / 10.0)
-    return (studies._row_space_capacity(h, est.assembled, power),
-            studies._row_space_capacity(h, bench, power), err_joint**2, err_bench**2)
+    return (householder_row_space_capacity(h, est.assembled, power),
+            householder_row_space_capacity(h, bench, power), err_joint**2, err_bench**2)
 
 
 @pytest.mark.parametrize("ue_ports", [8, 12])
@@ -132,6 +143,71 @@ def test_tri_pol_chunks_match_per_trial_oracle(ue_ports):
     want = np.array([tri_pol_trial_oracle(i, payload) for i in range(count)])
     assert rows.shape == want.shape == (count, 4)
     np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("ue_ports", [8, 12])
+def test_cholesky_qr_row_space_capacity_matches_householder_oracle(ue_ports):
+    rng = np.random.default_rng(ue_ports)
+    q = ue_ports // 4
+    for seed in range(6):
+        channel = simulate_tripol_channel(rx_ports=(q, 2 * q, q), tx_ports=(128, 128, 0),
+                                          z_gain_db=-10.0, xpr_db=8.0,
+                                          rng=[500 + 10 * seed + k for k in range(7)])
+        h = channel.matrix
+        assert h.shape == (7, ue_ports, 256)
+        snr = rng.uniform(-5.0, 25.0, size=h.shape[:2])
+        estimate = benchmark_uplink_only(channel, snr, [900 + 10 * seed + k for k in range(7)])
+        for power in (0.1, 10.0, 1e3):
+            got = studies._row_space_capacity(h, estimate, power)
+            assert got.shape == (7,)
+            np.testing.assert_allclose(got, householder_row_space_capacity(h, estimate, power),
+                                       rtol=1e-12, atol=0.0)
+            # one trial alone gives what it gives in the stack
+            assert studies._row_space_capacity(h[3], estimate[3], power) == got[3]
+    # more receive ports than transmit ports: the row space is everything
+    channel = simulate_tripol_channel(rx_ports=(q, 2 * q, q), tx_ports=(3, 3, 0),
+                                      rng=[1, 2, 3])
+    estimate = benchmark_uplink_only(channel, np.full((3, ue_ports), 10.0), [4, 5, 6])
+    np.testing.assert_allclose(studies._row_space_capacity(channel.matrix, estimate, 10.0),
+                               householder_row_space_capacity(channel.matrix, estimate, 10.0),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_row_space_capacity_of_a_rank_deficient_estimate_raises():
+    channel = simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(128, 128, 0),
+                                      z_gain_db=-10.0, xpr_db=8.0, rng=[1, 2])
+    estimate = channel.matrix.copy()
+    estimate[1, 5] = 0.0  # a port with no estimate leaves a 7-dimensional row space
+    with pytest.raises(NumericalError, match="deficient rank"):
+        studies._row_space_capacity(channel.matrix, estimate, 10.0)
+
+
+def test_capacity_kernels_take_no_eigendecomposition_or_qr_they_do_not_need(monkeypatch):
+    """Equal power is a Cholesky log-det, so densely-spaced makes no
+    eigvalsh call; the tri-pol row space is Cholesky-QR, so its chunk makes
+    no QR."""
+    counts = {"eigvalsh": 0, "qr": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    scn = load_scenario(os.path.join(SCENARIOS, "densely_spaced.json"))
+    studies.run_study(scn, scale=0.05)
+    assert counts["eigvalsh"] == 0 and counts["qr"] > 0
+    counts.update(eigvalsh=0, qr=0)
+    scn = load_scenario(os.path.join(SCENARIOS, "tripol.json"))
+    half = scn.bs_ports // 2
+    payload = (5, STUDY_IDS[sc.TRI_POL], scn.rx_split(), (half, scn.bs_ports - half, 0),
+               scn.z_gain_db, scn.xpr_db, scn.pilot_snr_db)
+    studies._tri_pol_chunk(0, studies._CHUNK, payload)
+    assert counts["qr"] == 0 and counts["eigvalsh"] == 2
 
 
 def _tables(tmp_path, tag, scenarios, jobs) -> dict:
@@ -371,16 +447,16 @@ def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     calls = []
-    powers = []
+    capacity_calls = []
     real = studies.assemble_channel
     real_capacity = studies.capacity_equal_power
 
     def counted(*args):
-        calls.append(args[1].shape)  # stacked receive factors: (spacings, rows, 2 x support)
+        calls.append((args[1], args[2].shape))  # receive side, polarized draws
         return real(*args)
 
     def counted_capacity(g, power, noise_power):
-        powers.append(np.shape(power))
+        capacity_calls.append((g.shape, np.shape(power)))
         return real_capacity(g, power, noise_power)
 
     monkeypatch.setattr(studies, "assemble_channel", counted)
@@ -389,16 +465,21 @@ def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     studies._densely_spaced_capacities(scn, 5, 2 * studies._CHUNK, jobs=1)
     # ideal (isotropic, unit), ni (CDL-B, unit), ni-pd and proposed (CDL-B, dipole);
     # the schemes of one assembly share its capacity call
-    assert len(calls) == 2 * 3
-    assert all(shape[0] == len(scn.rx_spacing_wavelengths) for shape in calls)
-    assert sorted(powers) == [(1, 1, 1)] * 4 + [(2, 1, 1)] * 2
+    assert len(calls) == len(capacity_calls) == 2 * 3
+    # T = H_pol Psi_S^H is assembled once per chunk, with the identity for the
+    # receive side, and every rx spacing's channel is 2B x 2B (B = 5 on 1 wavelength)
+    spacings = len(scn.rx_spacing_wavelengths)
+    for rx, draws in calls:
+        assert np.array_equal(rx, np.eye(10)) and draws == (studies._CHUNK, 10, 98)
+    assert all(g == (spacings, studies._CHUNK, 10, 10) for g, _ in capacity_calls)
+    assert sorted(power for _, power in capacity_calls) == [(1, 1, 1)] * 4 + [(2, 1, 1)] * 2
 
     calls.clear()
-    powers.clear()
+    capacity_calls.clear()
     scn = DenselySpacedScenario(name="pd", schemes=("ni-pd", "proposed"), realizations=3)
     studies._densely_spaced_capacities(scn, 5, 3, jobs=1)
     assert len(calls) == 1
-    assert powers == [(2, 1, 1)]
+    assert capacity_calls == [((spacings, 3, 10, 10), (2, 1, 1))]
 
 
 def test_padded_stacked_rx_factors_match_per_spacing_channels():

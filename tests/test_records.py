@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from emchan import nearfield, studies, tripol
-from emchan.capacity import capacity_equal_power
+from emchan.capacity import capacity_waterfilling
 from emchan.emcore import delta_aperture, delta_ports
 from emchan.wavenumber import EfficiencyMatrix
 
@@ -44,7 +44,7 @@ def _examples():
     grouping = tripol.group_ports(np.mean(np.abs(channel.matrix) ** 2, axis=1))
     geom = nearfield.ArrayGeometry(tx_positions=pts, rx_positions=pts + [0.0, 0.0, 5.0])
     return [
-        capacity_equal_power(np.eye(2), 1.0, 1.0),
+        capacity_waterfilling(np.eye(2), 1.0, 1.0),
         delta_aperture(pts),
         delta_ports(2, "combining")[0],
         nearfield.MotionState(),

@@ -122,6 +122,35 @@ def test_non_finite_numbers_are_invalid(tmp_path, capsys, command, study, field,
     assert exc.value.messages == [f"{field}: must be finite, got {bad!r}"]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("study, field, value", [
+    ("tri-pol", "pilot_snr_db", "1" + "0" * 400),
+    ("near-field", "drop_distances_m", "[5.0, 1" + "0" * 400 + "]"),
+    ("near-field", "drop_distances_m", "[-1" + "0" * 400 + "]"),
+    ("em-core-validation", "region_cases", "[[28e9, 0.3], [1" + "0" * 400 + ", 0.3]]"),
+    ("densely-spaced", "tx_side_wavelengths", "1" + "0" * 400),
+    ("densely-spaced", "rx_spacing_wavelengths", "[0.5, 1" + "0" * 400 + "]"),
+], ids=["snr", "distance", "negative-distance", "nested-entry", "side", "spacing"])
+def test_integers_too_large_for_a_float_are_out_of_range(tmp_path, capsys, command, study, field,
+                                                         value):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"study": "{study}", "name": "s", "{field}": {value}}}')
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"invalid: {field}: out of range\n"
+    assert not (tmp_path / "o").exists()
+    # a scenario built in code is checked by the run as well
+    big = json.loads(value)
+    if isinstance(big, list):
+        big = tuple(tuple(v) if isinstance(v, list) else v for v in big)
+    scn = dataclasses.replace(scenario_from_dict({"study": study, "name": "s"}), **{field: big})
+    with pytest.raises(ValidationError) as exc:
+        run_study(scn)
+    assert exc.value.messages == [f"{field}: out of range"]
+    # an integer field takes any size
+    assert scenario_from_dict({"study": study, "name": "s", "master_seed": 10**400})
+
+
 def test_cluster_weights_counted_against_the_table_the_run_loads(tmp_path):
     n = bundled_cdl_b().count
     weights = [1.0] + [0.0] * (n - 1)
@@ -442,7 +471,7 @@ def test_cli_run_non_finite_capacity_exit_two_writes_nothing(tmp_path, capsys, m
     real = studies.capacity_equal_power
 
     def nan_capacity(g, power, noise_power):
-        return dataclasses.replace(real(g, power, noise_power), capacity=float("nan"))
+        return np.full(np.shape(real(g, power, noise_power)), np.nan)
 
     monkeypatch.setattr(studies, "capacity_equal_power", nan_capacity)
     scn = DenselySpacedScenario(name="nan", **SMALL_BASES[DenselySpacedScenario])
