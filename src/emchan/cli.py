@@ -78,12 +78,7 @@ def _work_estimate(scn) -> str:
 
 
 def _cmd_validate(path: str) -> int:
-    try:
-        scn = load_scenario(path)
-    except ValidationError as exc:
-        for message in exc.messages:
-            print(f"invalid: {message}", file=sys.stderr)
-        return 1
+    scn = sc._read_scenario(path)  # binds no study: validation runs none
     print(f"valid: {scn.study} scenario {scn.name!r} (hash {scenario_hash(scn)})")
     print(f"work: {_work_estimate(scn)}")
     return 0
@@ -109,21 +104,14 @@ def _log_blas() -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-    except ValidationError as exc:
-        for message in exc.messages:
-            print(f"invalid: {message}", file=sys.stderr)
-        return 1
+    scn = load_scenario(args.scenario)
     if log.isEnabledFor(logging.INFO):  # only then read /proc/self/maps
         _log_blas()
     seed = scn.master_seed if args.seed is None else args.seed
     try:
         tables = run_study(scn, seed=seed, scale=args.scale, jobs=args.jobs)
-    except ValidationError as exc:
-        for message in exc.messages:
-            print(f"invalid: {message}", file=sys.stderr)
-        return 1
+    except ValidationError:
+        raise
     except EmchanError as exc:
         print(f"error: {scn.study} run failed: {exc}", file=sys.stderr)
         return 2
@@ -153,6 +141,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args.scenario)
         return _cmd_list_studies()
+    except ValidationError as exc:
+        for message in exc.messages:
+            print(f"invalid: {message}", file=sys.stderr)
+        return 1
     except EmchanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ every violation instead of stopping at the first.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -134,74 +135,41 @@ _SCENARIO_TYPES = {
 }
 
 
-def _tupled(value):
+# The entry type of the fields whose default is None: a value other than None
+# must have this stand-in's type, as every other field its default's.
+_OPTIONAL_TYPES = {"cluster_table": "", "cluster_weights": (0.0,)}
+
+_EXPECTED = {bool: "true/false", int: "an integer", float: "a number", str: "a string",
+             tuple: "a list"}
+
+
+def _problem(value, like) -> str | None:
+    """What keeps `value` from standing in for `like`, or None. A value must
+    have like's type (a number may be an integer); a list's entries must each
+    stand in for like[0]; a float must be finite."""
+    kind = next(k for k in _EXPECTED if isinstance(like, k))
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        return f"expected {_EXPECTED[kind]}, got {value!r}"
+    if kind is tuple:
+        return next(filter(None, (_problem(v, like[0]) for v in value)), None)
+    try:
+        if kind is float and not math.isfinite(value):
+            return f"must be finite, got {value!r}"
+    except OverflowError:  # JSON reads integers of any size
+        return "out of range"
+    return None
+
+
+def _from_json(value, default):
+    """A JSON value as the field holds it: lists as tuples, and an integer as a
+    float where the default is one (validate_scenario reports one too large)."""
     if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
-
-def _coerce(field: dataclasses.Field, value, errors: list) -> object:
-    name = field.name
-    default = field.default
-    value = _tupled(value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            errors.append(f"{name}: expected true/false, got {value!r}")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{name}: expected an integer, got {value!r}")
-            return default
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{name}: expected a number, got {value!r}")
-            return default
-        try:
+        return tuple(_from_json(v, None) for v in value)
+    if isinstance(default, float) and type(value) is int:
+        with contextlib.suppress(OverflowError):
             return float(value)
-        except OverflowError:
-            return value  # validate_scenario reports it out of range
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            errors.append(f"{name}: expected a string, got {value!r}")
-            return default
-        return value
-    if isinstance(default, tuple):
-        if not isinstance(value, tuple):
-            errors.append(f"{name}: expected a list, got {value!r}")
-            return default
-        return value
-    # remaining defaults are None (optional str/tuple)
     return value
-
-
-def _numbers(value):
-    """The numbers in a field value, in list entries at any depth too."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield value
-    elif isinstance(value, tuple):
-        for v in value:
-            yield from _numbers(v)
-
-
-def _finite(scn, errors) -> bool:
-    """JSON reads NaN and Infinity as floats, and integers of any size; no
-    field but an integer one (a seed, a count) may hold one that is not a
-    finite float. False if an integer is too large for a float."""
-    in_range = True
-    for f in dataclasses.fields(scn):
-        if isinstance(f.default, int) and not isinstance(f.default, bool):
-            continue
-        for v in _numbers(getattr(scn, f.name)):
-            try:
-                if not math.isfinite(v):
-                    errors.append(f"{f.name}: must be finite, got {v!r}")
-                    break
-            except OverflowError:
-                errors.append(f"{f.name}: out of range")
-                in_range = False
-                break
-    return in_range
 
 
 def _positive(scn, names, errors, strict=True):
@@ -224,7 +192,7 @@ def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
     `cluster_table`. None, with the reason in `errors`, if it cannot be read."""
     if scn.cluster_table is None:
         return bundled_cdl_b().count
-    if not (isinstance(scn.cluster_table, str) and Path(scn.cluster_table).is_file()):
+    if not Path(scn.cluster_table).is_file():
         errors.append(f"cluster_table: file not found: {scn.cluster_table!r}")
         return None
     try:
@@ -235,10 +203,22 @@ def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
 
 
 def validate_scenario(scn) -> list[str]:
-    """Every violated invariant as one message; empty list when valid."""
+    """Every violated invariant as one message; empty list when valid. A field
+    whose value does not have its default's type, or holds a float that is not
+    finite, is reported once; the checks after that see its default in its
+    place and skip the cross-field checks that read it."""
     errors: list[str] = []
-    if not _finite(scn, errors):
-        return errors  # the checks below compute with the fields as floats
+    bad = {}
+    for f in dataclasses.fields(scn):
+        value = getattr(scn, f.name)
+        if value is None and f.default is None:
+            continue
+        problem = _problem(value, _OPTIONAL_TYPES[f.name] if f.default is None else f.default)
+        if problem:
+            errors.append(f"{f.name}: {problem}")
+            bad[f.name] = f.default
+    if bad:
+        scn = dataclasses.replace(scn, **bad)
     if isinstance(scn, DenselySpacedScenario):
         _counts(scn, ["realizations", "quadrature_order"], errors)
         _positive(scn, ["tx_side_wavelengths", "rx_side_wavelengths",
@@ -250,7 +230,7 @@ def validate_scenario(scn) -> list[str]:
         if not scn.rx_spacing_wavelengths:
             errors.append("rx_spacing_wavelengths: need at least one spacing")
         for s in scn.rx_spacing_wavelengths:
-            if not (isinstance(s, (int, float)) and s > 0):
+            if not s > 0:
                 errors.append(f"rx_spacing_wavelengths: spacing must be positive, got {s!r}")
         if not 0.0 < scn.element_efficiency <= 1.0:
             errors.append(f"element_efficiency: must lie in (0, 1], got {scn.element_efficiency!r}")
@@ -270,18 +250,19 @@ def validate_scenario(scn) -> list[str]:
         for side, spacings in (("tx", (scn.tx_spacing_wavelengths,)),
                                ("rx", scn.rx_spacing_wavelengths)):
             length = getattr(scn, f"{side}_side_wavelengths")
+            if {f"{side}_side_wavelengths", f"{side}_spacing_wavelengths"} & bad.keys():
+                continue
             for s in spacings:
                 try:
-                    if length > 0 and isinstance(s, (int, float)) and s > 0:
+                    if length > 0 and s > 0:
                         grid_intervals(length * lam, s * lam)
                 except DomainError as exc:
                     errors.append(f"{side}_spacing_wavelengths: {exc} "
                                   f"(side {length!r}, spacing {s!r})")
-        clusters = _cluster_count(scn, errors)
+        clusters = None if "cluster_table" in bad else _cluster_count(scn, errors)
         if scn.cluster_weights is not None:
             ws = scn.cluster_weights
-            if not isinstance(ws, tuple) or any(not isinstance(w, (int, float)) or w < 0
-                                                for w in ws):
+            if any(w < 0 for w in ws):
                 errors.append(f"cluster_weights: expected nonnegative numbers, got {ws!r}")
             else:
                 total = float(sum(ws))
@@ -297,10 +278,9 @@ def validate_scenario(scn) -> list[str]:
         if not scn.drop_distances_m:
             errors.append("drop_distances_m: need at least one distance")
         for d in scn.drop_distances_m:
-            if not (isinstance(d, (int, float)) and d > 0):
+            if not d > 0:
                 errors.append(f"drop_distances_m: distance must be positive, got {d!r}")
-        if len(scn.velocity_mps) != 3 or any(not isinstance(v, (int, float))
-                                             for v in scn.velocity_mps):
+        if len(scn.velocity_mps) != 3:
             errors.append("velocity_mps: expected three numbers")
     elif isinstance(scn, TriPolScenario):
         _counts(scn, ["cells", "ues_per_cell", "bs_ports"], errors)
@@ -309,19 +289,17 @@ def validate_scenario(scn) -> list[str]:
         if not scn.percentiles:
             errors.append("percentiles: need at least one percentile")
         for p in scn.percentiles:
-            if not (isinstance(p, (int, float)) and 0.0 < p < 100.0):
+            if not 0.0 < p < 100.0:
                 errors.append(f"percentiles: must lie in (0, 100), got {p!r}")
     elif isinstance(scn, EmCoreValidationScenario):
-        if not (isinstance(scn.samples, int) and scn.samples >= 1
-                and scn.samples % EM_CORE_SWEEP_POINTS == 0):
+        if not (scn.samples >= 1 and scn.samples % EM_CORE_SWEEP_POINTS == 0):
             errors.append(f"samples: must be a positive multiple of {EM_CORE_SWEEP_POINTS}, "
                           f"the sweep points, got {scn.samples!r}")
         _positive(scn, ["k0r_min"], errors)
-        if not scn.k0r_max > scn.k0r_min:
+        if not {"k0r_min", "k0r_max"} & bad.keys() and not scn.k0r_max > scn.k0r_min:
             errors.append(f"k0r_max: must exceed k0r_min, got {scn.k0r_max!r}")
         for case in scn.region_cases:
-            if (not isinstance(case, tuple) or len(case) != 2
-                    or any(not isinstance(v, (int, float)) or v <= 0 for v in case)):
+            if len(case) != 2 or any(v <= 0 for v in case):
                 errors.append(f"region_cases: expected [frequency_hz, aperture_m] pairs, got {case!r}")
     if scn.master_seed < 0:
         errors.append(f"master_seed: must be nonnegative, got {scn.master_seed!r}")
@@ -349,18 +327,16 @@ def scenario_from_dict(payload: dict) -> object:
         if key not in fields:
             errors.append(f"{key}: unknown field for study {study!r}")
             continue
-        kwargs[key] = _coerce(fields[key], value, errors)
+        kwargs[key] = _from_json(value, fields[key].default)
     scn = cls(**kwargs)
     errors.extend(validate_scenario(scn))
     if errors:
         raise ValidationError(errors)
-    # the study's channel modules load with its scenario, before any run
-    from .studies import _bind_study
-    _bind_study(study)
     return scn
 
 
-def load_scenario(path) -> object:
+def _read_scenario(path) -> object:
+    """The scenario in a JSON file, checked as scenario_from_dict checks it."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -373,6 +349,15 @@ def load_scenario(path) -> object:
             [f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     return scenario_from_dict(payload)
+
+
+def load_scenario(path) -> object:
+    """The scenario in a JSON file, with its study's channel modules loaded,
+    so that a run of it imports nothing."""
+    scn = _read_scenario(path)
+    from .studies import _bind_study
+    _bind_study(scn.study)
+    return scn
 
 
 def serialize_scenario(scn) -> dict:

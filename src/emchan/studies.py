@@ -12,6 +12,7 @@ import ctypes
 import dataclasses
 import functools
 import importlib
+import math
 import os
 import re
 
@@ -29,8 +30,8 @@ VERSION = "1.0.0"
 
 # The channel-module names each study's runner calls, by module; a name equal
 # to its module's is the module itself (the near-field runner calls through
-# it). They are bound into this namespace when a scenario of the study is
-# built (scenario_from_dict), and on first use by run_study and by the
+# it). They are bound into this namespace when a scenario file of the study
+# is loaded (load_scenario), and on first use by run_study and by the
 # functions that spawned workers or tests call alone, so a process imports
 # only the modules of the studies it runs, and imports them before the study
 # starts.
@@ -522,12 +523,16 @@ def run_study(scn, seed: int | None = None, scale: float = 1.0,
               jobs: int = 1) -> dict[str, ResultTable]:
     """Run one study; returns result tables keyed by table name."""
     problems = validate_scenario(scn)
+    if seed is not None and seed < 0:
+        problems.append(f"seed: must be nonnegative, got {seed!r}")
+    if not math.isfinite(scale):
+        problems.append(f"scale: must be finite, got {scale!r}")
+    elif scale <= 0:
+        problems.append("scale: must be positive")
+    if jobs < 1:
+        problems.append("jobs: must be >= 1")
     if problems:
         raise ValidationError(problems)
-    if scale <= 0:
-        raise ValidationError(["scale: must be positive"])
-    if jobs < 1:
-        raise ValidationError(["jobs: must be >= 1"])
     _bind_study(scn.study)  # a scenario built in code
     effective = scn.master_seed if seed is None else int(seed)
     blas = _one_blas_thread() if scn.study in _ONE_BLAS_THREAD else contextlib.nullcontext()

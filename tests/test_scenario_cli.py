@@ -33,7 +33,7 @@ from emchan import (
     validate_scenario,
     write_results,
 )
-from emchan import studies
+from emchan import scenario, studies
 from emchan.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -151,6 +151,56 @@ def test_integers_too_large_for_a_float_are_out_of_range(tmp_path, capsys, comma
     assert scenario_from_dict({"study": study, "name": "s", "master_seed": 10**400})
 
 
+@pytest.mark.parametrize("cls, field, value", [
+    (DenselySpacedScenario, "realizations", "5"),
+    (DenselySpacedScenario, "rx_spacing_wavelengths", 0.25),
+    (NearFieldScenario, "drop_distances_m", 5.0),
+    (TriPolScenario, "percentiles", 50.0),
+    (DenselySpacedScenario, "snr_db", "x"),
+    (NearFieldScenario, "bs_elements", 2.5),
+    (TriPolScenario, "cells", True),
+    (DenselySpacedScenario, "schemes", "ideal"),
+])
+def test_code_built_fields_of_another_type_are_invalid(cls, field, value):
+    # a scenario built in code gets the type checks a scenario file gets
+    scn = cls(**{field: value})
+    messages = validate_scenario(scn)
+    assert len(messages) == 1
+    assert messages[0].startswith(f"{field}: expected ") and messages[0].endswith(f", got {value!r}")
+    with pytest.raises(ValidationError) as exc:
+        run_study(scn)
+    assert exc.value.messages == messages
+
+
+def _other_types(like) -> list:
+    """Values that do not have the type of `like`; for a list, also one entry
+    that does not have the type of its first entry."""
+    if isinstance(like, bool):
+        return [1, "true"]
+    if isinstance(like, int):
+        return [2.5, True, "1"]
+    if isinstance(like, float):
+        return ["1.0", True]
+    if isinstance(like, str):
+        return [5, True, (like,)]
+    if isinstance(like, tuple):
+        return [like[0], "x"] + [(like[0], wrong) for wrong in _other_types(like[0])]
+    pytest.fail(f"no type rule for {like!r}")
+
+
+@pytest.mark.parametrize("cls", [DenselySpacedScenario, NearFieldScenario, TriPolScenario,
+                                 EmCoreValidationScenario])
+def test_every_field_is_checked_against_its_default_type(cls):
+    assert validate_scenario(cls()) == []
+    for f in dataclasses.fields(cls):
+        like = scenario._OPTIONAL_TYPES.get(f.name) if f.default is None else f.default
+        assert like is not None, f"{cls.__name__}.{f.name}: name its entry type in _OPTIONAL_TYPES"
+        for value in _other_types(like):
+            messages = validate_scenario(cls(**{f.name: value}))
+            assert len(messages) == 1, (f.name, value, messages)
+            assert messages[0].startswith(f"{f.name}: "), (f.name, value, messages)
+
+
 def test_cluster_weights_counted_against_the_table_the_run_loads(tmp_path):
     n = bundled_cdl_b().count
     weights = [1.0] + [0.0] * (n - 1)
@@ -247,7 +297,8 @@ def test_bundled_scenarios_are_valid():
 
 # Run in a fresh interpreter: reports the scipy and process-pool modules
 # `import emchan` loads, and per scenario file the numpy, scipy or
-# process-pool modules its jobs=1 run_study loads.
+# process-pool modules its jobs=1 run_study loads; with the command
+# "validate", those `emchan validate` loads instead.
 _MODULE_PROBE = """
 import json, sys
 from pathlib import Path
@@ -256,21 +307,28 @@ POOL = ("multiprocessing", "concurrent.futures.process")
 import emchan
 report = {"import emchan": sorted(m for m in sys.modules
                                   if m.startswith(("emchan.", "scipy") + POOL))}
-for path in sys.argv[1:]:
-    scn = emchan.load_scenario(path)
-    loaded = set(sys.modules)
-    emchan.run_study(scn, scale=0.02, jobs=1)
+command, *paths = sys.argv[1:]
+for path in paths:
+    if command == "validate":
+        from emchan.cli import main
+        loaded = set(sys.modules)
+        assert main(["validate", path]) == 0
+    else:
+        scn = emchan.load_scenario(path)
+        loaded = set(sys.modules)
+        emchan.run_study(scn, scale=0.02, jobs=1)
     report[Path(path).name] = sorted(m for m in set(sys.modules) - loaded
                                      if m.startswith(("emchan.", "numpy.", "scipy") + POOL))
 print(json.dumps({"phases": report, "loaded": sorted(sys.modules)}))
 """
 
 
-def _probe_modules(*names: str) -> dict:
+def _probe_modules(*names: str, command: str = "run") -> dict:
     src = Path(studies.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *(str(SCENARIOS / n) for n in names)],
+    out = subprocess.run([sys.executable, "-c", _MODULE_PROBE, command,
+                          *(str(SCENARIOS / n) for n in names)],
                          env=env, capture_output=True, text=True, timeout=300, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -296,6 +354,17 @@ def test_a_process_loads_only_the_modules_of_its_studies(files, never):
     loaded = set(probe["loaded"])
     assert {"emchan.studies", "emchan.scenario"} <= loaded
     assert not loaded & set(never)
+
+
+def test_validate_loads_no_channel_module():
+    """`emchan validate` checks a file without binding its study: only
+    `load_scenario` (and so `run`) loads the channel modules."""
+    files = ("nearfield_6p7ghz.json", "nearfield_15ghz.json", "tripol.json",
+             "emcore_validation.json")
+    loaded = set(_probe_modules(*files, command="validate")["loaded"])
+    assert {"emchan.cli", "emchan.scenario"} <= loaded
+    assert not loaded & {"emchan.nearfield", "emchan.patterns", "emchan.tripol",
+                         "emchan.capacity", "emchan.wavenumber"}
 
 
 def test_result_table_roundtrip(tmp_path):
@@ -334,12 +403,27 @@ def test_read_result_json_rejects_other_versions(tmp_path):
         read_result_json(path)
 
 
-def test_run_study_rejects_bad_arguments():
+def test_run_study_rejects_bad_arguments(tmp_path, capsys):
     scn = scenario_from_dict({"study": "em-core-validation", "name": "v", "samples": 25})
     with pytest.raises(ValidationError):
         run_study(scn, scale=0.0)
     with pytest.raises(ValidationError):
         run_study(scn, jobs=0)
+    for kwargs, message in (({"seed": -1}, "seed: must be nonnegative, got -1"),
+                            ({"scale": math.nan}, "scale: must be finite, got nan"),
+                            ({"scale": math.inf}, "scale: must be finite, got inf")):
+        with pytest.raises(ValidationError) as exc:
+            run_study(scn, **kwargs)
+        assert exc.value.messages == [message]
+    tri = scenario_from_dict({"study": "tri-pol", "name": "t", "cells": 1, "ues_per_cell": 2})
+    with pytest.raises(ValidationError) as exc:
+        run_study(tri, scale=math.nan)
+    assert exc.value.messages == ["scale: must be finite, got nan"]
+    path = save_scenario(scn, tmp_path / "v.json")
+    for option in (["--seed", "-1"], ["--scale", "nan"]):
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), *option]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid: {option[0][2:]}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_validate_and_exit_codes(tmp_path, capsys):
