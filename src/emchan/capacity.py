@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +43,16 @@ def capacity_equal_power(g: np.ndarray, power, noise_power: float) -> float | np
     """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams, as 2 sum
     log2 diag(L) for the Cholesky factor L of that (positive definite) matrix
     on the smaller side. G may carry stack axes and ``power`` may broadcast
-    against them; each (power, matrix) pair gives exactly what it gives alone."""
+    against them; each (power, matrix) pair gives exactly what it gives alone.
+    Where rounding leaves that matrix not positive definite (SNR times the
+    largest eigenvalue beyond about 1/eps), NumericalError is raised."""
     gram = _gram(g, power, noise_power)
     a = np.asarray(power, dtype=float)[..., None, None] / (np.shape(g)[-1] * noise_power) * gram
-    pivots = np.diagonal(np.linalg.cholesky(a + np.eye(a.shape[-1])), axis1=-2, axis2=-1).real
+    try:
+        chol = np.linalg.cholesky(a + np.eye(a.shape[-1]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("I + P/(K sigma^2) G G^H is not positive definite") from exc
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
     cap = 2.0 * np.sum(np.log2(pivots), axis=-1)
     return float(cap) if cap.ndim == 0 else cap
 

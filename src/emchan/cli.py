@@ -17,7 +17,7 @@ from .errors import EmchanError, ValidationError
 from .results import write_results
 from . import scenario as sc
 from .scenario import STUDIES, load_scenario, scenario_hash
-from .studies import _blas_controls, _blas_paths, manifest_text, run_study
+from .studies import _blas_libraries, manifest_text, run_study
 
 log = logging.getLogger("emchan")
 
@@ -94,8 +94,7 @@ def _log_blas() -> None:
     """One INFO line: each loaded BLAS library with its thread count, and
     whether emchan set the count numpy started with."""
     libraries = []
-    for path in _blas_paths():
-        pairs, _ = _blas_controls(path)
+    for path, pairs, _ in _blas_libraries():
         threads = ", ".join(str(get_threads()) for get_threads, _ in pairs) or "unknown"
         libraries.append(f"{os.path.basename(path)} on {threads} thread(s)")
     start = ("set to 1 by emchan" if _blas_start_pinned

@@ -35,6 +35,12 @@ REFERENCE_FREQUENCY_HZ = 4.7e9
 # (7.7 MB and 0.3 s at n = 1000), so larger orders are refused.
 MAX_QUADRATURE_ORDER = 1000
 
+# A field in dB (name ending in _db) enters the studies as 10 ** (x / 10),
+# and products of such powers with channel gains. A ratio of 1e30 lies far
+# beyond any physical one and keeps them inside the float range; 1e6 dB
+# overflows. So dB fields must lie within +-MAX_ABS_DB.
+MAX_ABS_DB = 300.0
+
 # k0*r points of the em-core sweep; each runs samples / EM_CORE_SWEEP_POINTS
 # random directions, so samples must be a multiple of it.
 EM_CORE_SWEEP_POINTS = 25
@@ -204,9 +210,10 @@ def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
 
 def validate_scenario(scn) -> list[str]:
     """Every violated invariant as one message; empty list when valid. A field
-    whose value does not have its default's type, or holds a float that is not
-    finite, is reported once; the checks after that see its default in its
-    place and skip the cross-field checks that read it."""
+    whose value does not have its default's type, holds a float that is not
+    finite or lies beyond MAX_ABS_DB in dB, is reported once; the checks after
+    that see its default in its place and skip the cross-field checks that
+    read it."""
     errors: list[str] = []
     bad = {}
     for f in dataclasses.fields(scn):
@@ -214,6 +221,8 @@ def validate_scenario(scn) -> list[str]:
         if value is None and f.default is None:
             continue
         problem = _problem(value, _OPTIONAL_TYPES[f.name] if f.default is None else f.default)
+        if not problem and f.name.endswith("_db") and not -MAX_ABS_DB <= value <= MAX_ABS_DB:
+            problem = f"must lie within +-{MAX_ABS_DB:g} dB, got {value!r}"
         if problem:
             errors.append(f"{f.name}: {problem}")
             bad[f.name] = f.default

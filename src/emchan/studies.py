@@ -114,25 +114,18 @@ def _blas_controls(path: str) -> tuple[tuple, object]:
     return tuple(pairs), shutdown
 
 
-def _blas_paths() -> list[str]:
-    """Paths of the lib*blas* libraries mapped into this process.
-
-    They are listed from /proc/self/maps on each call, because one library
-    can load after another (scipy brings its own OpenBLAS); where the file is
-    missing, the list is empty.
-    """
+def _blas_libraries() -> list[tuple[str, tuple, object]]:
+    """(path, *_blas_controls(path)) of each lib*blas* library mapped into
+    this process, listed from /proc/self/maps on each call, because one can
+    load after another (scipy brings its own OpenBLAS); empty where that file
+    is missing."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh}
     except OSError:
         return []
-    return [path for path in sorted(paths)
+    return [(path, *_blas_controls(path)) for path in sorted(paths)
             if path.startswith("/") and re.match(r"lib.*blas", os.path.basename(path).lower())]
-
-
-def _loaded_blas() -> list[tuple[tuple, object]]:
-    """_blas_controls of every BLAS library mapped into this process."""
-    return [_blas_controls(path) for path in _blas_paths()]
 
 
 def _pin_blas_threads() -> None:
@@ -144,7 +137,7 @@ def _pin_blas_threads() -> None:
     beside the other workers' work for a while, so the pool is stopped again
     once the count is 1.
     """
-    for pairs, shutdown in _loaded_blas():
+    for _, pairs, shutdown in _blas_libraries():
         for _, set_threads in pairs:
             set_threads(1)
         if pairs and shutdown is not None:
@@ -155,7 +148,7 @@ def _pin_blas_threads() -> None:
 def _one_blas_thread():
     """Run BLAS on one thread inside the block, and give every library its
     previous thread count back afterwards, also on error."""
-    pairs = [pair for library, _ in _loaded_blas() for pair in library]
+    pairs = [pair for _, library, _ in _blas_libraries() for pair in library]
     before = [get_threads() for get_threads, _ in pairs]
     for _, set_threads in pairs:
         set_threads(1)
@@ -167,17 +160,21 @@ def _one_blas_thread():
 
 
 def _map_chunks(func, count: int, jobs: int) -> np.ndarray:
-    """Rows of func(start, stop) for consecutive chunks of range(count), in order."""
+    """Rows of func(start, stop) for consecutive chunks of range(count), in
+    order. A second BLAS thread only spins on the chunks' many small products
+    and factorizations, so BLAS runs on one, here and in each worker."""
     starts = range(0, count, _CHUNK)
     stops = [min(start + _CHUNK, count) for start in starts]
-    if jobs <= 1:
-        parts = list(map(func, starts, stops))
-    else:
-        # the pool's modules (multiprocessing, sockets, ...) load only here
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads) as pool:
-            parts = list(pool.map(func, starts, stops,
-                                  chunksize=max(1, len(stops) // (jobs * 4))))
+    workers = min(jobs, len(stops), os.cpu_count() or 1)
+    with _one_blas_thread():
+        if jobs <= 1:
+            parts = list(map(func, starts, stops))
+        else:
+            # the pool's modules (multiprocessing, sockets, ...) load only here
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
+                parts = list(pool.map(func, starts, stops,
+                                      chunksize=max(1, len(stops) // (workers * 4))))
     return np.concatenate(parts)
 
 
@@ -487,13 +484,6 @@ def _run_em_core(scn: sc.EmCoreValidationScenario, seed: int, scale: float,
 # dispatch
 
 
-# The two Monte Carlo studies run many small matrix products and
-# factorizations, on which a second BLAS thread only spins; they run BLAS on
-# one thread. The near-field and em-core studies keep the process's count:
-# each pin reads /proc/self/maps (0.55-0.58 ms), a cost their short runs
-# would feel, and a process that imports emchan first starts on one thread.
-_ONE_BLAS_THREAD = frozenset({sc.DENSELY_SPACED, sc.TRI_POL})
-
 _RUNNERS = {
     sc.DENSELY_SPACED: _run_densely_spaced,
     sc.NEAR_FIELD: _run_near_field,
@@ -535,9 +525,7 @@ def run_study(scn, seed: int | None = None, scale: float = 1.0,
         raise ValidationError(problems)
     _bind_study(scn.study)  # a scenario built in code
     effective = scn.master_seed if seed is None else int(seed)
-    blas = _one_blas_thread() if scn.study in _ONE_BLAS_THREAD else contextlib.nullcontext()
-    with blas:
-        return _RUNNERS[scn.study](scn, effective, scale, jobs)
+    return _RUNNERS[scn.study](scn, effective, scale, jobs)
 
 
 def axes_note(study: str, table_key: str) -> str:

@@ -3,6 +3,7 @@ import pytest
 
 from emchan import (
     DomainError,
+    NumericalError,
     capacity_equal_power,
     capacity_waterfilling,
     realization_rng,
@@ -76,6 +77,13 @@ def test_rank_one_channel():
     assert np.count_nonzero(res.allocation) == 1
     assert res.allocation[0] == pytest.approx(2.0)
     assert res.capacity == pytest.approx(np.log2(1 + 2.0 * lam), rel=1e-12)
+
+
+def test_equal_power_raises_numerical_error_where_rounding_breaks_positive_definiteness():
+    # I + (1e20 / 4) G G^H of a rank-one G rounds to 1e20 ones((4, 4)), which
+    # is singular, so its Cholesky factorization fails
+    with pytest.raises(NumericalError, match="not positive definite"):
+        capacity_equal_power(np.ones((4, 4)), 1e20, 1.0)
 
 
 def test_equal_eigenvalues_match_equal_power():

@@ -287,17 +287,50 @@ def _worker_thread_rows(start: int, stop: int) -> np.ndarray:
     return np.array([[len(counts), max(counts, default=0)]] * (stop - start))
 
 
-def test_workers_run_blas_on_one_thread():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_workers_run_blas_on_one_thread(jobs):
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("loaded libraries are listed in /proc/self/maps only")
     parent = blas_thread_counts()
     if not parent:
         pytest.skip("no loaded BLAS library exports a thread-count getter")
-    rows = studies._map_chunks(_worker_thread_rows, 4 * studies._CHUNK, jobs=2)
+    rows = studies._map_chunks(_worker_thread_rows, 4 * studies._CHUNK, jobs=jobs)
     assert rows.shape == (4 * studies._CHUNK, 2)
     assert np.all(rows[:, 0] == len(parent))
     assert np.all(rows[:, 1] == 1)
     assert blas_thread_counts() == parent  # the parent process keeps its threads
+
+
+@pytest.mark.parametrize("jobs, chunks, cores, workers", [
+    (2, 1, 2, 1), (8, 3, 16, 3), (8, 5, 2, 2), (4, 40, None, 1), (3, 40, 4, 3)])
+def test_map_chunks_starts_at_most_one_worker_per_chunk_and_core(monkeypatch, jobs, chunks,
+                                                                  cores, workers):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        """Records its arguments and maps in this process."""
+
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, *iterables, chunksize):
+            pools.append(chunksize)
+            return map(func, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    rows = studies._map_chunks(lambda start, stop: np.arange(start, stop), chunks * studies._CHUNK,
+                               jobs)
+    assert np.array_equal(rows, np.arange(chunks * studies._CHUNK))
+    assert pools == [workers, max(1, chunks // (workers * 4))]
 
 
 @pytest.fixture
@@ -306,7 +339,7 @@ def two_blas_threads():
     its own count afterwards; yields the counts the test starts from."""
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("loaded libraries are listed in /proc/self/maps only")
-    pairs = [pair for library, _ in studies._loaded_blas() for pair in library]
+    pairs = [pair for _, library, _ in studies._blas_libraries() for pair in library]
     before = [get_threads() for get_threads, _ in pairs]
     for _, set_threads in pairs:
         set_threads(2)
@@ -318,6 +351,12 @@ def two_blas_threads():
     finally:
         for (_, set_threads), count in zip(pairs, before):
             set_threads(count)
+
+
+def test_serial_map_chunks_runs_blas_on_one_thread(two_blas_threads):
+    rows = studies._map_chunks(_worker_thread_rows, 2 * studies._CHUNK, jobs=1)
+    assert np.all(rows[:, 1] == 1)
+    assert blas_thread_counts() == two_blas_threads
 
 
 def _record_blas_threads(monkeypatch, owner, name) -> list:
@@ -368,6 +407,15 @@ def test_near_field_and_em_core_studies_keep_the_blas_thread_count(two_blas_thre
     assert seen and em_seen
     assert set(seen + em_seen) == {max(two_blas_threads)}
     assert blas_thread_counts() == two_blas_threads
+
+
+def test_near_field_and_em_core_studies_do_not_look_up_blas(monkeypatch):
+    """Only the Monte Carlo chunks pin BLAS, so the short studies never read
+    /proc/self/maps."""
+    monkeypatch.setattr(studies, "_blas_libraries", lambda: pytest.fail("BLAS looked up"))
+    studies.run_study(NearFieldScenario(name="nf", bs_elements=8, ue_elements=2,
+                                        drop_distances_m=(5.0,), profile_elements=4))
+    studies.run_study(EmCoreValidationScenario(name="em", samples=25))
 
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(studies.__file__)))

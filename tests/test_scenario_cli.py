@@ -229,6 +229,55 @@ def test_quadrature_order_bound():
     assert exc.value.messages == ["quadrature_order: must be at most 1000, got 1001"]
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("study, field, value", [
+    ("densely-spaced", "snr_db", 1e6),
+    ("tri-pol", "z_gain_db", 1e6),
+    ("tri-pol", "xpr_db", -1e6),
+    ("tri-pol", "pilot_snr_db", 1e6),
+    ("tri-pol", "pilot_snr_db", -1e6),
+], ids=["snr", "z-gain", "xpr", "pilot", "negative-pilot"])
+def test_db_fields_beyond_the_bound_are_invalid(tmp_path, capsys, command, study, field, value):
+    # 10 ** (x / 10) of each of these overflows a float
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": study, "name": "s", field: value}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"invalid: {field}: must lie within +-300 dB, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cls", [DenselySpacedScenario, NearFieldScenario, TriPolScenario,
+                                 EmCoreValidationScenario])
+def test_every_db_field_is_bounded(cls):
+    """Each field in dB, including any added later, is valid up to the bound
+    and reported once beyond it."""
+    bound = scenario.MAX_ABS_DB
+    for f in dataclasses.fields(cls):
+        if not f.name.endswith("_db"):
+            continue
+        for edge in (-bound, bound):
+            beyond = math.nextafter(edge, math.copysign(math.inf, edge))
+            messages = validate_scenario(cls(**{f.name: edge}))
+            assert not any(m.startswith(f"{f.name}: must lie") for m in messages), messages
+            assert validate_scenario(cls(**{f.name: beyond})) == [
+                f"{f.name}: must lie within +-300 dB, got {beyond!r}"]
+
+
+def test_cli_run_of_a_channel_beyond_the_log_det_precision_exits_two(tmp_path, capsys):
+    # SNR times the largest eigenvalue far beyond 1/eps: I + SNR G G^H rounds
+    # to a matrix that is not positive definite
+    scn = DenselySpacedScenario(name="loud", **{**SMALL_BASES[DenselySpacedScenario],
+                                                "snr_db": 300.0})
+    assert validate_scenario(scn) == []
+    out = tmp_path / "out"
+    assert main(["run", str(save_scenario(scn, tmp_path / "loud.json")), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: densely-spaced run failed: ")
+    assert "not positive definite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", [1, 24, 26, 49, 0, -25])
 def test_em_core_samples_must_be_a_positive_multiple_of_the_sweep_points(samples):
     # each of the 25 k0*r points runs samples / 25 directions, so any other
@@ -466,11 +515,11 @@ def test_cli_run_writes_outputs_and_is_reproducible(tmp_path, capsys, caplog, mo
         assert main(["run", str(scn_path), "--out", str(out_a), "--format", "json"]) == 0
     blas_lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("BLAS: ")]
     assert len(blas_lines) == 1 and "start-up count " in blas_lines[0]
-    for path in studies._blas_paths():
+    for path, _, _ in studies._blas_libraries():
         assert f"{os.path.basename(path)} on " in blas_lines[0]
     # below INFO the run does not look for BLAS libraries at all
     caplog.set_level(logging.WARNING, logger="emchan")
-    monkeypatch.setattr("emchan.cli._blas_paths", lambda: pytest.fail("maps read at WARNING"))
+    monkeypatch.setattr("emchan.cli._blas_libraries", lambda: pytest.fail("maps read at WARNING"))
     assert main(["run", str(scn_path), "--out", str(out_b), "--format", "json"]) == 0
     capsys.readouterr()
     files_a = sorted(p.name for p in out_a.iterdir())
