@@ -8,6 +8,7 @@ usual per-cluster angular spreads and cross-polarization statistics.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -19,6 +20,12 @@ from .geometry import to_local_angles
 # (azimuth departure, azimuth arrival, zenith departure, zenith arrival) in deg
 CDL_B_SPREADS_DEG = (10.0, 22.0, 3.0, 7.0)
 CDL_B_XPR_DB = (8.0, 3.0)  # mean, std
+
+# A value in dB (a cluster power, a scenario field ending in _db) enters the
+# studies as 10 ** (x / 10), and products of such powers with channel gains.
+# A ratio of 1e30 lies far beyond any physical one and keeps them inside the
+# float range; 1e6 dB overflows. So values in dB must lie within +-MAX_ABS_DB.
+MAX_ABS_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,13 @@ class ClusterTable:
             raise DomainError("cluster table must contain at least one cluster")
         if any(s <= 0.0 for s in self.spreads_deg):
             raise DomainError("angular spreads must be positive")
+        for r in self.rows:
+            for name, value in vars(r).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DomainError(f"cluster {r.index}: {name} must be finite, got {value!r}")
+            if abs(r.power_db) > MAX_ABS_DB:
+                raise DomainError(f"cluster {r.index}: power_db must lie within "
+                                  f"+-{MAX_ABS_DB:g} dB, got {r.power_db!r}")
         if any(r.delay_norm < 0.0 for r in self.rows):
             raise DomainError("normalized delays must be nonnegative")
 

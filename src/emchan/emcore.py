@@ -9,11 +9,12 @@ Conventions: time dependence e^{+j omega t}, outgoing phase e^{-j k R}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SingularityError
+from .errors import DomainError, NumericalError, ShapeError, SingularityError
 
 SPEED_OF_LIGHT = 299792458.0
 VACUUM_PERMEABILITY = 4.0e-7 * np.pi
@@ -144,18 +145,30 @@ def green_decomposition(r, s, ctx: WaveContext):
     return g_inf, g_rnf, g_ff
 
 
+def _region_boundary(name: str, formula, aperture_extent: float) -> float:
+    """formula(aperture_extent), or a NumericalError where it overflows a float
+    (a float's ** raises OverflowError, its * and / give inf)."""
+    if not aperture_extent > 0.0:
+        raise DomainError("aperture extent must be positive")
+    try:
+        distance = formula(aperture_extent)
+    except OverflowError:
+        distance = math.inf
+    if not math.isfinite(distance):
+        raise NumericalError(f"{name} of a {aperture_extent!r} m aperture overflows a float")
+    return distance
+
+
 def reactive_boundary(aperture_extent: float, ctx: WaveContext) -> float:
     """Outer edge of the reactive near field, 0.62 sqrt(D^3 / lambda)."""
-    if aperture_extent <= 0.0:
-        raise DomainError("aperture extent must be positive")
-    return 0.62 * np.sqrt(aperture_extent**3 / ctx.wavelength)
+    return _region_boundary("reactive boundary",
+                            lambda d: 0.62 * np.sqrt(d**3 / ctx.wavelength), aperture_extent)
 
 
 def rayleigh_distance(aperture_extent: float, ctx: WaveContext) -> float:
     """Radiating-near/far boundary, 2 D^2 / lambda."""
-    if aperture_extent <= 0.0:
-        raise DomainError("aperture extent must be positive")
-    return 2.0 * aperture_extent**2 / ctx.wavelength
+    return _region_boundary("Rayleigh distance",
+                            lambda d: 2.0 * d**2 / ctx.wavelength, aperture_extent)
 
 
 def field_region(distance: float, aperture_extent: float, ctx: WaveContext) -> str:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cdl import bundled_cdl_b, load_cluster_table
+from .cdl import MAX_ABS_DB, bundled_cdl_b, load_cluster_table
 from .emcore import WaveContext
 from .errors import DomainError, ValidationError
 
@@ -34,12 +34,6 @@ REFERENCE_FREQUENCY_HZ = 4.7e9
 # Gauss-Legendre nodes of order n come from an n x n companion matrix
 # (7.7 MB and 0.3 s at n = 1000), so larger orders are refused.
 MAX_QUADRATURE_ORDER = 1000
-
-# A field in dB (name ending in _db) enters the studies as 10 ** (x / 10),
-# and products of such powers with channel gains. A ratio of 1e30 lies far
-# beyond any physical one and keeps them inside the float range; 1e6 dB
-# overflows. So dB fields must lie within +-MAX_ABS_DB.
-MAX_ABS_DB = 300.0
 
 # k0*r points of the em-core sweep; each runs samples / EM_CORE_SWEEP_POINTS
 # random directions, so samples must be a multiple of it.
@@ -178,19 +172,65 @@ def _from_json(value, default):
     return value
 
 
-def _positive(scn, names, errors, strict=True):
-    for n in names:
-        v = getattr(scn, n)
-        if strict and not v > 0:
-            errors.append(f"{n}: must be positive, got {v!r}")
-        if not strict and v < 0:
-            errors.append(f"{n}: must be nonnegative, got {v!r}")
+def _must(ok, message):
+    """A value rule: no message if ok(value), else `message` formatted with it as v."""
+    return lambda v: [] if ok(v) else [message.format(v=v)]
 
 
-def _counts(scn, names, errors):
-    for n in names:
-        if getattr(scn, n) < 1:
-            errors.append(f"{n}: count must be >= 1, got {getattr(scn, n)!r}")
+def _each(entry_rule, empty=None):
+    """A list rule: entry_rule's messages for every entry, and `empty` for no entries."""
+    return lambda vs: [m for v in vs for m in entry_rule(v)] + ([empty] if empty and not vs else [])
+
+
+_COUNT = _must(lambda v: v >= 1, "count must be >= 1, got {v!r}")
+_AT_MOST_MAX_ORDER = _must(lambda v: v <= MAX_QUADRATURE_ORDER,
+                           f"must be at most {MAX_QUADRATURE_ORDER}, got {{v!r}}")
+_SCHEMES = ("ideal", "ni", "ni-pd", "proposed")
+
+
+def _file_stem(name) -> list[str]:
+    """The rule of `name`, the stem of every output file: it must not leave --out."""
+    if not name:
+        return ["must be nonempty"]
+    if set(name) & {"/", "\\", "\0"} or name in (".", ".."):
+        return [f"must be a file-name stem, without /, \\ or NUL and not . or .., got {name!r}"]
+    return []
+
+
+# The value rule of each field that has one, applied once the value has its
+# default's type (and, in dB, lies within MAX_ABS_DB). Rules that read more
+# than one field are in validate_scenario.
+_RULES = {
+    **dict.fromkeys(("realizations", "bs_elements", "ue_elements", "profile_elements", "cells",
+                     "ues_per_cell", "bs_ports"), _COUNT),
+    **dict.fromkeys(("tx_side_wavelengths", "rx_side_wavelengths", "tx_spacing_wavelengths",
+                     "frequency_hz", "aperture_m", "ue_spacing_wavelengths", "profile_aperture_m",
+                     "profile_distance_m", "k0r_min"),
+                    _must(lambda v: v > 0, "must be positive, got {v!r}")),
+    **dict.fromkeys(("master_seed", "xpr_sigma_db", "time_s"),
+                    _must(lambda v: v >= 0, "must be nonnegative, got {v!r}")),
+    **dict.fromkeys(("tx_boresight", "rx_boresight"),
+                    _must(lambda v: v in _BORESIGHTS, "unknown boresight {v!r}")),
+    "name": _file_stem,
+    "quadrature_order": lambda v: _COUNT(v) + _AT_MOST_MAX_ORDER(v),
+    "rx_spacing_wavelengths": _each(_must(lambda s: s > 0, "spacing must be positive, got {v!r}"),
+                                    "need at least one spacing"),
+    "element_efficiency": _must(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1], got {v!r}"),
+    "schemes": _each(_must(lambda s: s in _SCHEMES,
+                           f"unknown scheme {{v!r}} (known: {', '.join(_SCHEMES)})"),
+                     "need at least one scheme"),
+    "drop_distances_m": _each(_must(lambda d: d > 0, "distance must be positive, got {v!r}"),
+                              "need at least one distance"),
+    "velocity_mps": _must(lambda v: len(v) == 3, "expected three numbers"),
+    "ue_ports": _must(lambda v: v in (8, 12), "must be 8 or 12, got {v!r}"),
+    "percentiles": _each(_must(lambda p: 0.0 < p < 100.0, "must lie in (0, 100), got {v!r}"),
+                         "need at least one percentile"),
+    "samples": _must(lambda v: v >= 1 and v % EM_CORE_SWEEP_POINTS == 0,
+                     f"must be a positive multiple of {EM_CORE_SWEEP_POINTS}, "
+                     "the sweep points, got {v!r}"),
+    "region_cases": _each(_must(lambda case: len(case) == 2 and all(v > 0 for v in case),
+                                "expected [frequency_hz, aperture_m] pairs, got {v!r}")),
+}
 
 
 def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
@@ -209,11 +249,12 @@ def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
 
 
 def validate_scenario(scn) -> list[str]:
-    """Every violated invariant as one message; empty list when valid. A field
-    whose value does not have its default's type, holds a float that is not
-    finite or lies beyond MAX_ABS_DB in dB, is reported once; the checks after
-    that see its default in its place and skip the cross-field checks that
-    read it."""
+    """Every violated invariant as one message; empty list when valid. Each
+    field is checked in order: a value that does not have its default's type,
+    holds a float that is not finite or lies beyond MAX_ABS_DB in dB, is
+    reported once; any other value gets its rule in _RULES. The rules that read
+    more than one field come last; they see the default in place of a value of
+    the wrong type, and skip a check that reads it."""
     errors: list[str] = []
     bad = {}
     for f in dataclasses.fields(scn):
@@ -226,33 +267,11 @@ def validate_scenario(scn) -> list[str]:
         if problem:
             errors.append(f"{f.name}: {problem}")
             bad[f.name] = f.default
+        elif f.name in _RULES:
+            errors.extend(f"{f.name}: {m}" for m in _RULES[f.name](value))
     if bad:
         scn = dataclasses.replace(scn, **bad)
     if isinstance(scn, DenselySpacedScenario):
-        _counts(scn, ["realizations", "quadrature_order"], errors)
-        _positive(scn, ["tx_side_wavelengths", "rx_side_wavelengths",
-                        "tx_spacing_wavelengths"], errors)
-        _positive(scn, ["xpr_sigma_db"], errors, strict=False)
-        if scn.quadrature_order > MAX_QUADRATURE_ORDER:
-            errors.append(f"quadrature_order: must be at most {MAX_QUADRATURE_ORDER}, "
-                          f"got {scn.quadrature_order!r}")
-        if not scn.rx_spacing_wavelengths:
-            errors.append("rx_spacing_wavelengths: need at least one spacing")
-        for s in scn.rx_spacing_wavelengths:
-            if not s > 0:
-                errors.append(f"rx_spacing_wavelengths: spacing must be positive, got {s!r}")
-        if not 0.0 < scn.element_efficiency <= 1.0:
-            errors.append(f"element_efficiency: must lie in (0, 1], got {scn.element_efficiency!r}")
-        known = ("ideal", "ni", "ni-pd", "proposed")
-        for s in scn.schemes:
-            if s not in known:
-                errors.append(f"schemes: unknown scheme {s!r} (known: {', '.join(known)})")
-        if not scn.schemes:
-            errors.append("schemes: need at least one scheme")
-        if scn.tx_boresight not in _BORESIGHTS:
-            errors.append(f"tx_boresight: unknown boresight {scn.tx_boresight!r}")
-        if scn.rx_boresight not in _BORESIGHTS:
-            errors.append(f"rx_boresight: unknown boresight {scn.rx_boresight!r}")
         # the study's own grid rule, on the lengths in metres it builds arrays with
         from .wavenumber import grid_intervals
         lam = WaveContext.from_frequency(REFERENCE_FREQUENCY_HZ).wavelength
@@ -279,41 +298,9 @@ def validate_scenario(scn) -> list[str]:
                     errors.append(f"cluster_weights: weights must sum to 1, got {total!r}")
                 if clusters is not None and len(ws) != clusters:
                     errors.append(f"cluster_weights: expected {clusters} weights, got {len(ws)}")
-    elif isinstance(scn, NearFieldScenario):
-        _counts(scn, ["bs_elements", "ue_elements", "profile_elements"], errors)
-        _positive(scn, ["frequency_hz", "aperture_m", "ue_spacing_wavelengths",
-                        "profile_aperture_m", "profile_distance_m"], errors)
-        _positive(scn, ["time_s"], errors, strict=False)
-        if not scn.drop_distances_m:
-            errors.append("drop_distances_m: need at least one distance")
-        for d in scn.drop_distances_m:
-            if not d > 0:
-                errors.append(f"drop_distances_m: distance must be positive, got {d!r}")
-        if len(scn.velocity_mps) != 3:
-            errors.append("velocity_mps: expected three numbers")
-    elif isinstance(scn, TriPolScenario):
-        _counts(scn, ["cells", "ues_per_cell", "bs_ports"], errors)
-        if scn.ue_ports not in (8, 12):
-            errors.append(f"ue_ports: must be 8 or 12, got {scn.ue_ports!r}")
-        if not scn.percentiles:
-            errors.append("percentiles: need at least one percentile")
-        for p in scn.percentiles:
-            if not 0.0 < p < 100.0:
-                errors.append(f"percentiles: must lie in (0, 100), got {p!r}")
-    elif isinstance(scn, EmCoreValidationScenario):
-        if not (scn.samples >= 1 and scn.samples % EM_CORE_SWEEP_POINTS == 0):
-            errors.append(f"samples: must be a positive multiple of {EM_CORE_SWEEP_POINTS}, "
-                          f"the sweep points, got {scn.samples!r}")
-        _positive(scn, ["k0r_min"], errors)
-        if not {"k0r_min", "k0r_max"} & bad.keys() and not scn.k0r_max > scn.k0r_min:
-            errors.append(f"k0r_max: must exceed k0r_min, got {scn.k0r_max!r}")
-        for case in scn.region_cases:
-            if len(case) != 2 or any(v <= 0 for v in case):
-                errors.append(f"region_cases: expected [frequency_hz, aperture_m] pairs, got {case!r}")
-    if scn.master_seed < 0:
-        errors.append(f"master_seed: must be nonnegative, got {scn.master_seed!r}")
-    if not scn.name:
-        errors.append("name: must be nonempty")
+    elif (isinstance(scn, EmCoreValidationScenario) and not {"k0r_min", "k0r_max"} & bad.keys()
+          and not scn.k0r_max > scn.k0r_min):
+        errors.append(f"k0r_max: must exceed k0r_min, got {scn.k0r_max!r}")
     return errors
 
 

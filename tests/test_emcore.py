@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from emchan import (
     Aperture,
     DomainError,
     FAR,
+    NumericalError,
     PortFunction,
     RADIATING_NEAR,
     REACTIVE_NEAR,
@@ -189,6 +191,21 @@ def test_field_region_boundaries():
         field_region(0.0, d, ctx67)
     with pytest.raises(DomainError):
         rayleigh_distance(-1.0, ctx67)
+
+
+def test_region_boundaries_beyond_the_float_range_raise_numerical_error():
+    ctx = WaveContext.from_frequency(6.7e9)
+    lam = ctx.wavelength
+    for d in (1e-3, 1.53, 1e100):  # finite boundaries keep their formulas, bit for bit
+        assert reactive_boundary(d, ctx) == 0.62 * np.sqrt(d**3 / lam)
+        assert rayleigh_distance(d, ctx) == 2.0 * d**2 / lam
+    # d**3 or d**2 raises OverflowError; 2 d**2 / lambda gives inf
+    for boundary, d in ((reactive_boundary, 1e110), (reactive_boundary, 1e200),
+                        (rayleigh_distance, 1e155), (rayleigh_distance, 1.3e154)):
+        with pytest.raises(NumericalError, match="overflows a float"):
+            boundary(d, ctx)
+    with pytest.raises(DomainError):
+        reactive_boundary(math.nan, ctx)
 
 
 def test_wave_context_consistency_checks():

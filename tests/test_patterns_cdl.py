@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,17 @@ def test_load_cluster_table_roundtrip(tmp_path):
         ClusterTable(rows=t.rows, spreads_deg=(0.0, 1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
         ClusterTable(rows=(ClusterRow(1, -0.1, 0.0, 0.0, 0.0, 90.0, 90.0),))
+    for power_db in (-300.0, 300.0):
+        assert ClusterTable(rows=(ClusterRow(1, 0.0, power_db, 0.0, 0.0, 90.0, 90.0),)).count == 1
+        beyond = math.nextafter(power_db, math.copysign(math.inf, power_db))
+        with pytest.raises(DomainError, match="power_db must lie within"):
+            ClusterTable(rows=(ClusterRow(1, 0.0, beyond, 0.0, 0.0, 90.0, 90.0),))
+    for column in range(1, 7):
+        for bad in (math.nan, math.inf):
+            numbers = [1, 0.0, 0.0, 0.0, 0.0, 90.0, 90.0]
+            numbers[column] = bad
+            with pytest.raises(DomainError, match="must be finite"):
+                ClusterTable(rows=(ClusterRow(*numbers),))
 
 
 def test_mixture_from_clusters_weights_and_concentration():

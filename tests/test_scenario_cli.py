@@ -264,6 +264,133 @@ def test_every_db_field_is_bounded(cls):
                 f"{f.name}: must lie within +-300 dB, got {beyond!r}"]
 
 
+# values just beyond the rule of each field in scenario._RULES
+JUST_BEYOND = {
+    "name": ["", "a/b", "a\\b", "a\0b", ".", ".."],
+    "master_seed": [-1],
+    "tx_side_wavelengths": [0.0],
+    "rx_side_wavelengths": [0.0],
+    "tx_spacing_wavelengths": [0.0],
+    "rx_spacing_wavelengths": [(), (0.5, 0.0)],
+    "realizations": [0],
+    "xpr_sigma_db": [-5e-324],
+    "element_efficiency": [0.0, math.nextafter(1.0, 2.0)],
+    "schemes": [(), ("ideal", "nii")],
+    "tx_boresight": ["x"],
+    "rx_boresight": ["+w"],
+    "quadrature_order": [0, 1001],
+    "frequency_hz": [0.0],
+    "aperture_m": [0.0],
+    "bs_elements": [0],
+    "ue_elements": [0],
+    "ue_spacing_wavelengths": [0.0],
+    "drop_distances_m": [(), (20.0, 0.0)],
+    "time_s": [-5e-324],
+    "velocity_mps": [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
+    "profile_elements": [0],
+    "profile_aperture_m": [0.0],
+    "profile_distance_m": [0.0],
+    "cells": [0],
+    "ues_per_cell": [0],
+    "bs_ports": [0],
+    "ue_ports": [4, 9],
+    "percentiles": [(), (0.0,), (50.0, 100.0)],
+    "samples": [0, 24],
+    "k0r_min": [0.0],
+    "region_cases": [((6.7e9, 0.0),), ((6.7e9,),)],
+}
+
+# the fields with no entry in scenario._RULES, and what checks their values
+CHECKED_WITHOUT_A_RULE = {
+    "snr_db": "the dB bound",
+    "xpr_mu_db": "the dB bound",
+    "z_gain_db": "the dB bound",
+    "xpr_db": "the dB bound",
+    "pilot_snr_db": "the dB bound",
+    "include_far_field_check": "its type: either value is valid",
+    "cluster_table": "the cross-field read of the table that cluster_weights is counted against",
+    "cluster_weights": "the cross-field rule against the table's cluster count",
+    "k0r_max": "the cross-field rule k0r_max > k0r_min",
+}
+
+
+def test_every_field_has_a_value_rule_or_a_stated_other_check():
+    # a new field either gets a rule in _RULES or says here why it needs none
+    fields = {f.name for cls in scenario._SCENARIO_TYPES.values() for f in dataclasses.fields(cls)}
+    assert not scenario._RULES.keys() & CHECKED_WITHOUT_A_RULE.keys()
+    assert scenario._RULES.keys() | CHECKED_WITHOUT_A_RULE.keys() == fields
+    assert JUST_BEYOND.keys() == scenario._RULES.keys()
+
+
+@pytest.mark.parametrize("field", sorted(JUST_BEYOND))
+def test_every_value_rule_refuses_a_value_just_beyond_it(field):
+    owners = [cls for cls in scenario._SCENARIO_TYPES.values()
+              if field in {f.name for f in dataclasses.fields(cls)}]
+    assert owners, f"{field} is not a field of any scenario type"
+    for cls in owners:
+        for value in JUST_BEYOND[field]:
+            messages = validate_scenario(cls(**{field: value}))
+            assert len(messages) == 1, (cls.__name__, value, messages)
+            assert messages[0].startswith(f"{field}: "), (cls.__name__, value, messages)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name", ["../escaped", "absolute"])
+def test_names_that_leave_the_output_directory_are_invalid(tmp_path, capsys, command, name):
+    # every output file is <out>/<name>_<key>.<format>: a name with a slash
+    # would write beside --out, an absolute one anywhere
+    if name == "absolute":
+        name = str(tmp_path / "x")
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": "em-core-validation", "name": name, "samples": 25}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"invalid: name: must be a file-name stem, without /, \\ or NUL and not . or .., "
+        f"got {name!r}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("study, overrides", [
+    ("near-field", {"aperture_m": 1e300}),
+    ("em-core-validation", {"samples": 25, "region_cases": [[1e9, 1e200]]}),
+], ids=["rayleigh", "reactive"])
+def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path, capsys, study,
+                                                                        overrides):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": study, "name": "s", **overrides}))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {study} run failed: ")
+    assert err.endswith(" m aperture overflows a float\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("column, value, problem", [
+    ("power_db", "4000", "power_db must lie within +-300 dB, got 4000.0"),
+    ("power_db", "-300.5", "power_db must lie within +-300 dB, got -300.5"),
+    ("power_db", "nan", "power_db must be finite, got nan"),
+    ("zoa_deg", "inf", "zoa_deg must be finite, got inf"),
+], ids=["loud", "quiet", "nan-power", "inf-angle"])
+def test_cluster_tables_with_numbers_the_study_cannot_use_are_invalid(tmp_path, capsys, command,
+                                                                      column, value, problem):
+    row = {"cluster": "1", "delay_norm": "0.0", "power_db": "0.0", "aod_deg": "20.0",
+           "aoa_deg": "160.0", "zod_deg": "80.0", "zoa_deg": "100.0", column: value}
+    table = tmp_path / "t.csv"
+    table.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": "densely-spaced", "name": "s", "realizations": 2,
+                                "cluster_table": str(table)}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"invalid: cluster_table: cannot read {str(table)!r}: cluster 1: {problem}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_of_a_channel_beyond_the_log_det_precision_exits_two(tmp_path, capsys):
     # SNR times the largest eigenvalue far beyond 1/eps: I + SNR G G^H rounds
     # to a matrix that is not positive definite
