@@ -1,8 +1,9 @@
 """Free-space electromagnetic primitives.
 
 The dyadic Green function, the 1/R^3 + 1/R^2 + 1/R split with its
-field-region classifier, and the port-to-port channel quadrature that reduces
-to a conventional MIMO matrix when the port functions are deltas.
+field-region classifier, and the port channel H = Phi^H K Psi on the
+quadrature-weighted Green operator K = W_R^1/2 G W_S^1/2, which reduces to a
+conventional MIMO matrix when the port functions are deltas.
 
 Conventions: time dependence e^{+j omega t}, outgoing phase e^{-j k R}.
 """
@@ -23,6 +24,9 @@ REACTIVE_NEAR = "reactive-near"
 RADIATING_NEAR = "radiating-near"
 FAR = "far"
 
+_BLOCK_PAIRS = 1 << 14  # (q, p) pairs per row block of K: 2.4 MB of 3 x 3 dyadics
+_EXTENT_PAIRS = 1 << 18  # point pairs per row block of an aperture's extent
+
 
 @dataclass(frozen=True)
 class WaveContext:
@@ -34,6 +38,8 @@ class WaveContext:
     def __post_init__(self):
         if any(not np.isfinite(v) or v <= 0.0 for v in (self.frequency, self.permeability)):
             raise DomainError("WaveContext fields must be finite and positive")
+        if not math.isfinite(self.wavelength):
+            raise DomainError(f"frequency {self.frequency!r} Hz has a wavelength beyond a float")
 
     @classmethod
     def from_frequency(cls, frequency: float, permeability: float = VACUUM_PERMEABILITY):
@@ -68,8 +74,10 @@ class Aperture:
             raise ShapeError("one quadrature weight per aperture point required")
         if pts.shape[0] < 1:
             raise DomainError("aperture needs at least one point")
-        if np.any(w <= 0.0):
-            raise DomainError("quadrature weights must be positive")
+        if not np.isfinite(pts).all():
+            raise DomainError("aperture points must be finite")
+        if not (np.isfinite(w).all() and (w > 0.0).all()):
+            raise DomainError("quadrature weights must be finite and positive")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -85,29 +93,33 @@ class Aperture:
 
 @dataclass(frozen=True, eq=False)
 class PortFunction:
-    """Vector-valued port map sampled on an aperture grid."""
+    """M vector-valued port maps of one kind; samples[m, q] is port m at point q."""
 
-    samples: np.ndarray
+    samples: np.ndarray  # (M, Q, 3)
     kind: str  # "precoding" (current density) or "combining" (field sampling)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex)
-        if s.ndim != 2 or s.shape[1] != 3:
-            raise ShapeError("port samples must have shape (n, 3)")
+        if s.ndim != 3 or s.shape[2] != 3 or s.shape[0] < 1:
+            raise ShapeError("port samples must have shape (ports >= 1, points, 3)")
+        if not np.isfinite(s).all():
+            raise DomainError("port samples must be finite")
         if self.kind not in ("precoding", "combining"):
             raise DomainError("kind must be 'precoding' or 'combining'")
         object.__setattr__(self, "samples", s)
 
 
+def _row_blocks(rows: int, cols: int, pairs: int):
+    """Slices of ``rows`` rows that meet ``cols`` columns in about ``pairs`` pairs each."""
+    step = max(1, pairs // cols)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def _max_pairwise_distance(pts: np.ndarray) -> float:
-    """Largest point-to-point distance, in row blocks of about 2**18 pairs each."""
+    """Largest point-to-point distance, in row blocks of _EXTENT_PAIRS pairs."""
     n = pts.shape[0]
-    rows = max(1, 2**18 // n)
-    best = 0.0
-    for start in range(0, n, rows):
-        diff = pts[start:start + rows, None, :] - pts[None, :, :]
-        best = max(best, float(np.sqrt((diff**2).sum(-1)).max()))
-    return best
+    return max(float(np.sqrt(((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(-1)).max())
+               for rows in _row_blocks(n, n, _EXTENT_PAIRS))
 
 
 def _dyadic_terms(r, s, ctx: WaveContext):
@@ -173,7 +185,7 @@ def rayleigh_distance(aperture_extent: float, ctx: WaveContext) -> float:
 
 def field_region(distance: float, aperture_extent: float, ctx: WaveContext) -> str:
     """Classify a distance as reactive-near, radiating-near or far."""
-    if distance <= 0.0:
+    if not distance > 0.0:
         raise DomainError("distance must be positive")
     if distance < reactive_boundary(aperture_extent, ctx):
         return REACTIVE_NEAR
@@ -182,46 +194,36 @@ def field_region(distance: float, aperture_extent: float, ctx: WaveContext) -> s
     return FAR
 
 
-def _pairwise_green(aperture_r: Aperture, aperture_s: Aperture, ctx: WaveContext):
-    rp = aperture_r.points
-    sp = aperture_s.points
-    return dyadic_green(rp[:, None, :], sp[None, :, :], ctx)
+def _green_blocks(aperture_r: Aperture, aperture_s: Aperture, ctx: WaveContext):
+    """Row blocks (rows, K[rows]) of K = W_R^1/2 G W_S^1/2, _BLOCK_PAIRS pairs each;
+    K[q, p] is the weighted 3 x 3 dyadic, so a block has shape (len(rows), P, 3, 3)."""
+    root_r = np.sqrt(aperture_r.weights)
+    root_s = np.sqrt(aperture_s.weights)
+    for rows in _row_blocks(aperture_r.count, aperture_s.count, _BLOCK_PAIRS):
+        # dyadic_green raises on a point shared by both apertures
+        k = dyadic_green(aperture_r.points[rows, None, :], aperture_s.points[None], ctx)
+        k *= (root_r[rows, None] * root_s)[..., None, None]
+        yield rows, k
 
 
-def assemble_em_channel(
-    phis: list[PortFunction],
-    psis: list[PortFunction],
-    aperture_r: Aperture,
-    aperture_s: Aperture,
-    ctx: WaveContext,
-) -> np.ndarray:
-    """M x N port channel matrix; the pairwise Green tensor is shared."""
-    if len(phis) < 1 or len(psis) < 1:
-        raise DomainError("need at least one combining and one precoding port")
-    for f in phis:
-        if f.kind != "combining":
-            raise DomainError("receive ports must be combining functions")
-        if f.samples.shape[0] != aperture_r.count:
-            raise ShapeError("combining samples do not match receive aperture")
-    for f in psis:
-        if f.kind != "precoding":
-            raise DomainError("transmit ports must be precoding functions")
-        if f.samples.shape[0] != aperture_s.count:
-            raise ShapeError("precoding samples do not match transmit aperture")
-
-    g = _pairwise_green(aperture_r, aperture_s, ctx)  # raises on any collision
-    phi = np.stack([f.samples for f in phis])  # (M, Q, 3)
-    psi = np.stack([f.samples for f in psis])  # (N, P, 3)
-    scale = -1j * ctx.angular_frequency * ctx.permeability
-    return scale * np.einsum(
-        "q,p,mqa,qpab,npb->mn",
-        aperture_r.weights,
-        aperture_s.weights,
-        phi.conj(),
-        g,
-        psi,
-        optimize=True,
-    )
+def assemble_em_channel(phi: PortFunction, psi: PortFunction, aperture_r: Aperture,
+                        aperture_s: Aperture, ctx: WaveContext) -> np.ndarray:
+    """M x N port channel -j omega mu Phi~^H K Psi~, summed over row blocks of K;
+    Phi~ and Psi~ are the ports scaled by the roots of their quadrature weights."""
+    if phi.kind != "combining":
+        raise DomainError("receive ports must be combining functions")
+    if psi.kind != "precoding":
+        raise DomainError("transmit ports must be precoding functions")
+    if phi.samples.shape[1] != aperture_r.count:
+        raise ShapeError("combining samples do not match receive aperture")
+    if psi.samples.shape[1] != aperture_s.count:
+        raise ShapeError("precoding samples do not match transmit aperture")
+    phi_w = phi.samples.conj() * np.sqrt(aperture_r.weights)[:, None]
+    psi_w = psi.samples * np.sqrt(aperture_s.weights)[:, None]
+    h = np.zeros((phi_w.shape[0], psi_w.shape[0]), dtype=complex)
+    for rows, k in _green_blocks(aperture_r, aperture_s, ctx):
+        h += np.einsum("mqa,qpab,npb->mn", phi_w[:, rows], k, psi_w, optimize=True)
+    return -1j * ctx.angular_frequency * ctx.permeability * h
 
 
 def delta_aperture(positions) -> Aperture:
@@ -230,8 +232,8 @@ def delta_aperture(positions) -> Aperture:
     return Aperture(points=pts, weights=np.ones(pts.shape[0]))
 
 
-def delta_ports(count: int, kind: str, polarizations=None) -> list[PortFunction]:
-    """One single-point port per aperture point.
+def delta_ports(count: int, kind: str, polarizations=None) -> PortFunction:
+    """One single-point port per aperture point, as one (count, count, 3) stack.
 
     Port m samples to zero everywhere except point m, where it takes the
     given polarization unit vector (z by default). With these ports the
@@ -242,9 +244,6 @@ def delta_ports(count: int, kind: str, polarizations=None) -> list[PortFunction]
     polarizations = np.asarray(polarizations, dtype=complex)
     if polarizations.shape != (count, 3):
         raise ShapeError("need one polarization vector per port")
-    ports = []
-    for m in range(count):
-        samples = np.zeros((count, 3), dtype=complex)
-        samples[m] = polarizations[m]
-        ports.append(PortFunction(samples=samples, kind=kind))
-    return ports
+    samples = np.zeros((count, count, 3), dtype=complex)
+    samples[np.arange(count), np.arange(count)] = polarizations
+    return PortFunction(samples=samples, kind=kind)

@@ -25,6 +25,7 @@ from emchan import (
     rayleigh_distance,
     reactive_boundary,
 )
+from emchan import emcore
 from emchan.emcore import _max_pairwise_distance
 
 CTX = WaveContext.from_frequency(4.7e9)
@@ -37,8 +38,10 @@ def scalar_green(p, ctx):
 
 
 def em_channel_entry(phi, psi, aperture_r, aperture_s, ctx):
-    """One port-to-port channel entry: the 1 x 1 assembly."""
-    return complex(assemble_em_channel([phi], [psi], aperture_r, aperture_s, ctx)[0, 0])
+    """One port-to-port channel entry: the 1 x 1 assembly of one-port stacks."""
+    return complex(assemble_em_channel(PortFunction(samples=phi[None], kind="combining"),
+                                       PortFunction(samples=psi[None], kind="precoding"),
+                                       aperture_r, aperture_s, ctx)[0, 0])
 
 
 def fd_dyadic_oracle(r, s, ctx, dps=40):
@@ -193,6 +196,12 @@ def test_field_region_boundaries():
         rayleigh_distance(-1.0, ctx67)
 
 
+def test_field_region_refuses_a_nan_distance():
+    # a nan distance compares false with both boundaries, so it would read "far"
+    with pytest.raises(DomainError, match="distance must be positive"):
+        field_region(math.nan, 1.0, CTX)
+
+
 def test_region_boundaries_beyond_the_float_range_raise_numerical_error():
     ctx = WaveContext.from_frequency(6.7e9)
     lam = ctx.wavelength
@@ -221,6 +230,14 @@ def test_wave_context_consistency_checks():
             WaveContext(**bad)
 
 
+def test_wave_context_refuses_a_wavelength_beyond_the_float_range():
+    # c / 1e-300 overflows to inf, so k0 would be 0.0
+    with pytest.raises(DomainError, match="frequency 1e-300 Hz has a wavelength beyond a float"):
+        WaveContext.from_frequency(1e-300)
+    ctx = WaveContext.from_frequency(2e-300)  # just inside: every derived value is finite
+    assert ctx.wavelength == 299792458.0 / 2e-300 and ctx.wavenumber > 0.0
+
+
 def test_delta_ports_degenerate_to_port_matrix():
     rng = np.random.default_rng(3)
     n = 3
@@ -247,17 +264,12 @@ def test_assemble_matches_triple_loop_oracle():
     wp = rng.uniform(0.5, 1.5, size=np_)
     ap_r = Aperture(points=rx, weights=wq)
     ap_s = Aperture(points=tx, weights=wp)
-    phis = [
-        PortFunction(samples=rng.normal(size=(nq, 3)) + 1j * rng.normal(size=(nq, 3)),
-                     kind="combining")
-        for _ in range(m_ports)
-    ]
-    psis = [
-        PortFunction(samples=rng.normal(size=(np_, 3)) + 1j * rng.normal(size=(np_, 3)),
-                     kind="precoding")
-        for _ in range(n_ports)
-    ]
-    got = assemble_em_channel(phis, psis, ap_r, ap_s, CTX)
+    phi = np.stack([rng.normal(size=(nq, 3)) + 1j * rng.normal(size=(nq, 3))
+                    for _ in range(m_ports)])
+    psi = np.stack([rng.normal(size=(np_, 3)) + 1j * rng.normal(size=(np_, 3))
+                    for _ in range(n_ports)])
+    got = assemble_em_channel(PortFunction(samples=phi, kind="combining"),
+                              PortFunction(samples=psi, kind="precoding"), ap_r, ap_s, CTX)
     scale = -1j * CTX.angular_frequency * CTX.permeability
     for m in range(m_ports):
         for n in range(n_ports):
@@ -265,10 +277,10 @@ def test_assemble_matches_triple_loop_oracle():
             for q in range(nq):
                 for p in range(np_):
                     g = dyadic_green(rx[q], tx[p], CTX)
-                    acc += wq[q] * wp[p] * np.conj(phis[m].samples[q]) @ g @ psis[n].samples[p]
+                    acc += wq[q] * wp[p] * np.conj(phi[m, q]) @ g @ psi[n, p]
             want = scale * acc
             assert abs(got[m, n] - want) <= 1e-12 * max(1e-300, abs(want))
-    one = em_channel_entry(phis[0], psis[0], ap_r, ap_s, CTX)
+    one = em_channel_entry(phi[0], psi[0], ap_r, ap_s, CTX)
     assert abs(one - got[0, 0]) < 1e-15 * abs(got[0, 0])
 
 
@@ -278,14 +290,48 @@ def test_assemble_linearity_in_ports():
     pts_s = rng.uniform(-0.7, -0.5, size=(2, 3))
     ap_r = delta_aperture(pts_r)
     ap_s = delta_aperture(pts_s)
-    phi = PortFunction(samples=rng.normal(size=(2, 3)) + 0j, kind="combining")
-    psi = PortFunction(samples=rng.normal(size=(2, 3)) + 0j, kind="precoding")
+    phi = rng.normal(size=(2, 3)) + 0j
+    psi = rng.normal(size=(2, 3)) + 0j
     base = em_channel_entry(phi, psi, ap_r, ap_s, CTX)
     c = 0.7 - 1.3j
-    phi_scaled = PortFunction(samples=c * phi.samples, kind="combining")
-    psi_scaled = PortFunction(samples=c * psi.samples, kind="precoding")
-    assert abs(em_channel_entry(phi_scaled, psi, ap_r, ap_s, CTX) - np.conj(c) * base) < 1e-12 * abs(base)
-    assert abs(em_channel_entry(phi, psi_scaled, ap_r, ap_s, CTX) - c * base) < 1e-12 * abs(base)
+    assert abs(em_channel_entry(c * phi, psi, ap_r, ap_s, CTX) - np.conj(c) * base) < 1e-12 * abs(base)
+    assert abs(em_channel_entry(phi, c * psi, ap_r, ap_s, CTX) - c * base) < 1e-12 * abs(base)
+
+
+def _weighted_link(seed, nq, np_, m_ports=4, n_ports=4):
+    """Random weighted apertures a few wavelengths apart with random port stacks."""
+    rng = np.random.default_rng(seed)
+    ap_r = Aperture(points=rng.uniform(0.5, 1.0, size=(nq, 3)), weights=rng.uniform(0.5, 1.5, nq))
+    ap_s = Aperture(points=rng.uniform(-1.0, -0.5, size=(np_, 3)),
+                    weights=rng.uniform(0.5, 1.5, np_))
+    phi = rng.normal(size=(m_ports, nq, 3)) + 1j * rng.normal(size=(m_ports, nq, 3))
+    psi = rng.normal(size=(n_ports, np_, 3)) + 1j * rng.normal(size=(n_ports, np_, 3))
+    return (PortFunction(samples=phi, kind="combining"), PortFunction(samples=psi, kind="precoding"),
+            ap_r, ap_s)
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_assemble_is_independent_of_the_block_size(monkeypatch, pairs):
+    # 13 x 3 pairs: one block by default; 13 one-row blocks at 1 pair and
+    # 6 two-row blocks plus one of one row at 7
+    link = _weighted_link(4, 13, 3)
+    want = assemble_em_channel(*link, CTX)
+    monkeypatch.setattr(emcore, "_BLOCK_PAIRS", pairs)
+    got = assemble_em_channel(*link, CTX)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+
+def test_assemble_memory_is_bounded_in_the_aperture_sizes():
+    # the all-pairs Green tensor of 1,000 x 1,000 points alone takes 144 MB
+    link = _weighted_link(0, 1000, 1000)
+    tracemalloc.start()
+    try:
+        h = assemble_em_channel(*link, CTX)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert h.shape == (4, 4) and np.isfinite(h).all()
 
 
 def test_aperture_validation():
@@ -296,6 +342,25 @@ def test_aperture_validation():
         Aperture(points=pts, weights=np.array([1.0, -1.0]))
     with pytest.raises(ShapeError):
         Aperture(points=pts, weights=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_aperture_points_and_weights_are_refused(bad):
+    # a nan weight passes w <= 0, and a nan point would give extent 0.0
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="points must be finite"):
+        Aperture(points=np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]), weights=np.ones(2))
+    with pytest.raises(DomainError, match="weights must be finite"):
+        Aperture(points=pts, weights=np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_port_samples_are_refused(bad):
+    samples = np.zeros((2, 2, 3), dtype=complex)
+    for value in (bad, complex(0.0, bad)):
+        samples[1, 0, 2] = value
+        with pytest.raises(DomainError, match="samples must be finite"):
+            PortFunction(samples=samples, kind="precoding")
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 600])
@@ -341,4 +406,4 @@ def test_port_kind_enforcement():
     with pytest.raises(DomainError):
         assemble_em_channel(good, good, ap, ap, CTX)
     with pytest.raises(DomainError):
-        PortFunction(samples=np.zeros((2, 3)), kind="mixing")
+        PortFunction(samples=np.zeros((1, 2, 3)), kind="mixing")

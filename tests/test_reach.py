@@ -32,17 +32,18 @@ REASON = re.compile(r"criterion \d+|roadmap item \d+|benchmark|golden|user API|w
 UNREACHED = {
     "emchan.__dir__": "user API",
     # the port path: criterion 2 imports assemble_em_channel, delta_aperture
-    # and delta_ports; item 2 replaces it with one Green operator
+    # and delta_ports; item 2's modes table will run the Green operator's blocks
     "emcore.Aperture.__post_init__": "criterion 2",
     "emcore.Aperture.count": "criterion 2",
     "emcore.PortFunction.__post_init__": "criterion 2",
     "emcore.WaveContext.angular_frequency": "criterion 2",
-    "emcore._pairwise_green": "criterion 2",
+    "emcore._green_blocks": "criterion 2",
     "emcore.assemble_em_channel": "criterion 2",
     "emcore.delta_aperture": "criterion 2",
     "emcore.delta_ports": "criterion 2",
     "emcore.Aperture.extent": "roadmap item 2",
     "emcore._max_pairwise_distance": "roadmap item 2",
+    "emcore._row_blocks": "criterion 2",
     "emcore.field_region": "criterion 3",
     "wavenumber.hannan_efficiency": "criterion 4",
     "wavenumber.vmf_pdf": "criterion 5",

@@ -46,7 +46,7 @@ def _examples():
     return [
         capacity_waterfilling(np.eye(2), 1.0, 1.0),
         delta_aperture(pts),
-        delta_ports(2, "combining")[0],
+        delta_ports(2, "combining"),
         nearfield.MotionState(),
         geom,
         nearfield.BounceGeometry(pts[0], pts[1], 1.0, np.ones(2), np.ones(2), np.zeros(2),

@@ -368,6 +368,21 @@ def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("study, overrides", [
+    ("near-field", {"frequency_hz": 1e-300}),
+    ("em-core-validation", {"samples": 25, "region_cases": [[1e-300, 1.0]]}),
+], ids=["near-field", "em-core"])
+def test_cli_run_at_a_frequency_whose_wavelength_overflows_exits_two(tmp_path, capsys, study,
+                                                                      overrides):
+    # c / 1e-300 Hz is inf: the boundaries would read 0.0 m and the correlations nan
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": study, "name": "s", **overrides}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {study} run failed: frequency 1e-300 Hz")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("column, value, problem", [
     ("power_db", "4000", "power_db must lie within +-300 dB, got 4000.0"),
