@@ -31,9 +31,21 @@ _BORESIGHTS = ("+x", "-x", "+y", "-y", "+z", "-z")
 # on it; it only sets the length scale of the geometry they build.
 REFERENCE_FREQUENCY_HZ = 4.7e9
 
-# Gauss-Legendre nodes of order n come from an n x n companion matrix
-# (7.7 MB and 0.3 s at n = 1000), so larger orders are refused.
+# Gauss-Legendre nodes of order n take O(n^2) recurrence steps (about 50 ms
+# at n = 1000), and the cell quadrature O(cells x n^2) spectrum evaluations,
+# so larger orders are refused.
 MAX_QUADRATURE_ORDER = 1000
+
+# Largest SNR of a densely-spaced run, in dB. Its log-det kernel factors
+# I + SNR G G^H by Cholesky, which fails once SNR lambda_max(G G^H) nears
+# 1/eps (156 dB at lambda_max = 1). The channel is normalized: the cell power
+# fractions of each side sum to 1, and the harmonics carry 1/sqrt(n). Over
+# the 1000 realizations of scenarios/densely_spaced.json, the largest
+# trace(G G^H), a bound on lambda_max, is 5.9 at a receive spacing of 0.5,
+# 5.4 at 0.25 and 5.3 at 0.125 wavelengths. On 0.5-wavelength apertures,
+# whose few plane waves share the power, it reached 25 in 300 realizations.
+# At 100 dB, SNR trace(G G^H) eps stays below 2.3e-4 up to a trace of 100.
+MAX_SNR_DB = 100.0
 
 # k0*r points of the em-core sweep; each runs samples / EM_CORE_SWEEP_POINTS
 # random directions, so samples must be a multiple of it.
@@ -183,9 +195,22 @@ def _each(entry_rule, empty=None):
 
 
 _COUNT = _must(lambda v: v >= 1, "count must be >= 1, got {v!r}")
+_POSITIVE = _must(lambda v: v > 0, "must be positive, got {v!r}")
 _AT_MOST_MAX_ORDER = _must(lambda v: v <= MAX_QUADRATURE_ORDER,
                            f"must be at most {MAX_QUADRATURE_ORDER}, got {{v!r}}")
+_REGION_CASE = _must(lambda case: len(case) == 2 and all(v > 0 for v in case),
+                     "expected [frequency_hz, aperture_m] pairs, got {v!r}")
 _SCHEMES = ("ideal", "ni", "ni-pd", "proposed")
+
+
+def _carrier(frequency) -> list[str]:
+    """The rule of a carrier frequency: WaveContext, which every study builds
+    from it, must accept it."""
+    try:
+        WaveContext.from_frequency(frequency)
+    except DomainError as exc:
+        return [str(exc)]
+    return []
 
 
 def _file_stem(name) -> list[str]:
@@ -204,14 +229,17 @@ _RULES = {
     **dict.fromkeys(("realizations", "bs_elements", "ue_elements", "profile_elements", "cells",
                      "ues_per_cell", "bs_ports"), _COUNT),
     **dict.fromkeys(("tx_side_wavelengths", "rx_side_wavelengths", "tx_spacing_wavelengths",
-                     "frequency_hz", "aperture_m", "ue_spacing_wavelengths", "profile_aperture_m",
-                     "profile_distance_m", "k0r_min"),
-                    _must(lambda v: v > 0, "must be positive, got {v!r}")),
+                     "aperture_m", "ue_spacing_wavelengths", "profile_aperture_m",
+                     "profile_distance_m", "k0r_min"), _POSITIVE),
     **dict.fromkeys(("master_seed", "xpr_sigma_db", "time_s"),
                     _must(lambda v: v >= 0, "must be nonnegative, got {v!r}")),
     **dict.fromkeys(("tx_boresight", "rx_boresight"),
                     _must(lambda v: v in _BORESIGHTS, "unknown boresight {v!r}")),
     "name": _file_stem,
+    "frequency_hz": lambda v: _POSITIVE(v) or _carrier(v),
+    "snr_db": _must(lambda v: v <= MAX_SNR_DB,
+                    f"must be at most {MAX_SNR_DB:g} dB, the log-det kernel's precision, "
+                    "got {v!r}"),
     "quadrature_order": lambda v: _COUNT(v) + _AT_MOST_MAX_ORDER(v),
     "rx_spacing_wavelengths": _each(_must(lambda s: s > 0, "spacing must be positive, got {v!r}"),
                                     "need at least one spacing"),
@@ -228,8 +256,7 @@ _RULES = {
     "samples": _must(lambda v: v >= 1 and v % EM_CORE_SWEEP_POINTS == 0,
                      f"must be a positive multiple of {EM_CORE_SWEEP_POINTS}, "
                      "the sweep points, got {v!r}"),
-    "region_cases": _each(_must(lambda case: len(case) == 2 and all(v > 0 for v in case),
-                                "expected [frequency_hz, aperture_m] pairs, got {v!r}")),
+    "region_cases": _each(lambda case: _REGION_CASE(case) or _carrier(case[0])),
 }
 
 

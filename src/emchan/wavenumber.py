@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .emcore import WaveContext
 from .errors import DomainError, NumericalError, ShapeError
@@ -128,11 +127,44 @@ def wavenumber_support(length_x: float, length_y: float, ctx: WaveContext) -> Wa
 _QUAD_POINTS = 1 << 15
 
 
+# Newton steps of _gauss_legendre from Tricomi's nodes; at most 5 run up to
+# order 1000
+_NEWTON_STEPS = 20
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n-1}(x) and P_n(x) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return prev, cur
+
+
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
-    computed once per process and returned read-only."""
-    nodes, weights = leggauss(n)
+    computed once per process and returned read-only.
+
+    Newton's method on P_n from Tricomi's nodes cos(pi (k - 1/4) / (n + 1/2)),
+    with P_{n-1} and P_n from the recurrence: O(n^2) steps and O(n) memory.
+    The weight 2 (1 - x^2) / (n P_{n-1}(x))^2 is taken with P_{n-1} - x P_n
+    in place of P_{n-1}, equal at a root; its derivative, -(n + 1) P_n, is
+    zero there, so the node's rounding moves the weight only through
+    1 - x^2. Nodes and weights are then symmetrized about 0.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        prev, cur = _legendre_pair(n, x)
+        step = cur * (1.0 - x * x) / (n * (prev - x * cur))
+        x = x - step
+        if np.all(np.abs(step) <= 1e-15):
+            break
+    else:
+        raise NumericalError(f"Gauss-Legendre nodes of order {n} did not converge")
+    prev, cur = _legendre_pair(n, x)
+    weights = 2.0 * (1.0 - x * x) / (n * (prev - x * cur)) ** 2
+    nodes = 0.5 * (x - x[::-1])
+    weights = 0.5 * (weights + weights[::-1])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -181,16 +213,58 @@ def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
     return np.add.reduce(masses, axis=0)
 
 
-def _hemisphere_mass(aps: VmfMixture, n_theta: int = 128, n_phi: int = 256) -> float:
-    """Front-hemisphere integral of the spectrum on an independent dense grid."""
-    tg, tw = _gauss_legendre(n_theta)
-    pg, pw = _gauss_legendre(n_phi)
-    # a (n_theta, 1) column and a (1, n_phi) row: the spectrum broadcasts
-    # them, so its trigonometry runs on the axes, not on the whole grid
-    theta = (0.25 * np.pi * (tg + 1.0))[:, None]
-    phi = (np.pi * (pg + 1.0))[None, :]
-    wt = np.outer(0.25 * np.pi * tw, np.pi * pw)
-    return float(np.sum(wt * aps.pdf(theta, phi) * np.sin(theta)))
+# e^{-x} I_0(x) for x > 700, where exp(x) nears the float range: the first
+# terms ((2k-1)!!)^2 / (k! 8^k) of the large-argument series in 1/x, times
+# 1/sqrt(2 pi x); the first term left out is below 1e-17 there
+_I0E_SERIES = (1.0, 1 / 8, 9 / 128, 225 / 3072, 11025 / 98304, 893025 / 3932160)
+
+# a cluster's factor exp(kappa (cos(theta - theta_c) - 1)) falls below
+# e^-_WINDOW_EXPONENT outside its theta window; each window is cut into
+# _WINDOW_PANELS panels of 16 Gauss-Legendre nodes
+_WINDOW_EXPONENT = 60.0
+_WINDOW_PANELS = 6
+
+
+def _scaled_i0(x: np.ndarray) -> np.ndarray:
+    """e^{-x} I_0(x) for x >= 0."""
+    small = np.minimum(x, 700.0)
+    large = np.maximum(x, 700.0)
+    series = np.polyval(_I0E_SERIES[::-1], 1.0 / large) / np.sqrt(2.0 * np.pi * large)
+    return np.where(x <= 700.0, np.i0(small) * np.exp(-small), series)
+
+
+def _hemisphere_mass(aps: VmfMixture) -> float:
+    """Front-hemisphere integral of the spectrum, theta in [0, pi/2].
+
+    The azimuth integral of a cluster is 2 pi I_0(x), x = kappa sin(theta)
+    sin(theta_c) (Mardia and Jupp, Directional Statistics), which leaves per
+    cluster the integral over theta of
+        kappa / (1 - e^{-2 kappa}) e^{kappa (cos(theta - theta_c) - 1)} e^{-x} I_0(x) sin(theta).
+    Its peak has width 1/sqrt(kappa), and the window around theta_c outside
+    which the integrand is negligible shrinks with it, so a fixed panel rule
+    on each window resolves the peak at any concentration. All clusters are
+    evaluated as one (clusters, points) array; a kappa = 0 cluster (uniform)
+    contributes half its weight.
+    """
+    clusters = aps.clusters
+    weight = np.array([c.weight for c in clusters])
+    kappa = np.array([c.concentration for c in clusters])[:, None]
+    mean = np.array([c.mean_theta for c in clusters])[:, None]
+    # the same mean direction with theta_c in [0, pi], so that x >= 0
+    theta_c = np.abs(np.arctan2(np.sin(mean), np.cos(mean)))
+    live = kappa > 0.0
+    k = np.where(live, kappa, 1.0)
+    # 2 kappa sin^2((theta - theta_c) / 2) <= _WINDOW_EXPONENT within +-half_width
+    half_width = 2.0 * np.arcsin(np.sqrt(np.minimum(_WINDOW_EXPONENT / (2.0 * k), 1.0)))
+    lo = np.clip(theta_c - half_width, 0.0, 0.5 * np.pi)
+    panel = (np.clip(theta_c + half_width, 0.0, 0.5 * np.pi) - lo) / _WINDOW_PANELS
+    xg, xw = _gauss_legendre(16)
+    theta = lo + panel * (np.arange(_WINDOW_PANELS)[:, None] + 0.5 * (xg + 1.0)).ravel()
+    x = k * np.sin(theta) * np.sin(theta_c)
+    density = (k / -np.expm1(-2.0 * k) * np.exp(-2.0 * k * np.sin(0.5 * (theta - theta_c)) ** 2)
+               * _scaled_i0(x) * np.sin(theta))
+    mass = np.sum(0.5 * panel * np.tile(xw, _WINDOW_PANELS) * density, axis=1)
+    return float(np.sum(weight * np.where(live[:, 0], mass, 0.5)))
 
 
 def cell_power_fractions(support: WavenumberSupport, aps: VmfMixture,

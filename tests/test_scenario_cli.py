@@ -35,6 +35,7 @@ from emchan import (
 )
 from emchan import scenario, studies
 from emchan.cli import main
+from emchan.emcore import SPEED_OF_LIGHT
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -264,6 +265,9 @@ def test_every_db_field_is_bounded(cls):
                 f"{f.name}: must lie within +-300 dB, got {beyond!r}"]
 
 
+# the largest frequency whose wavelength c / f overflows a float
+FREQUENCY_BEYOND = math.nextafter(SPEED_OF_LIGHT / sys.float_info.max, 0.0)
+
 # values just beyond the rule of each field in scenario._RULES
 JUST_BEYOND = {
     "name": ["", "a/b", "a\\b", "a\0b", ".", ".."],
@@ -279,7 +283,8 @@ JUST_BEYOND = {
     "tx_boresight": ["x"],
     "rx_boresight": ["+w"],
     "quadrature_order": [0, 1001],
-    "frequency_hz": [0.0],
+    "snr_db": [math.nextafter(scenario.MAX_SNR_DB, math.inf)],
+    "frequency_hz": [0.0, FREQUENCY_BEYOND],
     "aperture_m": [0.0],
     "bs_elements": [0],
     "ue_elements": [0],
@@ -297,12 +302,11 @@ JUST_BEYOND = {
     "percentiles": [(), (0.0,), (50.0, 100.0)],
     "samples": [0, 24],
     "k0r_min": [0.0],
-    "region_cases": [((6.7e9, 0.0),), ((6.7e9,),)],
+    "region_cases": [((6.7e9, 0.0),), ((6.7e9,),), ((FREQUENCY_BEYOND, 1.0),)],
 }
 
 # the fields with no entry in scenario._RULES, and what checks their values
 CHECKED_WITHOUT_A_RULE = {
-    "snr_db": "the dB bound",
     "xpr_mu_db": "the dB bound",
     "z_gain_db": "the dB bound",
     "xpr_db": "the dB bound",
@@ -368,18 +372,19 @@ def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("study, overrides", [
-    ("near-field", {"frequency_hz": 1e-300}),
-    ("em-core-validation", {"samples": 25, "region_cases": [[1e-300, 1.0]]}),
+@pytest.mark.parametrize("study, overrides, field", [
+    ("near-field", {"frequency_hz": 1e-300}, "frequency_hz"),
+    ("em-core-validation", {"samples": 25, "region_cases": [[1e-300, 1.0]]}, "region_cases"),
 ], ids=["near-field", "em-core"])
-def test_cli_run_at_a_frequency_whose_wavelength_overflows_exits_two(tmp_path, capsys, study,
-                                                                      overrides):
+def test_cli_refuses_a_frequency_whose_wavelength_overflows(tmp_path, capsys, study, overrides,
+                                                            field):
     # c / 1e-300 Hz is inf: the boundaries would read 0.0 m and the correlations nan
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"study": study, "name": "s", **overrides}))
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: {study} run failed: frequency 1e-300 Hz")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"invalid: {field}: frequency 1e-300 Hz has a wavelength beyond a float\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -406,17 +411,17 @@ def test_cluster_tables_with_numbers_the_study_cannot_use_are_invalid(tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_run_of_a_channel_beyond_the_log_det_precision_exits_two(tmp_path, capsys):
-    # SNR times the largest eigenvalue far beyond 1/eps: I + SNR G G^H rounds
-    # to a matrix that is not positive definite
+def test_cli_refuses_an_snr_beyond_the_log_det_precision(tmp_path, capsys):
+    # SNR times the largest eigenvalue far beyond 1/eps: I + SNR G G^H would
+    # round to a matrix that is not positive definite, or pass by luck
     scn = DenselySpacedScenario(name="loud", **{**SMALL_BASES[DenselySpacedScenario],
                                                 "snr_db": 300.0})
-    assert validate_scenario(scn) == []
     out = tmp_path / "out"
-    assert main(["run", str(save_scenario(scn, tmp_path / "loud.json")), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: densely-spaced run failed: ")
-    assert "not positive definite" in err
+    path = save_scenario(scn, tmp_path / "loud.json")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("invalid: snr_db: must be at most 100 dB, "
+                                           "the log-det kernel's precision, got 300.0\n")
     assert not out.exists()
 
 

@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -32,7 +36,7 @@ from emchan import (
     wavenumber_support,
 )
 from emchan import wavenumber
-from emchan.wavenumber import _box_masses, _gauss_legendre, _hemisphere_mass
+from emchan.wavenumber import _box_masses, _gauss_legendre, _hemisphere_mass, _scaled_i0
 
 CTX = WaveContext.from_frequency(4.7e9)
 LAM = CTX.wavelength
@@ -132,8 +136,8 @@ def mixture_pdf_oracle(aps, theta, phi):
     return out
 
 
-def hemisphere_mass_oracle(aps, n_theta=128, n_phi=256):
-    """Front-hemisphere mass on a full meshgrid of fresh Gauss-Legendre nodes."""
+def hemisphere_mass_oracle(aps, n_theta=512, n_phi=1024):
+    """Front-hemisphere mass on a full meshgrid of numpy's Gauss-Legendre nodes."""
     tg, tw = leggauss(n_theta)
     pg, pw = leggauss(n_phi)
     theta = 0.25 * np.pi * (tg + 1.0)
@@ -175,22 +179,81 @@ def test_mixture_pdf_equals_per_cluster_sum_bit_for_bit(spectrum):
         assert np.array_equal(vmf_pdf(th, ph, c), vmf_pdf_oracle(th, ph, c))
 
 
-@pytest.mark.parametrize("spectrum", sorted(QUADRATURE_SPECTRA))
-def test_hemisphere_mass_equals_meshgrid_form_bit_for_bit(spectrum):
-    aps = QUADRATURE_SPECTRA[spectrum]
-    assert _hemisphere_mass(aps) == hemisphere_mass_oracle(aps)
-    assert _hemisphere_mass(aps, 16, 40) == hemisphere_mass_oracle(aps, 16, 40)
+def test_scaled_bessel_matches_mpmath_on_both_sides_of_the_series_switch():
+    # np.i0(x) exp(-x) up to x = 700, the large-argument series beyond
+    x = np.array([0.0, 1e-3, 1.0, 8.0, 30.0, 699.5, 700.0, 700.5, 1e4, 1e9])
+    want = [float(mp.besseli(0, v) * mp.exp(-v)) for v in map(mp.mpf, x)]
+    np.testing.assert_allclose(_scaled_i0(x), want, rtol=2e-15, atol=0)
+
+
+def mp_legendre_pair(n, x):
+    """P_{n-1}(x) and P_n(x) in mpmath by the three-term recurrence."""
+    prev, cur = mp.mpf(1), x
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return prev, cur
+
+
+def gauss_legendre_oracle(n):
+    """The n-point rule at 32 digits: Newton's method on P_n from numpy's
+    nodes, and weights 2 (1 - x^2) / (n P_{n-1}(x))^2."""
+    nodes, weights = [], []
+    with mp.workdps(32):
+        for start in leggauss(n)[0]:
+            x = mp.mpf(float(start))
+            for _ in range(3):
+                prev, cur = mp_legendre_pair(n, x)
+                step = cur * (1 - x * x) / (n * (prev - x * cur))
+                x -= step
+            assert abs(step) < mp.mpf(10) ** -28
+            prev, _ = mp_legendre_pair(n, x)
+            nodes.append(float(x))
+            weights.append(float(2 * (1 - x * x) / (n * prev) ** 2))
+    return np.array(nodes), np.array(weights)
 
 
 def test_gauss_legendre_nodes_are_cached_and_read_only():
     nodes, weights = _gauss_legendre(128)
     assert _gauss_legendre(128)[0] is nodes
-    ref_nodes, ref_weights = leggauss(128)
-    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
     for arr in (nodes, weights):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    for n in (1, 2, 16, 64, 128, 256):
+        nodes, weights = _gauss_legendre(n)
+        ref_nodes, ref_weights = gauss_legendre_oracle(n)
+        assert np.all(np.abs(nodes - ref_nodes) <= 2 * np.spacing(np.abs(ref_nodes))), n
+        assert np.max(np.abs(weights - ref_weights)) <= 2e-14, n
+        if n <= 64:
+            for k in range(2 * n):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert abs(np.sum(weights * nodes**k) - exact) <= 1e-14, (n, k)
+
+
+# a densely-spaced run with every numpy eigensolver refused; prints the
+# numpy.polynomial modules the process loaded
+_EIGENSOLVER_FREE_RUN = """
+import sys
+import numpy as np
+import emchan
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an eigensolver ran")
+
+np.linalg.eigh = np.linalg.eigvalsh = refuse
+emchan.run_study(emchan.DenselySpacedScenario(name="d"), scale=0.02, jobs=1)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "polynomial"]))
+"""
+
+
+def test_densely_spaced_run_needs_no_eigensolver_and_no_polynomial_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavenumber.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _EIGENSOLVER_FREE_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def cell_measure_oracle(l_x, l_y, length_x, length_y, aps, ctx, order):
@@ -260,6 +323,39 @@ ORACLE_SPECTRA = {
                                         VmfCluster(0.3, 1.3, 2.0, 3.0))),
 }
 ORACLE_SUPPORTS = ((1.0, 1.0), (4.0, 4.0), (0.6, 0.6), (7.3, 7.3), (2.5, 1.0), (4.0, 0.6))
+
+
+HEMISPHERE_SPECTRA = {
+    **QUADRATURE_SPECTRA,
+    **ORACLE_SPECTRA,
+    "cdl-b-departure": mixture_from_clusters(bundled_cdl_b(), "departure", "+x"),
+    # the peak on the pole, and one whose x = kappa sin(theta) sin(theta_c)
+    # reaches 1,740, beyond the switch to the series at 700
+    "pole": VmfMixture(clusters=(VmfCluster(1.0, 0.0, 0.3, 1000.0),)),
+    "kappa-2000": VmfMixture(clusters=(VmfCluster(1.0, 1.2, 0.3, 2000.0),)),
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(HEMISPHERE_SPECTRA))
+def test_hemisphere_mass_matches_meshgrid_oracle(spectrum):
+    # the closed-form azimuth against a 512 x 1024 grid over (theta, phi)
+    aps = HEMISPHERE_SPECTRA[spectrum]
+    got, want = _hemisphere_mass(aps), hemisphere_mass_oracle(aps)
+    rtol = 1e-13 if spectrum.startswith("cdl-b") else 1e-12
+    assert abs(got - want) <= rtol * want, (got, want)
+
+
+def test_hemisphere_mass_has_the_closed_form_values():
+    # the uniform spectrum holds half its power in front, a cluster on the
+    # pole (1 - e^-kappa) / (1 - e^-2 kappa) of it, one on the rim half of it
+    assert _hemisphere_mass(isotropic_mixture()) == 0.5
+    for kappa in (0.5, 3.0, 40.0, 1000.0):
+        got = _hemisphere_mass(VmfMixture(clusters=(VmfCluster(1.0, 0.0, 0.3, kappa),)))
+        want = np.expm1(-kappa) / np.expm1(-2.0 * kappa)
+        assert abs(got - want) <= 1e-15 * want, kappa
+    for kappa in (3.0, 200.0, 2000.0):
+        got = _hemisphere_mass(VmfMixture(clusters=(VmfCluster(1.0, 0.5 * np.pi, 0.3, kappa),)))
+        assert abs(got - 0.5) <= 1e-15, kappa
 
 
 @pytest.mark.parametrize("order", [4, 16])
