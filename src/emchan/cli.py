@@ -16,18 +16,10 @@ from . import _blas_start_pinned
 from .errors import EmchanError, ValidationError
 from .results import write_results
 from . import scenario as sc
-from .scenario import STUDIES, load_scenario, scenario_hash
+from .scenario import load_scenario, scenario_hash
 from .studies import _blas_libraries, manifest_text, run_study
 
 log = logging.getLogger("emchan")
-
-_STUDY_BLURBS = {
-    "densely-spaced": "capacity versus sub-wavelength receive spacing for four array models",
-    "near-field": "planar-versus-exact wavefront correlation and phase profiles over distance",
-    "tri-pol": "grouped uplink/downlink estimation compared with an uplink-only benchmark",
-    "em-core-validation": "field-kernel decomposition residuals and field-region boundaries",
-}
-
 
 def _configure_logging():
     level_name = os.environ.get("EMCHAN_LOG", "WARNING").upper()
@@ -85,8 +77,8 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_list_studies() -> int:
-    for study in STUDIES:
-        print(f"{study:20s} {_STUDY_BLURBS[study]}")
+    for study, cls in sc._SCENARIO_TYPES.items():
+        print(f"{study:20s} {cls.__doc__}")
     return 0
 
 

@@ -110,7 +110,8 @@ class PortFunction:
 
 
 def _row_blocks(rows: int, cols: int, pairs: int):
-    """Slices of ``rows`` rows that meet ``cols`` columns in about ``pairs`` pairs each."""
+    """Slices of ``rows`` rows of ``cols`` entries each: ``pairs // cols`` rows
+    per slice, at least one."""
     step = max(1, pairs // cols)
     return (slice(start, start + step) for start in range(0, rows, step))
 
@@ -122,7 +123,7 @@ def _max_pairwise_distance(pts: np.ndarray) -> float:
                for rows in _row_blocks(n, n, _EXTENT_PAIRS))
 
 
-def _dyadic_terms(r, s, ctx: WaveContext):
+def _dyadic_terms(r, s):
     """Shared geometry for the dyadic forms; R may be broadcast (..., 3)."""
     rv = np.asarray(r, dtype=float) - np.asarray(s, dtype=float)
     dist = np.linalg.norm(rv, axis=-1)
@@ -135,7 +136,7 @@ def _dyadic_terms(r, s, ctx: WaveContext):
 
 def dyadic_green(r, s, ctx: WaveContext) -> np.ndarray:
     """Closed form of [I + grad grad^T / k0^2] applied to the scalar kernel."""
-    dist, proj = _dyadic_terms(r, s, ctx)
+    dist, proj = _dyadic_terms(r, s)
     kr = ctx.wavenumber * dist
     # asarray keeps 0-d results indexable (scalar ops can decay to python complex)
     g = np.asarray(np.exp(-1j * kr) / (4.0 * np.pi * dist))
@@ -147,7 +148,7 @@ def dyadic_green(r, s, ctx: WaveContext) -> np.ndarray:
 
 def green_decomposition(r, s, ctx: WaveContext):
     """(G_INF, G_RNF, G_FF): the 1/R^3, 1/R^2 and 1/R parts of the dyadic."""
-    dist, proj = _dyadic_terms(r, s, ctx)
+    dist, proj = _dyadic_terms(r, s)
     k0 = ctx.wavenumber
     ph = np.exp(-1j * k0 * dist)[..., None, None]
     eye = np.eye(3)

@@ -1,4 +1,5 @@
-"""Spherical/Cartesian angle helpers and planar-panel orientation frames."""
+"""Spherical/Cartesian angle helpers, planar-panel orientation frames and the
+rule of a uniform array grid."""
 
 from __future__ import annotations
 
@@ -56,3 +57,11 @@ def to_local_angles(theta, phi, boresight: str) -> tuple[np.ndarray, np.ndarray]
     frame = panel_frame(boresight)
     d = unit_vector(theta, phi)
     return angles_from_vector(d @ frame.T)
+
+
+def grid_intervals(length: float, spacing: float) -> int:
+    """Spacings along one aperture side, which must be a whole multiple of the spacing."""
+    n = int(round(length / spacing))
+    if abs(n * spacing - length) > 1e-9:
+        raise DomainError("aperture length must be an integer multiple of the spacing")
+    return n

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .cdl import ClusterTable
-from .emcore import SPEED_OF_LIGHT, WaveContext
+from .emcore import SPEED_OF_LIGHT, WaveContext, _row_blocks
 from .errors import DomainError, GeometryError, ShapeError
 from .geometry import angles_from_vector, unit_vector
 from .patterns import PatternSet, vertical
@@ -139,12 +139,6 @@ class Tap:
 # LOS
 
 
-def _blocks(count: int, geom: ArrayGeometry):
-    """Slices of ``count`` rays or placements, _BLOCK_ENTRIES entries at most."""
-    step = max(1, _BLOCK_ENTRIES // (geom.n_rx * geom.n_tx))
-    return (slice(start, start + step) for start in range(0, count, step))
-
-
 def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveContext):
     rate = direction @ motion.velocity / ctx.wavelength
     return np.exp(2j * np.pi * rate * t)
@@ -170,7 +164,7 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
     anchor = np.array([np.exp(-2j * np.pi * d / lam) for d in d_ref.tolist()])
     out = np.empty((len(tx), geom.n_rx, geom.n_tx), dtype=complex)
     # element_gains wants the element index on axis 0, hence the transposes
-    for c in _blocks(len(tx), geom):
+    for c in _row_blocks(len(tx), geom.n_rx * geom.n_tx, _BLOCK_ENTRIES):
         if planar:
             # expansion directions from the array centroids, absolute phase
             # anchored at the element-0 pair
@@ -471,7 +465,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
     weight = w_nlos * alpha
     pol, amp = _ray_factors(rays)
 
-    for block in _blocks(len(rays), geom):
+    for block in _row_blocks(len(rays), geom.n_rx * geom.n_tx, _BLOCK_ENTRIES):
         coeff = _nlos_block(pol[block], amp[block], _take(bounce, block), weight[block],
                             t, geom, motion, ctx)
         taps.extend(Tap(delay=ray.delay, coefficients=c) for ray, c in zip(rays[block], coeff))

@@ -11,18 +11,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .cdl import MAX_ABS_DB, bundled_cdl_b, load_cluster_table
 from .emcore import WaveContext
 from .errors import DomainError, ValidationError
+from .geometry import grid_intervals
 
 DENSELY_SPACED = "densely-spaced"
 NEAR_FIELD = "near-field"
 TRI_POL = "tri-pol"
 EM_CORE_VALIDATION = "em-core-validation"
-STUDIES = (DENSELY_SPACED, NEAR_FIELD, TRI_POL, EM_CORE_VALIDATION)
 
 _BORESIGHTS = ("+x", "-x", "+y", "-y", "+z", "-z")
 
@@ -47,6 +48,17 @@ MAX_QUADRATURE_ORDER = 1000
 # At 100 dB, SNR trace(G G^H) eps stays below 2.3e-4 up to a trace of 100.
 MAX_SNR_DB = 100.0
 
+# Largest near-field length in wavelengths at frequency_hz: the farthest drop,
+# the far-field case at 10 x the Rayleigh distance, both apertures, the profile
+# distance and the UE span. A length of N wavelengths enters an LOS entry as
+# the phase 2 pi N, and a double holds N only to within N eps / 2 (eps =
+# 2.2e-16), so the phase can be off by pi eps N rad: 7e-4 rad at 1e12
+# wavelengths. Far beyond it a run fails outright: at a drop of 2.2e156
+# wavelengths the element offsets round away against the distance. The
+# reference scenarios reach 9.8e4 wavelengths, in the far-field case of
+# nearfield_15ghz.json.
+MAX_NEAR_FIELD_WAVELENGTHS = 1e12
+
 # k0*r points of the em-core sweep; each runs samples / EM_CORE_SWEEP_POINTS
 # random directions, so samples must be a multiple of it.
 EM_CORE_SWEEP_POINTS = 25
@@ -54,7 +66,7 @@ EM_CORE_SWEEP_POINTS = 25
 
 @dataclass(frozen=True)
 class DenselySpacedScenario:
-    """Capacity versus receive-element spacing for four array models."""
+    """capacity versus sub-wavelength receive spacing for four array models"""
 
     name: str = DENSELY_SPACED
     master_seed: int = 0
@@ -79,7 +91,7 @@ class DenselySpacedScenario:
 
 @dataclass(frozen=True)
 class NearFieldScenario:
-    """Planar-versus-spherical wavefront correlation over user distances."""
+    """planar-versus-exact wavefront correlation and phase profiles over distance"""
 
     name: str = NEAR_FIELD
     master_seed: int = 0
@@ -101,7 +113,7 @@ class NearFieldScenario:
 
 @dataclass(frozen=True)
 class TriPolScenario:
-    """Grouped uplink/downlink estimation versus the uplink-only benchmark."""
+    """grouped uplink/downlink estimation compared with an uplink-only benchmark"""
 
     name: str = TRI_POL
     master_seed: int = 0
@@ -127,7 +139,7 @@ class TriPolScenario:
 
 @dataclass(frozen=True)
 class EmCoreValidationScenario:
-    """Green-function decomposition residuals and field-region boundaries."""
+    """field-kernel decomposition residuals and field-region boundaries"""
 
     name: str = EM_CORE_VALIDATION
     master_seed: int = 0
@@ -139,12 +151,10 @@ class EmCoreValidationScenario:
     study = EM_CORE_VALIDATION
 
 
-_SCENARIO_TYPES = {
-    DENSELY_SPACED: DenselySpacedScenario,
-    NEAR_FIELD: NearFieldScenario,
-    TRI_POL: TriPolScenario,
-    EM_CORE_VALIDATION: EmCoreValidationScenario,
-}
+# each docstring is the study's line in `emchan list-studies`
+_SCENARIO_TYPES = {cls.study: cls for cls in (DenselySpacedScenario, NearFieldScenario,
+                                              TriPolScenario, EmCoreValidationScenario)}
+STUDIES = tuple(_SCENARIO_TYPES)
 
 
 # The entry type of the fields whose default is None: a value other than None
@@ -213,6 +223,14 @@ def _carrier(frequency) -> list[str]:
     return []
 
 
+def _weights(ws) -> list[str]:
+    """The rule of cluster_weights: nonnegative, summing to 1 within 1e-6."""
+    if any(w < 0 for w in ws):
+        return [f"expected nonnegative numbers, got {ws!r}"]
+    total = float(sum(ws))
+    return [] if abs(total - 1.0) <= 1e-6 else [f"weights must sum to 1, got {total!r}"]
+
+
 def _file_stem(name) -> list[str]:
     """The rule of `name`, the stem of every output file: it must not leave --out."""
     if not name:
@@ -243,6 +261,7 @@ _RULES = {
     "quadrature_order": lambda v: _COUNT(v) + _AT_MOST_MAX_ORDER(v),
     "rx_spacing_wavelengths": _each(_must(lambda s: s > 0, "spacing must be positive, got {v!r}"),
                                     "need at least one spacing"),
+    "cluster_weights": _weights,
     "element_efficiency": _must(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1], got {v!r}"),
     "schemes": _each(_must(lambda s: s in _SCHEMES,
                            f"unknown scheme {{v!r}} (known: {', '.join(_SCHEMES)})"),
@@ -258,6 +277,30 @@ _RULES = {
                      "the sweep points, got {v!r}"),
     "region_cases": _each(lambda case: _REGION_CASE(case) or _carrier(case[0])),
 }
+
+
+def _near_field_lengths(scn: NearFieldScenario) -> list[str]:
+    """The rule of every near-field length, which reads frequency_hz: at most
+    MAX_NEAR_FIELD_WAVELENGTHS wavelengths, each named by its field."""
+    try:
+        lam = WaveContext.from_frequency(scn.frequency_hz).wavelength
+    except DomainError:
+        return []  # frequency_hz's own rule reports it
+    aperture = scn.aperture_m / lam
+    far_field = 20.0 * aperture * aperture  # 10 x 2 D^2 / lambda; ** would raise on overflow
+    gaps = scn.ue_elements - 1  # JSON reads integers of any size
+    ue_span = gaps * scn.ue_spacing_wavelengths if gaps <= sys.float_info.max else math.inf
+    lengths = {  # field: (what, wavelengths)
+        "aperture_m": (("the far-field case at 10 x the Rayleigh distance", far_field)
+                       if scn.include_far_field_check else ("the aperture", aperture)),
+        "ue_spacing_wavelengths": ("the UE span", ue_span),
+        "drop_distances_m": ("the farthest drop", max(scn.drop_distances_m, default=0.0) / lam),
+        "profile_aperture_m": ("the profile aperture", scn.profile_aperture_m / lam),
+        "profile_distance_m": ("the profile distance", scn.profile_distance_m / lam),
+    }
+    return [f"{field}: {what} reaches {n:.3g} wavelengths at frequency_hz, beyond the "
+            f"{MAX_NEAR_FIELD_WAVELENGTHS:g} within which a double resolves its phase"
+            for field, (what, n) in lengths.items() if n > MAX_NEAR_FIELD_WAVELENGTHS]
 
 
 def _cluster_count(scn: DenselySpacedScenario, errors: list) -> int | None:
@@ -300,7 +343,6 @@ def validate_scenario(scn) -> list[str]:
         scn = dataclasses.replace(scn, **bad)
     if isinstance(scn, DenselySpacedScenario):
         # the study's own grid rule, on the lengths in metres it builds arrays with
-        from .wavenumber import grid_intervals
         lam = WaveContext.from_frequency(REFERENCE_FREQUENCY_HZ).wavelength
         for side, spacings in (("tx", (scn.tx_spacing_wavelengths,)),
                                ("rx", scn.rx_spacing_wavelengths)):
@@ -315,16 +357,11 @@ def validate_scenario(scn) -> list[str]:
                     errors.append(f"{side}_spacing_wavelengths: {exc} "
                                   f"(side {length!r}, spacing {s!r})")
         clusters = None if "cluster_table" in bad else _cluster_count(scn, errors)
-        if scn.cluster_weights is not None:
-            ws = scn.cluster_weights
-            if any(w < 0 for w in ws):
-                errors.append(f"cluster_weights: expected nonnegative numbers, got {ws!r}")
-            else:
-                total = float(sum(ws))
-                if abs(total - 1.0) > 1e-6:
-                    errors.append(f"cluster_weights: weights must sum to 1, got {total!r}")
-                if clusters is not None and len(ws) != clusters:
-                    errors.append(f"cluster_weights: expected {clusters} weights, got {len(ws)}")
+        ws = scn.cluster_weights
+        if ws is not None and clusters is not None and len(ws) != clusters:
+            errors.append(f"cluster_weights: expected {clusters} weights, got {len(ws)}")
+    elif isinstance(scn, NearFieldScenario):
+        errors.extend(_near_field_lengths(scn))
     elif (isinstance(scn, EmCoreValidationScenario) and not {"k0r_min", "k0r_max"} & bad.keys()
           and not scn.k0r_max > scn.k0r_min):
         errors.append(f"k0r_max: must exceed k0r_min, got {scn.k0r_max!r}")

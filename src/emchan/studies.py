@@ -11,10 +11,10 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import importlib
 import math
 import os
 import re
+import sys
 
 import numpy as np
 
@@ -28,50 +28,38 @@ from .seeds import STUDY_IDS, realization_rng
 
 VERSION = "1.0.0"
 
-# The channel-module names each study's runner calls, by module; a name equal
-# to its module's is the module itself (the near-field runner calls through
-# it). They are bound into this namespace when a scenario file of the study
-# is loaded (load_scenario), and on first use by run_study and by the
-# functions that spawned workers or tests call alone, so a process imports
-# only the modules of the studies it runs, and imports them before the study
-# starts.
-_STUDY_NAMES = {
-    sc.DENSELY_SPACED: {
-        "capacity": ("capacity_equal_power",),
-        "patterns": ("PatternSet", "dipole", "unit_gain"),
-        "wavenumber": ("EfficiencyMatrix", "apply_polarization", "assemble_channel",
-                       "coupling_variances", "fourier_harmonics", "isotropic_mixture",
-                       "sample_wavenumber_channel", "uniform_planar_array",
-                       "wavenumber_support"),
-    },
-    sc.NEAR_FIELD: {"nearfield": ("nearfield",)},
-    sc.TRI_POL: {
-        "capacity": ("capacity_waterfilling",),
-        "tripol": ("benchmark_uplink_only", "estimate_joint", "group_ports", "percentiles",
-                   "scalar_aligned", "simulate_tripol_channel"),
-    },
-    sc.EM_CORE_VALIDATION: {},
+# The channel modules each study's runner calls. They are bound into this
+# namespace, each with every name that emchan._EXPORTS maps to it, when a
+# scenario file of the study is loaded (load_scenario), and on first use by
+# run_study and by the functions that spawned workers or tests call alone, so
+# a process imports only the modules of the studies it runs, and imports them
+# before the study starts.
+_STUDY_MODULES = {
+    sc.DENSELY_SPACED: ("capacity", "patterns", "wavenumber"),
+    sc.NEAR_FIELD: ("nearfield",),
+    sc.TRI_POL: ("capacity", "tripol"),
+    sc.EM_CORE_VALIDATION: (),
 }
-_HOMES = {name: module for modules in _STUDY_NAMES.values()
-          for module, names in modules.items() for name in names}
 
 
 def _bind_study(study: str) -> None:
-    """Bind the names of a study's runner here. A name already set, such as
-    a tracing wrapper or a test's stand-in, is kept."""
-    for names in _STUDY_NAMES[study].values():
-        for name in names:
-            if name not in globals():
-                __getattr__(name)
+    """Bind the modules of a study's runner here, with their exported names.
+    A name already set, such as a tracing wrapper or a test's stand-in, is kept."""
+    modules = _STUDY_MODULES[study]
+    exports = sys.modules[__package__]._EXPORTS
+    for name in [*modules, *(name for name, home in exports.items() if home in modules)]:
+        if name not in globals():
+            __getattr__(name)
 
 
 def __getattr__(name: str):
-    """Bind one runner's name, also when it is looked up before its study is
-    bound (say, to wrap it)."""
-    if name not in _HOMES:
+    """Bind one study module or one of its exported names, also when it is
+    looked up before its study is bound (say, to wrap it)."""
+    package = sys.modules[__package__]
+    home = package._EXPORTS.get(name, name)
+    if not any(home in modules for modules in _STUDY_MODULES.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
-    globals()[name] = value = module if name == _HOMES[name] else getattr(module, name)
+    globals()[name] = value = getattr(package, name)
     return value
 
 
@@ -267,14 +255,16 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
     variances = np.stack([coupling_variances(sup_r, sup_s, iso, iso, ctx, order),
                           coupling_variances(sup_r, sup_s, mix_arr, mix_dep, ctx, order)])
 
-    patterns = {"unit": PatternSet.uniform(unit_gain()), "dipole": PatternSet.uniform(dipole())}
+    element_patterns = {"unit": PatternSet.uniform(unit_gain()),
+                        "dipole": PatternSet.uniform(dipole())}
     tx_array = uniform_planar_array(l_s, l_s, scn.tx_spacing_wavelengths * lam,
                                     scn.tx_spacing_wavelengths * lam)
-    psi_s = {p: fourier_harmonics(tx_array, sup_s, patterns[p], ctx) for p in patterns}
+    psi_s = {p: fourier_harmonics(tx_array, sup_s, pattern, ctx)
+             for p, pattern in element_patterns.items()}
     rx_arrays = [uniform_planar_array(l_r, l_r, spacing * lam, spacing * lam)
                  for spacing in scn.rx_spacing_wavelengths]
-    r_r = {p: _rx_factors([fourier_harmonics(arr, sup_r, patterns[p], ctx) for arr in rx_arrays])
-           for p in patterns}
+    r_r = {p: _rx_factors([fourier_harmonics(arr, sup_r, pattern, ctx) for arr in rx_arrays])
+           for p, pattern in element_patterns.items()}
 
     # scheme: (variance set, element pattern, element efficiency)
     scheme_defs = {
@@ -427,8 +417,8 @@ def _run_tri_pol(scn: sc.TriPolScenario, seed: int, scale: float,
         columns=(Column("percentile", "%"), Column("joint_capacity", "bit/s/Hz"),
                  Column("benchmark_capacity", "bit/s/Hz")),
         metadata=_metadata(scn, seed, scale))
-    for p, joint, bench in zip(scn.percentiles, percentiles(c_joint, scn.percentiles),
-                               percentiles(c_bench, scn.percentiles)):
+    for p, joint, bench in zip(scn.percentiles, tripol.percentiles(c_joint, scn.percentiles),
+                               tripol.percentiles(c_bench, scn.percentiles)):
         cdf.append(float(p), joint, bench)
 
     summary = ResultTable(columns=(Column("metric"), Column("value")),

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emcore import WaveContext
+from .emcore import WaveContext, _row_blocks
 from .errors import DomainError, NumericalError, ShapeError
+from .geometry import grid_intervals
 from .patterns import PatternSet
 
 
@@ -198,9 +199,8 @@ def _box_masses(length_x: float, length_y: float, nx: int, ny: int,
     ky_hi = np.minimum(2.0 * np.pi * (l_y + 0.5) / length_y, b)
     node, cx, cy = np.nonzero(live & (ky_hi > ky_lo))
     masses = np.zeros(ky_lo.shape)
-    step = max(1, _QUAD_POINTS // order)
-    for start in range(0, node.size, step):
-        n, i, j = (a[start:start + step] for a in (node, cx, cy))
+    for block in _row_blocks(node.size, order, _QUAD_POINTS):
+        n, i, j = node[block], cx[block], cy[block]
         bi = b[n, i]
         u_lo = np.arcsin(np.clip(ky_lo[n, i, j][:, None] / bi, -1.0, 1.0))
         u_hi = np.arcsin(np.clip(ky_hi[n, i, j][:, None] / bi, -1.0, 1.0))
@@ -352,14 +352,6 @@ def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
 
 # ---------------------------------------------------------------------------
 # arrays, harmonics, efficiencies, assembly
-
-
-def grid_intervals(length: float, spacing: float) -> int:
-    """Spacings along one aperture side, which must be a whole multiple of the spacing."""
-    n = int(round(length / spacing))
-    if abs(n * spacing - length) > 1e-9:
-        raise DomainError("aperture length must be an integer multiple of the spacing")
-    return n
 
 
 def uniform_planar_array(length_x: float, length_y: float, spacing_x: float,

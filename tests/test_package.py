@@ -87,17 +87,33 @@ def _global_names(code: types.CodeType) -> set:
     return names
 
 
-def test_study_name_table_lists_names_the_runners_use():
-    used = set()
-    for _, func in inspect.getmembers(studies, inspect.isfunction):
-        if func.__module__ == studies.__name__:
-            used |= _global_names(func.__code__)
-    for study, modules in studies._STUDY_NAMES.items():
-        for module, names in modules.items():
-            for name in names:
-                assert name in used, (study, name)
-                value = getattr(studies, name)
-                home = importlib.import_module(f"emchan.{module}")
-                assert value is (home if name == module else getattr(home, name))
-    with pytest.raises(AttributeError, match="no_such_name"):
-        studies.no_such_name  # noqa: B018
+def _runner_names(func) -> set:
+    """Global names of func and of the `studies` functions it reaches."""
+    names, todo, seen = set(), [func], set()
+    while todo:
+        code = todo.pop().__code__
+        if code in seen:
+            continue
+        seen.add(code)
+        found = _global_names(code)
+        names |= found
+        todo += [value for name in found
+                 if inspect.isfunction(value := vars(studies).get(name))
+                 and value.__module__ == studies.__name__]
+    return names
+
+
+def test_study_module_list_binds_the_modules_the_runners_use():
+    for study, modules in studies._STUDY_MODULES.items():
+        used = _runner_names(studies._RUNNERS[study])
+        for module in modules:
+            names = {module} | {name for name, home in emchan._EXPORTS.items() if home == module}
+            assert names & used, (study, module)
+            home = importlib.import_module(f"emchan.{module}")
+            assert getattr(studies, module) is home
+            for name in names - {module}:
+                assert getattr(studies, name) is getattr(home, name), name
+    # names of other modules are not bound here, nor tripol's unexported ones
+    for name in ("no_such_name", "panel_frame", "percentiles"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(studies, name)

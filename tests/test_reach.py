@@ -43,7 +43,6 @@ UNREACHED = {
     "emcore.delta_ports": "criterion 2",
     "emcore.Aperture.extent": "roadmap item 2",
     "emcore._max_pairwise_distance": "roadmap item 2",
-    "emcore._row_blocks": "criterion 2",
     "emcore.field_region": "criterion 3",
     "wavenumber.hannan_efficiency": "criterion 4",
     "wavenumber.vmf_pdf": "criterion 5",

@@ -268,6 +268,11 @@ def test_every_db_field_is_bounded(cls):
 # the largest frequency whose wavelength c / f overflows a float
 FREQUENCY_BEYOND = math.nextafter(SPEED_OF_LIGHT / sys.float_info.max, 0.0)
 
+# one weight per cluster of the bundled table: the given ones, then zeros
+def _weights(w, *rest):
+    return (w, *rest) + (0.0,) * (bundled_cdl_b().count - 1 - len(rest))
+
+
 # values just beyond the rule of each field in scenario._RULES
 JUST_BEYOND = {
     "name": ["", "a/b", "a\\b", "a\0b", ".", ".."],
@@ -278,6 +283,8 @@ JUST_BEYOND = {
     "rx_spacing_wavelengths": [(), (0.5, 0.0)],
     "realizations": [0],
     "xpr_sigma_db": [-5e-324],
+    "cluster_weights": [_weights(1.0, -5e-324), _weights(math.nextafter(1.0 + 1e-6, 2.0)),
+                        _weights(math.nextafter(1.0 - 1e-6, 0.0))],
     "element_efficiency": [0.0, math.nextafter(1.0, 2.0)],
     "schemes": [(), ("ideal", "nii")],
     "tx_boresight": ["x"],
@@ -313,7 +320,6 @@ CHECKED_WITHOUT_A_RULE = {
     "pilot_snr_db": "the dB bound",
     "include_far_field_check": "its type: either value is valid",
     "cluster_table": "the cross-field read of the table that cluster_weights is counted against",
-    "cluster_weights": "the cross-field rule against the table's cluster count",
     "k0r_max": "the cross-field rule k0r_max > k0r_min",
 }
 
@@ -356,9 +362,8 @@ def test_names_that_leave_the_output_directory_are_invalid(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("study, overrides", [
-    ("near-field", {"aperture_m": 1e300}),
     ("em-core-validation", {"samples": 25, "region_cases": [[1e9, 1e200]]}),
-], ids=["rayleigh", "reactive"])
+], ids=["reactive"])
 def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path, capsys, study,
                                                                         overrides):
     path = tmp_path / "s.json"
@@ -370,6 +375,49 @@ def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path,
     assert err.count("\n") == 1 and err.startswith(f"error: {study} run failed: ")
     assert err.endswith(" m aperture overflows a float\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides, field", [
+    ({"drop_distances_m": [20.0, 1e155]}, "drop_distances_m"),
+    ({"profile_distance_m": 1e155}, "profile_distance_m"),
+    ({"profile_aperture_m": 1e155}, "profile_aperture_m"),
+    ({"aperture_m": 1e100}, "aperture_m"),
+    ({"aperture_m": 1e153}, "aperture_m"),
+    ({"aperture_m": 1e300}, "aperture_m"),
+    ({"ue_spacing_wavelengths": 1e300}, "ue_spacing_wavelengths"),
+    ({"ue_elements": 10**400}, "ue_spacing_wavelengths"),
+], ids=["drop", "profile-distance", "profile-aperture", "aperture", "aperture-1e153", "rayleigh",
+        "ue-span", "ue-count"])
+def test_cli_refuses_near_field_lengths_beyond_the_phase_precision(tmp_path, capsys, command,
+                                                                   overrides, field):
+    # each of these passed validation, and the run then failed without naming
+    # a field ("zero vector has no direction", a non-finite column, an
+    # overflowing Rayleigh distance, or an OverflowError traceback)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": "near-field", "name": "s", **overrides}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"invalid: {field}: ")
+    assert f"beyond the {scenario.MAX_NEAR_FIELD_WAVELENGTHS:g} within which" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_near_field_length_bound_in_wavelengths():
+    bound = scenario.MAX_NEAR_FIELD_WAVELENGTHS
+    base = dict(ue_elements=2, ue_spacing_wavelengths=bound)
+    assert validate_scenario(NearFieldScenario(**base)) == []
+    messages = validate_scenario(NearFieldScenario(
+        **{**base, "ue_spacing_wavelengths": math.nextafter(bound, math.inf)}))
+    assert len(messages) == 1 and messages[0].startswith("ue_spacing_wavelengths: the UE span ")
+    # a 1 km aperture is 2.2e4 wavelengths at 6.7 GHz, and its far-field case
+    # at 10 x the Rayleigh distance 1e10
+    assert validate_scenario(NearFieldScenario(aperture_m=1e3)) == []
+    far = NearFieldScenario(aperture_m=1e6)
+    assert [m.split(" reaches")[0] for m in validate_scenario(far)] == [
+        "aperture_m: the far-field case at 10 x the Rayleigh distance"]
+    assert validate_scenario(dataclasses.replace(far, include_far_field_check=False)) == []
 
 
 @pytest.mark.parametrize("study, overrides, field", [
@@ -555,8 +603,8 @@ def test_a_process_loads_only_the_modules_of_its_studies(files, never):
 def test_validate_loads_no_channel_module():
     """`emchan validate` checks a file without binding its study: only
     `load_scenario` (and so `run`) loads the channel modules."""
-    files = ("nearfield_6p7ghz.json", "nearfield_15ghz.json", "tripol.json",
-             "emcore_validation.json")
+    files = ("densely_spaced.json", "nearfield_6p7ghz.json", "nearfield_15ghz.json",
+             "tripol.json", "emcore_validation.json")
     loaded = set(_probe_modules(*files, command="validate")["loaded"])
     assert {"emchan.cli", "emchan.scenario"} <= loaded
     assert not loaded & {"emchan.nearfield", "emchan.patterns", "emchan.tripol",
@@ -649,6 +697,17 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     for study in ("densely-spaced", "near-field", "tri-pol", "em-core-validation"):
         assert study in out
+
+
+def test_list_studies_prints_each_scenario_types_docstring(capsys):
+    assert main(["list-studies"]) == 0
+    assert capsys.readouterr().out == (
+        "densely-spaced       capacity versus sub-wavelength receive spacing for four array models\n"
+        "near-field           planar-versus-exact wavefront correlation and phase profiles over "
+        "distance\n"
+        "tri-pol              grouped uplink/downlink estimation compared with an uplink-only "
+        "benchmark\n"
+        "em-core-validation   field-kernel decomposition residuals and field-region boundaries\n")
 
 
 def test_cli_run_writes_outputs_and_is_reproducible(tmp_path, capsys, caplog, monkeypatch):
