@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,9 +23,8 @@ class CapacityResult:
     eigenvalues: np.ndarray
 
 
-def _gram(g, power, noise_power) -> np.ndarray:
-    """The smaller Gram matrix of G (G G^H for a wide G, else G^H G), whose
-    nonzero eigenvalues are those of G^H G, after both kernels' checks."""
+def _checked(g, power, noise_power) -> np.ndarray:
+    """G as a complex array, after both kernels' checks."""
     if not (np.isfinite(noise_power) and noise_power > 0.0):
         raise DomainError("noise power must be positive and finite")
     if not np.all(np.isfinite(power) & (np.asarray(power) >= 0.0)):
@@ -35,25 +34,25 @@ def _gram(g, power, noise_power) -> np.ndarray:
         raise DomainError("channel matrix must be at least 2-D")
     if not np.all(np.isfinite(g)):
         raise DomainError("channel matrix entries must be finite")
-    gh = g.conj().swapaxes(-1, -2)
-    return g @ gh if g.shape[-2] < g.shape[-1] else gh @ g
+    return g
 
 
 def capacity_equal_power(g: np.ndarray, power, noise_power: float) -> float | np.ndarray:
-    """log2 det(I + P/(K sigma^2) G G^H) with K transmit streams, as 2 sum
-    log2 diag(L) for the Cholesky factor L of that (positive definite) matrix
-    on the smaller side. G may carry stack axes and ``power`` may broadcast
-    against them; each (power, matrix) pair gives exactly what it gives alone.
-    Where rounding leaves that matrix not positive definite (SNR times the
-    largest eigenvalue beyond about 1/eps), NumericalError is raised."""
-    gram = _gram(g, power, noise_power)
-    a = np.asarray(power, dtype=float)[..., None, None] / (np.shape(g)[-1] * noise_power) * gram
-    try:
-        chol = np.linalg.cholesky(a + np.eye(a.shape[-1]))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("I + P/(K sigma^2) G G^H is not positive definite") from exc
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1).real
-    cap = 2.0 * np.sum(np.log2(pivots), axis=-1)
+    """log2 det(I + c G G^H), c = P/(K sigma^2) with K transmit streams, as
+    2 sum log2 |diag(R)| for the Householder QR of M = [sqrt(c) G^H; I] for a
+    wide G, else [sqrt(c) G; I]: M^H M is I + c times the smaller Gram
+    matrix. QR is backward stable in M and sigma_min(M) >= 1, so this cannot
+    fail on finite input and keeps the weak modes at any SNR and rank. G may
+    carry stack axes and ``power`` may broadcast against them; each (power,
+    matrix) pair gives exactly what it gives alone."""
+    g = _checked(g, power, noise_power)
+    m, k = g.shape[-2:]
+    n = min(m, k)
+    side = g.conj().swapaxes(-1, -2) if m < k else g
+    scaled = np.sqrt(np.asarray(power, dtype=float)[..., None, None] / (k * noise_power)) * side
+    eye = np.broadcast_to(np.eye(n), scaled.shape[:-2] + (n, n))
+    r = np.linalg.qr(np.concatenate((scaled, eye), axis=-2), mode="r")
+    cap = 2.0 * np.sum(np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
     return float(cap) if cap.ndim == 0 else cap
 
 
@@ -62,8 +61,10 @@ def capacity_waterfilling(g: np.ndarray, power: float, noise_power: float) -> Ca
 
     G may carry leading stack axes, as in capacity_equal_power.
     """
-    gram = _gram(g, power, noise_power)
-    m, k = np.shape(g)[-2:]
+    g = _checked(g, power, noise_power)
+    m, k = g.shape[-2:]
+    gh = g.conj().swapaxes(-1, -2)
+    gram = g @ gh if m < k else gh @ g  # the smaller side; its eigenvalues are G^H G's
     lam = np.zeros(gram.shape[:-2] + (k,))
     lam[..., : min(m, k)] = np.clip(np.linalg.eigvalsh(gram)[..., ::-1], 0.0, None)
     # eigenvalues are sorted descending, so the positive ones are a prefix;

@@ -37,26 +37,15 @@ REFERENCE_FREQUENCY_HZ = 4.7e9
 # so larger orders are refused.
 MAX_QUADRATURE_ORDER = 1000
 
-# Largest SNR of a densely-spaced run, in dB. Its log-det kernel factors
-# I + SNR G G^H by Cholesky, which fails once SNR lambda_max(G G^H) nears
-# 1/eps (156 dB at lambda_max = 1). The channel is normalized: the cell power
-# fractions of each side sum to 1, and the harmonics carry 1/sqrt(n). Over
-# the 1000 realizations of scenarios/densely_spaced.json, the largest
-# trace(G G^H), a bound on lambda_max, is 5.9 at a receive spacing of 0.5,
-# 5.4 at 0.25 and 5.3 at 0.125 wavelengths. On 0.5-wavelength apertures,
-# whose few plane waves share the power, it reached 25 in 300 realizations.
-# At 100 dB, SNR trace(G G^H) eps stays below 2.3e-4 up to a trace of 100.
-MAX_SNR_DB = 100.0
-
 # Largest near-field length in wavelengths at frequency_hz: the farthest drop,
 # the far-field case at 10 x the Rayleigh distance, both apertures, the profile
-# distance and the UE span. A length of N wavelengths enters an LOS entry as
-# the phase 2 pi N, and a double holds N only to within N eps / 2 (eps =
-# 2.2e-16), so the phase can be off by pi eps N rad: 7e-4 rad at 1e12
-# wavelengths. Far beyond it a run fails outright: at a drop of 2.2e156
-# wavelengths the element offsets round away against the distance. The
-# reference scenarios reach 9.8e4 wavelengths, in the far-field case of
-# nearfield_15ghz.json.
+# distance, the UE span and the Doppler displacement |v| t. A length of N
+# wavelengths enters an LOS entry as the phase 2 pi N, and a double holds N
+# only to within N eps / 2 (eps = 2.2e-16), so the phase can be off by
+# pi eps N rad: 7e-4 rad at 1e12 wavelengths. Far beyond it a run fails
+# outright: at a drop of 2.2e156 wavelengths the element offsets round away
+# against the distance. The reference scenarios reach 9.8e4 wavelengths, in
+# the far-field case of nearfield_15ghz.json.
 MAX_NEAR_FIELD_WAVELENGTHS = 1e12
 
 # k0*r points of the em-core sweep; each runs samples / EM_CORE_SWEEP_POINTS
@@ -255,9 +244,6 @@ _RULES = {
                     _must(lambda v: v in _BORESIGHTS, "unknown boresight {v!r}")),
     "name": _file_stem,
     "frequency_hz": lambda v: _POSITIVE(v) or _carrier(v),
-    "snr_db": _must(lambda v: v <= MAX_SNR_DB,
-                    f"must be at most {MAX_SNR_DB:g} dB, the log-det kernel's precision, "
-                    "got {v!r}"),
     "quadrature_order": lambda v: _COUNT(v) + _AT_MOST_MAX_ORDER(v),
     "rx_spacing_wavelengths": _each(_must(lambda s: s > 0, "spacing must be positive, got {v!r}"),
                                     "need at least one spacing"),
@@ -297,6 +283,9 @@ def _near_field_lengths(scn: NearFieldScenario) -> list[str]:
         "drop_distances_m": ("the farthest drop", max(scn.drop_distances_m, default=0.0) / lam),
         "profile_aperture_m": ("the profile aperture", scn.profile_aperture_m / lam),
         "profile_distance_m": ("the profile distance", scn.profile_distance_m / lam),
+        # an overflowing product is inf, which compares as too long
+        "time_s": ("the Doppler displacement |velocity_mps| x time_s",
+                   math.hypot(*scn.velocity_mps) * scn.time_s / lam),
     }
     return [f"{field}: {what} reaches {n:.3g} wavelengths at frequency_hz, beyond the "
             f"{MAX_NEAR_FIELD_WAVELENGTHS:g} within which a double resolves its phase"

@@ -1,12 +1,14 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from emchan import (
+    DenselySpacedScenario,
     DomainError,
-    NumericalError,
     capacity_equal_power,
     capacity_waterfilling,
     realization_rng,
+    studies,
 )
 
 
@@ -24,6 +26,16 @@ def equal_power_oracle(g, power, noise_power):
     power = np.asarray(power, dtype=float)[..., None]
     cap = np.sum(np.log2(1.0 + power / (k * noise_power) * lam), axis=-1)
     return cap, np.broadcast_to(power / k, cap.shape + (k,)), lam
+
+
+def log_det_oracle(g, power, noise_power):
+    """log2 det(I + P/(K sigma^2) G G^H) of one matrix at 40 digits, from the
+    exact values of G's entries."""
+    with mp.workdps(40):
+        m, k = g.shape
+        gm = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in np.asarray(g, complex)])
+        a = mp.eye(m) + mp.mpf(power) / (k * mp.mpf(noise_power)) * gm * gm.H
+        return float(mp.log(mp.re(mp.det(a)), 2))
 
 
 def grid_search_waterfilling(lam, power, noise, levels=4_000_000):
@@ -79,11 +91,14 @@ def test_rank_one_channel():
     assert res.capacity == pytest.approx(np.log2(1 + 2.0 * lam), rel=1e-12)
 
 
-def test_equal_power_raises_numerical_error_where_rounding_breaks_positive_definiteness():
+def test_equal_power_keeps_the_unit_modes_where_the_gram_matrix_rounds_singular():
     # I + (1e20 / 4) G G^H of a rank-one G rounds to 1e20 ones((4, 4)), which
-    # is singular, so its Cholesky factorization fails
-    with pytest.raises(NumericalError, match="not positive definite"):
-        capacity_equal_power(np.ones((4, 4)), 1e20, 1.0)
+    # is singular, so a Cholesky factorization of it failed; its determinant
+    # is 1 + 4e20. QR rounds the rank-one block by about eps sqrt(c) per
+    # entry, which reaches each of the three unit modes squared: c eps^2 =
+    # 1.2e-12 each, 8e-14 of the capacity in all
+    assert capacity_equal_power(np.ones((4, 4)), 1e20, 1.0) == pytest.approx(
+        np.log2(1.0 + 4e20), rel=1e-13)
 
 
 def test_equal_eigenvalues_match_equal_power():
@@ -259,7 +274,7 @@ def test_equal_power_eigenvalues_match_svd_on_wide_tall_and_rank_deficient_chann
 
 
 def test_equal_power_log_det_matches_eigenvalue_oracle():
-    """The Cholesky log-det against the eigenvalue sum on wide, tall,
+    """The QR log-det against the eigenvalue sum on wide, tall,
     rank-deficient and zero channels, alone, stacked and with power arrays."""
     rng = np.random.default_rng(34)
 
@@ -318,3 +333,74 @@ def test_stacked_waterfilling_members_match_their_own_calls_exactly():
     deep = capacity_waterfilling(g, 1.5, 1.0)
     assert deep.capacity.shape == (2, 3)
     assert deep.capacity[1, 2] == capacity_waterfilling(g[1, 2], 1.5, 1.0).capacity
+
+
+def test_equal_power_log_det_matches_a_40_digit_determinant_up_to_150_db():
+    """Rank-deficient and full-rank stacks, wide, tall and square, at 0 to
+    150 dB: the weak modes that rounding in I + c G G^H would lose stay."""
+    rng = np.random.default_rng(35)
+
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    powers_db = np.array([0.0, 50.0, 100.0, 150.0])
+    for rows, cols, rank in ((10, 10, 5), (6, 10, 3), (10, 4, 2), (8, 8, 8), (5, 9, 5)):
+        stack = cn(2, rows, rank) @ cn(2, rank, cols) / np.sqrt(rank)
+        got = capacity_equal_power(stack, 10.0 ** (powers_db[:, None] / 10.0), 0.8)
+        assert got.shape == (len(powers_db), 2)
+        for i, db in enumerate(powers_db):
+            for j, g in enumerate(stack):
+                want = log_det_oracle(g, 10.0 ** (db / 10.0), 0.8)
+                assert got[i, j] == pytest.approx(want, rel=1e-13), (rows, cols, rank, db)
+
+
+def test_equal_power_raises_nothing_up_to_c_of_1e15_on_unit_norm_channels():
+    # at c = 1e15 the identity in I + c G G^H keeps about one digit (eps c =
+    # 0.2); the stack [sqrt(c) G^H; I] keeps sigma_min >= 1
+    rng = np.random.default_rng(36)
+    g = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+    g[1] = np.outer(g[1, 0], g[1, :, 0])  # rank one
+    g[2, :, 3:] = 0.0  # rank three
+    g[3] = np.ones((6, 6))
+    g /= np.linalg.norm(g, axis=(-2, -1), keepdims=True)
+    c = 10.0 ** np.arange(16)[:, None]
+    caps = capacity_equal_power(g, c * g.shape[-1], 1.0)
+    assert caps.shape == (16, 4) and np.all(np.isfinite(caps))
+    assert np.all(caps > 0.0) and np.all(np.diff(caps, axis=0) > 0.0)
+
+
+def test_study_capacities_at_100_db_match_a_40_digit_determinant(monkeypatch):
+    """The densely-spaced study's own r x r channels, whose zero-padded
+    receive factors make them rank-deficient, at snr_db 100."""
+    calls = []
+    real = studies.capacity_equal_power
+
+    def recorded(g, power, noise_power):
+        calls.append((g, power, noise_power))
+        return real(g, power, noise_power)
+
+    scn = DenselySpacedScenario(name="loud", realizations=2, snr_db=100.0)
+    studies._bind_study(scn.study)
+    monkeypatch.setattr(studies, "capacity_equal_power", recorded)
+    studies.run_study(scn, jobs=1)
+    assert len(calls) == 3
+    for g, power, noise_power in calls:
+        got = real(g, power, noise_power)
+        for p in range(np.shape(power)[0]):  # one power per scheme
+            for s in range(g.shape[0]):  # one channel per rx spacing
+                want = log_det_oracle(g[s, 0], float(power[p, 0, 0]), noise_power)
+                assert got[p, s, 0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(realizations=20, xpr_mu_db=-160.0),
+    dict(realizations=200, snr_db=100.0, xpr_sigma_db=25.0),
+    dict(realizations=20, xpr_mu_db=-300.0),
+    dict(realizations=20, xpr_sigma_db=300.0),
+], ids=["xpr-mu-160", "snr-100-xpr-sigma-25", "xpr-mu-300", "xpr-sigma-300"])
+def test_densely_spaced_runs_where_the_xpr_leaves_near_zero_cross_polar_blocks(overrides):
+    # each of these passed validation and then ended in a NumericalError: the
+    # cross-polar blocks carry 10^(-XPR/20), so c G G^H spans many decades
+    tables = studies.run_study(DenselySpacedScenario(name="xpr", **overrides), jobs=1)
+    capacity = [row[2] for row in tables["capacity"].rows]
+    assert capacity and all(np.isfinite(capacity)) and min(capacity) > 0.0

@@ -183,9 +183,8 @@ def test_row_space_capacity_of_a_rank_deficient_estimate_raises():
 
 
 def test_capacity_kernels_take_no_eigendecomposition_or_qr_they_do_not_need(monkeypatch):
-    """Equal power is a Cholesky log-det, so densely-spaced makes no
-    eigvalsh call; the tri-pol row space is Cholesky-QR, so its chunk makes
-    no QR."""
+    """Equal power is a QR log-det, so densely-spaced makes no eigvalsh
+    call; the tri-pol row space is Cholesky-QR, so its chunk makes no QR."""
     counts = {"eigvalsh": 0, "qr": 0}
 
     def counted(name):

@@ -290,7 +290,6 @@ JUST_BEYOND = {
     "tx_boresight": ["x"],
     "rx_boresight": ["+w"],
     "quadrature_order": [0, 1001],
-    "snr_db": [math.nextafter(scenario.MAX_SNR_DB, math.inf)],
     "frequency_hz": [0.0, FREQUENCY_BEYOND],
     "aperture_m": [0.0],
     "bs_elements": [0],
@@ -314,6 +313,7 @@ JUST_BEYOND = {
 
 # the fields with no entry in scenario._RULES, and what checks their values
 CHECKED_WITHOUT_A_RULE = {
+    "snr_db": "the dB bound",
     "xpr_mu_db": "the dB bound",
     "z_gain_db": "the dB bound",
     "xpr_db": "the dB bound",
@@ -387,8 +387,9 @@ def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path,
     ({"aperture_m": 1e300}, "aperture_m"),
     ({"ue_spacing_wavelengths": 1e300}, "ue_spacing_wavelengths"),
     ({"ue_elements": 10**400}, "ue_spacing_wavelengths"),
+    ({"velocity_mps": [1e300, 0, 0], "time_s": 1e300}, "time_s"),
 ], ids=["drop", "profile-distance", "profile-aperture", "aperture", "aperture-1e153", "rayleigh",
-        "ue-span", "ue-count"])
+        "ue-span", "ue-count", "doppler"])
 def test_cli_refuses_near_field_lengths_beyond_the_phase_precision(tmp_path, capsys, command,
                                                                    overrides, field):
     # each of these passed validation, and the run then failed without naming
@@ -418,6 +419,19 @@ def test_near_field_length_bound_in_wavelengths():
     assert [m.split(" reaches")[0] for m in validate_scenario(far)] == [
         "aperture_m: the far-field case at 10 x the Rayleigh distance"]
     assert validate_scenario(dataclasses.replace(far, include_far_field_check=False)) == []
+
+
+def test_doppler_displacement_bound_in_wavelengths():
+    # a 0.25 m wavelength and |v| = 5 m/s: 20 wavelengths per second, so the
+    # displacement is exactly the bound at time_s = bound / 20
+    bound = scenario.MAX_NEAR_FIELD_WAVELENGTHS
+    inside = NearFieldScenario(frequency_hz=4.0 * SPEED_OF_LIGHT, velocity_mps=(3.0, 4.0, 0.0),
+                               time_s=bound / 20.0)
+    assert validate_scenario(inside) == []
+    messages = validate_scenario(dataclasses.replace(
+        inside, time_s=math.nextafter(inside.time_s, math.inf)))
+    assert len(messages) == 1 and messages[0].startswith(
+        "time_s: the Doppler displacement |velocity_mps| x time_s reaches ")
 
 
 @pytest.mark.parametrize("study, overrides, field", [
@@ -459,18 +473,20 @@ def test_cluster_tables_with_numbers_the_study_cannot_use_are_invalid(tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_refuses_an_snr_beyond_the_log_det_precision(tmp_path, capsys):
-    # SNR times the largest eigenvalue far beyond 1/eps: I + SNR G G^H would
-    # round to a matrix that is not positive definite, or pass by luck
+def test_cli_runs_an_snr_of_300_db(tmp_path, capsys):
+    # SNR times the largest eigenvalue far beyond 1/eps: I + SNR G G^H rounds
+    # to a singular matrix, which the QR log-det never forms
     scn = DenselySpacedScenario(name="loud", **{**SMALL_BASES[DenselySpacedScenario],
                                                 "snr_db": 300.0})
     out = tmp_path / "out"
     path = save_scenario(scn, tmp_path / "loud.json")
-    for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
-        assert main(argv) == 1
-        assert capsys.readouterr().err == ("invalid: snr_db: must be at most 100 dB, "
-                                           "the log-det kernel's precision, got 300.0\n")
-    assert not out.exists()
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "loud_capacity.csv").read_text().splitlines()[1:]
+    capacities = [float(row.split(",")[2]) for row in rows]
+    # 300 dB is about 99.7 bits per mode
+    assert len(capacities) == 2 and all(95.0 < c < 1e4 for c in capacities)
 
 
 @pytest.mark.parametrize("samples", [1, 24, 26, 49, 0, -25])
