@@ -49,9 +49,14 @@ def capacity_equal_power(g: np.ndarray, power, noise_power: float) -> float | np
     m, k = g.shape[-2:]
     n = min(m, k)
     side = g.conj().swapaxes(-1, -2) if m < k else g
-    scaled = np.sqrt(np.asarray(power, dtype=float)[..., None, None] / (k * noise_power)) * side
-    eye = np.broadcast_to(np.eye(n), scaled.shape[:-2] + (n, n))
-    r = np.linalg.qr(np.concatenate((scaled, eye), axis=-2), mode="r")
+    scale = np.sqrt(np.asarray(power, dtype=float)[..., None, None] / (k * noise_power))
+    # M, filled in place: sqrt(c) times the side on top, I below
+    top = side.shape[-2]
+    stack = np.empty(np.broadcast_shapes(scale.shape, side.shape)[:-2] + (top + n, n),
+                     dtype=complex)
+    np.multiply(scale, side, out=stack[..., :top, :])
+    stack[..., top:, :] = np.eye(n)
+    r = np.linalg.qr(stack, mode="r")
     cap = 2.0 * np.sum(np.log2(np.abs(np.diagonal(r, axis1=-2, axis2=-1))), axis=-1)
     return float(cap) if cap.ndim == 0 else cap
 

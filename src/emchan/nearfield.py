@@ -140,8 +140,8 @@ class Tap:
 
 
 def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveContext):
-    rate = direction @ motion.velocity / ctx.wavelength
-    return np.exp(2j * np.pi * rate * t)
+    # v t first: the phase is 0 at t = 0 at any speed, where v / lam may overflow
+    return np.exp((2j * np.pi / ctx.wavelength) * (direction @ (motion.velocity * t)))
 
 
 def los_coefficient(u: int, s: int, t: float, geom: ArrayGeometry,

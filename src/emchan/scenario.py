@@ -285,7 +285,7 @@ def _near_field_lengths(scn: NearFieldScenario) -> list[str]:
         "profile_distance_m": ("the profile distance", scn.profile_distance_m / lam),
         # an overflowing product is inf, which compares as too long
         "time_s": ("the Doppler displacement |velocity_mps| x time_s",
-                   math.hypot(*scn.velocity_mps) * scn.time_s / lam),
+                   math.hypot(*(v * scn.time_s for v in scn.velocity_mps)) / lam),
     }
     return [f"{field}: {what} reaches {n:.3g} wavelengths at frequency_hz, beyond the "
             f"{MAX_NEAR_FIELD_WAVELENGTHS:g} within which a double resolves its phase"

@@ -20,3 +20,10 @@ STUDY_IDS = {
 def realization_rng(master_seed: int, study_id: int, index: int) -> Generator:
     """RNG for one realization, a pure function of (seed, study, index)."""
     return default_rng(SeedSequence([int(master_seed), int(study_id), int(index)]))
+
+
+def generators(rng) -> tuple[bool, list[Generator]]:
+    """(whether ``rng`` is a list, one generator per entry) of a generator or
+    seed, or of a list of them: the channel samplers' ``rng`` argument."""
+    stacked = isinstance(rng, (list, tuple))
+    return stacked, [default_rng(r) for r in (rng if stacked else [rng])]

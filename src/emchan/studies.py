@@ -65,11 +65,11 @@ def __getattr__(name: str):
 
 # Realizations (or trials) per chunk. A chunk of either Monte Carlo study
 # runs as one stacked pass: the densely-spaced study makes one
-# assemble_channel and one capacity_equal_power call per (variance set,
-# pattern), over every rx spacing; the tri-pol study builds, estimates and
-# water-fills all of its trials at once. Results do not depend on it. Chunk
-# 32 ran no faster (capacity-mc, 2 vCPU, 10 alternating processes: median
-# study time ratio 1.03) and held 3.0 MB more peak RSS.
+# assemble_channel call per (variance set, pattern), then one QR call and
+# one capacity_equal_power call for every (scheme, rx spacing, realization);
+# the tri-pol study builds, estimates and water-fills all of its trials at
+# once. Results do not depend on it. Chunks of 16 and 32 ran no faster
+# (capacity-mc, 2 vCPU) and held 1.4 and 3.0 MB more peak RSS.
 _CHUNK = 8
 
 # thread-count functions of OpenBLAS builds: {prefix}_get_num_threads{suffix}
@@ -177,13 +177,12 @@ def _metadata(scn, seed: int, scale: float) -> dict:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Assembly:
-    """One channel stack per chunk: a variance set and a pattern over every
-    receive spacing, shared by the schemes that differ only in efficiency."""
+    """A variance set and a pattern, shared by the schemes that differ only
+    in efficiency: one transmit product per chunk (_transmit_factors)."""
 
     variance_set: int  # index into the variance sets of the shared draw
     psi_s: np.ndarray  # [Psi_S^theta Psi_S^phi]
     rx: np.ndarray  # R stacked over the rx spacings, from _rx_factors
-    schemes: tuple  # ((position in the scheme list, element efficiency), ...)
 
 
 def _rx_factors(harmonics) -> np.ndarray:
@@ -205,31 +204,34 @@ def _rx_factors(harmonics) -> np.ndarray:
     return r
 
 
+def _transmit_factors(h_pol: np.ndarray, assemblies) -> np.ndarray:
+    """R^T for T^T = Q R of T = H_pol Psi_S^H (see _rx_factors), shaped
+    (assembly, draw, 2B, 2B): one QR call for every assembly and draw."""
+    rows = h_pol.shape[-2]
+    t = np.stack([assemble_channel(EfficiencyMatrix.uniform(1.0, rows), np.eye(rows),
+                                   h_pol[a.variance_set], a.psi_s,
+                                   EfficiencyMatrix.uniform(1.0, a.psi_s.shape[0]))
+                  for a in assemblies])
+    return np.linalg.qr(t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+
+
 def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
     """Capacities of realizations [start, stop), one column per (scheme, rx spacing)."""
     _bind_study(sc.DENSELY_SPACED)  # a spawned worker starts with none bound
-    seed, study_id, mu, sigma, snr, variances, n_schemes, assemblies = payload
-    # one draw per realization (noise, phases, XPR), shared by every scheme:
-    # h_pol[v, k] is the polarized channel of variance set v, realization k
-    sets, rows, cols = variances.shape
-    h_pol = np.empty((sets, stop - start, 2 * rows, 2 * cols), dtype=complex)
-    for k, i in enumerate(range(start, stop)):
-        rng = realization_rng(seed, study_id, i)
-        h_pol[:, k] = apply_polarization(sample_wavenumber_channel(variances, rng), mu, sigma, rng)
-    out = np.empty((n_schemes, assemblies[0].rx.shape[0], stop - start))
-    for a in assemblies:
-        # T (the identity for R_j) and its factor for every spacing: _rx_factors
-        t = assemble_channel(EfficiencyMatrix.uniform(1.0, 2 * rows), np.eye(2 * rows),
-                             h_pol[a.variance_set], a.psi_s,
-                             EfficiencyMatrix.uniform(1.0, a.psi_s.shape[0]))
-        g = a.rx[:, None] @ np.linalg.qr(t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-        positions, efficiencies = zip(*a.schemes)
-        # amplitude sqrt(efficiency) on every element of both sides scales H
-        # by the efficiency, so H H^H and the power by its square; one call
-        # serves every scheme of the assembly, with P/K = SNR on g's columns
-        power = snr * g.shape[-1] * np.square(efficiencies)
-        out[list(positions)] = capacity_equal_power(g, power[:, None, None], 1.0)
-    return out.reshape(-1, stop - start).T
+    seed, study_id, mu, sigma, snr, variances, schemes, assemblies = payload
+    # one draw per realization (noise, phases, XPR), shared by every scheme
+    rngs = [realization_rng(seed, study_id, i) for i in range(start, stop)]
+    r_t = _transmit_factors(
+        apply_polarization(sample_wavenumber_channel(variances, rngs), mu, sigma, rngs),
+        assemblies)
+    # g[s, j, k]: scheme s, rx spacing j, realization k
+    which, efficiencies = (np.array(column) for column in zip(*schemes))
+    g = np.stack([a.rx for a in assemblies])[which, :, None] @ r_t[which, None]
+    # amplitude sqrt(efficiency) on every element of both sides scales H
+    # by the efficiency, so H H^H and the power by its square; one call
+    # scores every scheme, with P/K = SNR on g's columns
+    power = snr * g.shape[-1] * np.square(efficiencies)
+    return capacity_equal_power(g, power[:, None, None], 1.0).reshape(-1, stop - start).T
 
 
 def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: int,
@@ -273,16 +275,15 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
         "ni-pd": (1, "dipole", 1.0),
         "proposed": (1, "dipole", scn.element_efficiency),
     }
-    shared = {}  # (variance set, pattern) -> [(position, efficiency), ...]
-    for position, name in enumerate(scn.schemes):
+    shared = {}  # (variance set, pattern) -> index of its assembly
+    schemes = []  # (assembly index, element efficiency) of each scheme, in order
+    for name in scn.schemes:
         var, pat, eff = scheme_defs[name]
-        shared.setdefault((var, pat), []).append((position, float(eff)))
-    assemblies = tuple(
-        _Assembly(variance_set=var, psi_s=psi_s[pat], rx=r_r[pat], schemes=tuple(members))
-        for (var, pat), members in shared.items()
-    )
+        schemes.append((shared.setdefault((var, pat), len(shared)), float(eff)))
+    assemblies = tuple(_Assembly(variance_set=var, psi_s=psi_s[pat], rx=r_r[pat])
+                       for var, pat in shared)
     payload = (seed, STUDY_IDS[sc.DENSELY_SPACED], scn.xpr_mu_db, scn.xpr_sigma_db,
-               10.0 ** (scn.snr_db / 10.0), variances, len(scn.schemes), assemblies)
+               10.0 ** (scn.snr_db / 10.0), variances, tuple(schemes), assemblies)
     caps = _map_chunks(functools.partial(_densely_spaced_chunk, payload=payload), count, jobs)
     return [(name, spacing) for name in scn.schemes for spacing in scn.rx_spacing_wavelengths], caps
 
@@ -384,21 +385,23 @@ def _tri_pol_chunk(start: int, stop: int, payload) -> np.ndarray:
     _bind_study(sc.TRI_POL)  # a spawned worker starts with none bound
     seed, study_id, rx_split, tx_split, z_gain_db, xpr_db, pilot_snr_db = payload
     # trial i draws its channel, estimate and benchmark noise from three
-    # streams of its own, exactly as it would alone
-    ch_seeds, est_seeds, bench_seeds = zip(*(np.random.SeedSequence([seed, study_id, i]).spawn(3)
-                                             for i in range(start, stop)))
+    # streams of its own, exactly as it would alone: the spawn(3) children
+    # of SeedSequence([seed, study_id, i])
+    ch_seeds, est_seeds, bench_seeds = (
+        [np.random.SeedSequence([seed, study_id, i], spawn_key=(j,)) for i in range(start, stop)]
+        for j in range(3))
     channel = simulate_tripol_channel(rx_ports=rx_split, tx_ports=tx_split,
-                                      z_gain_db=z_gain_db, xpr_db=xpr_db, rng=list(ch_seeds))
+                                      z_gain_db=z_gain_db, xpr_db=xpr_db, rng=ch_seeds)
     h = channel.matrix
     row_power = np.mean(np.abs(h) ** 2, axis=-1)
     power = 10.0 ** (pilot_snr_db / 10.0)
     est = estimate_joint(channel, group_ports(row_power, rule="median"), pilot_snr_db,
-                         pilot_snr_db, list(est_seeds)).assembled
+                         pilot_snr_db, est_seeds).assembled
     err_joint = scalar_aligned(est, h)[1]
     c_joint = _row_space_capacity(h, est, power)
     del est  # finish one estimate before building the next: few channel-sized stacks live
     per_port = pilot_snr_db + 10.0 * np.log10(row_power / row_power.max(axis=-1, keepdims=True))
-    est = benchmark_uplink_only(channel, per_port, list(bench_seeds))
+    est = benchmark_uplink_only(channel, per_port, bench_seeds)
     err_bench = scalar_aligned(est, h)[1]
     c_bench = _row_space_capacity(h, est, power)
     return np.stack([c_joint, c_bench, err_joint**2, err_bench**2], axis=-1)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .seeds import generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +59,7 @@ def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: f
     ``rng`` is one generator or seed, or a list of them for a stack with one
     channel per entry.
     """
-    stacked = isinstance(rng, (list, tuple))
-    rngs = [np.random.default_rng(r) for r in (rng if stacked else [rng])]
+    stacked, rngs = generators(rng)
     n_rx = sum(rx_ports)
     n_tx = sum(tx_ports)
     if n_rx < 1 or n_tx < 1:
@@ -71,15 +71,19 @@ def simulate_tripol_channel(rx_ports=(2, 4, 2), tx_ports=(8, 8, 0), z_gain_db: f
     z = np.empty((len(rngs), 2, n_rx, n_tx))
     for g, part in zip(rngs, z):
         g.standard_normal(out=part)
-    base = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    del z
     xpr_amp = 10.0 ** (-xpr_db / 20.0)
     z_amp = 10.0 ** (z_gain_db / 20.0)
     gain = np.ones((n_rx, n_tx))
     gain *= np.where(rx_pol[:, None] == tx_pol[None, :], 1.0, xpr_amp)
     gain *= np.where(rx_pol[:, None] == 2, z_amp, 1.0)
     gain *= np.where(tx_pol[None, :] == 2, z_amp, 1.0)
-    base *= gain
+    # (re + 1j im) / sqrt(2) * gain, part by part: numpy's complex division
+    # by sqrt(2) multiplies each part by 1 / sqrt(2), so these are its
+    # products, with no complex temporary
+    z *= 1.0 / np.sqrt(2.0)
+    z *= gain
+    base = np.empty((len(rngs), n_rx, n_tx), dtype=complex)
+    base.real, base.imag = z[:, 0], z[:, 1]
     return TriPolChannel(matrix=base if stacked else base[0], rx_ports=tuple(rx_ports),
                          tx_ports=tuple(tx_ports))
 

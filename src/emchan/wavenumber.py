@@ -18,6 +18,7 @@ from .emcore import WaveContext, _row_blocks
 from .errors import DomainError, NumericalError, ShapeError
 from .geometry import grid_intervals
 from .patterns import PatternSet
+from .seeds import generators
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +317,17 @@ def sample_wavenumber_channel(variances: np.ndarray, rng) -> np.ndarray:
 
     One (R, S) complex-normal draw is scaled by every variance set on the
     leading axes, so set j of a stack equals set j alone on the same generator.
+    ``rng`` may also be a list of n generators or seeds: the draws then stack
+    on an axis of their own just before the last two, shape (..., n, R, S),
+    and draw k equals a call with ``rng[k]`` alone, bit for bit.
     """
-    rng = np.random.default_rng(rng)
+    stacked, rngs = generators(rng)
     shape = np.shape(variances)[-2:]
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.sqrt(variances / 2.0) * noise
+    noise = np.empty((len(rngs),) + shape, dtype=complex)
+    for g, draw in zip(rngs, noise):
+        draw[...] = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    scale = np.sqrt(variances / 2.0)
+    return scale[..., None, :, :] * noise if stacked else scale * noise[0]
 
 
 def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
@@ -333,15 +340,28 @@ def apply_polarization(h_a: np.ndarray, mu_xpr_db: float, sigma_xpr_db: float,
     drawn per entry and shared by both cross blocks. Phases and kappas are
     drawn over the last two axes of H_a and shared by any leading axes, which
     therefore hold one realization (e.g. under several variance sets).
+    ``rng_seed`` may also be a list of n generators or seeds, one per draw of
+    H_a shaped (..., n, R, S) as `sample_wavenumber_channel` stacks them;
+    draw k then equals a call with ``rng_seed[k]`` alone, bit for bit.
     """
     h_a = np.asarray(h_a, dtype=complex)
     if not np.all(np.isfinite(h_a)):
         raise DomainError("wavenumber coefficients must be finite")
-    rng = np.random.default_rng(rng_seed)
-    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4,) + h_a.shape[-2:]))
-    xpr_db = rng.normal(mu_xpr_db, sigma_xpr_db, size=h_a.shape[-2:])
-    inv_sqrt_kappa = 10.0 ** (-xpr_db / 20.0)
+    stacked, rngs = generators(rng_seed)
     r, s = h_a.shape[-2:]
+    if stacked and h_a.shape[-3:-2] != (len(rngs),):
+        raise ShapeError("a list of n generators needs coefficients shaped (..., n, R, S)")
+    # each generator draws its four phase arrays and then its XPRs; -pi + 2 pi u
+    # is uniform(-pi, pi) and mu + sigma x is normal(mu, sigma), bit for bit
+    u = np.empty((len(rngs), 4, r, s))
+    x = np.empty((len(rngs), r, s))
+    for g, u_k, x_k in zip(rngs, u, x):
+        g.random(out=u_k)
+        g.standard_normal(out=x_k)
+    phases = np.exp(1j * (-np.pi + 2.0 * np.pi * u)).swapaxes(0, 1)  # (4, n, R, S)
+    inv_sqrt_kappa = 10.0 ** (-(mu_xpr_db + sigma_xpr_db * x) / 20.0)
+    if not stacked:
+        phases, inv_sqrt_kappa = phases[:, 0], inv_sqrt_kappa[0]
     out = np.empty(h_a.shape[:-2] + (2 * r, 2 * s), dtype=complex)
     out[..., :r, :s] = h_a * phases[0]
     out[..., :r, s:] = h_a * phases[1] * inv_sqrt_kappa
@@ -429,13 +449,16 @@ def assemble_channel(gamma_r: EfficiencyMatrix, psi_r: np.ndarray, h_pol: np.nda
     ``h_pol`` may carry leading stack axes, and so may the receive harmonics
     (say one set per receive array, padded to one row count). H then carries
     the harmonics' axes followed by the polarized channel's axes, one channel
-    per index pair. The transmit side is multiplied first, so every set of
-    receive harmonics reuses one H_pol Psi_S^H Gamma_S product.
+    per index pair. The transmit side is multiplied first, as one product of
+    every row of H_pol's stack with the shared (Psi_S^* Gamma_S)^T, so every
+    set of receive harmonics reuses it; each draw's rows come out as that
+    draw alone gives them.
     """
     if psi_r.shape[-1] != h_pol.shape[-2] or psi_s.shape[1] != h_pol.shape[-1]:
         raise ShapeError("harmonic and polarization block shapes do not conform")
     if gamma_r.count != psi_r.shape[-2] or gamma_s.count != psi_s.shape[0]:
         raise ShapeError("efficiency diagonals must match element counts")
-    tx = h_pol @ (psi_s.conj() * gamma_s.values[:, None]).T
+    weights = (psi_s.conj() * gamma_s.values[:, None]).T
+    tx = (h_pol.reshape(-1, h_pol.shape[-1]) @ weights).reshape(h_pol.shape[:-1] + (-1,))
     rx = gamma_r.values[:, None] * psi_r
     return rx.reshape(rx.shape[:-2] + (1,) * (h_pol.ndim - 2) + rx.shape[-2:]) @ tx

@@ -383,13 +383,14 @@ def test_study_capacities_at_100_db_match_a_40_digit_determinant(monkeypatch):
     studies._bind_study(scn.study)
     monkeypatch.setattr(studies, "capacity_equal_power", recorded)
     studies.run_study(scn, jobs=1)
-    assert len(calls) == 3
+    assert len(calls) == 1  # one chunk
     for g, power, noise_power in calls:
         got = real(g, power, noise_power)
-        for p in range(np.shape(power)[0]):  # one power per scheme
-            for s in range(g.shape[0]):  # one channel per rx spacing
-                want = log_det_oracle(g[s, 0], float(power[p, 0, 0]), noise_power)
-                assert got[p, s, 0] == pytest.approx(want, rel=1e-12)
+        # one channel per (scheme, rx spacing, realization), one power per scheme
+        assert g.shape[:3] == got.shape == (len(scn.schemes), 3, 2)
+        for (p, s, r), cap in np.ndenumerate(got):
+            want = log_det_oracle(g[p, s, r], float(power[p, 0, 0]), noise_power)
+            assert cap == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -495,8 +495,10 @@ def test_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
 def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     calls = []
     capacity_calls = []
+    qr_calls = []
     real = studies.assemble_channel
     real_capacity = studies.capacity_equal_power
+    real_qr = np.linalg.qr
 
     def counted(*args):
         calls.append((args[1], args[2].shape))  # receive side, polarized draws
@@ -506,27 +508,38 @@ def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
         capacity_calls.append((g.shape, np.shape(power)))
         return real_capacity(g, power, noise_power)
 
+    def counted_qr(a, mode="reduced"):
+        qr_calls.append(a.shape)
+        return real_qr(a, mode)
+
     monkeypatch.setattr(studies, "assemble_channel", counted)
     monkeypatch.setattr(studies, "capacity_equal_power", counted_capacity)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     scn = load_scenario(os.path.join(SCENARIOS, "densely_spaced.json"))
-    studies._densely_spaced_capacities(scn, 5, 2 * studies._CHUNK, jobs=1)
-    # ideal (isotropic, unit), ni (CDL-B, unit), ni-pd and proposed (CDL-B, dipole);
-    # the schemes of one assembly share its capacity call
-    assert len(calls) == len(capacity_calls) == 2 * 3
-    # T = H_pol Psi_S^H is assembled once per chunk, with the identity for the
-    # receive side, and every rx spacing's channel is 2B x 2B (B = 5 on 1 wavelength)
     spacings = len(scn.rx_spacing_wavelengths)
+    studies._densely_spaced_capacities(scn, 5, 2 * studies._CHUNK, jobs=1)
+    # ideal (isotropic, unit), ni (CDL-B, unit), ni-pd and proposed (CDL-B, dipole):
+    # three assemblies per chunk, and one capacity call for all four schemes
+    assert len(calls) == 2 * 3
+    assert len(capacity_calls) == 2
+    # T = H_pol Psi_S^H is assembled once per assembly and chunk, with the
+    # identity for the receive side, and every rx spacing's channel is 2B x 2B
+    # (B = 5 on 1 wavelength)
     for rx, draws in calls:
         assert np.array_equal(rx, np.eye(10)) and draws == (studies._CHUNK, 10, 98)
-    assert all(g == (spacings, studies._CHUNK, 10, 10) for g, _ in capacity_calls)
-    assert sorted(power for _, power in capacity_calls) == [(1, 1, 1)] * 4 + [(2, 1, 1)] * 2
+    assert capacity_calls == [((4, spacings, studies._CHUNK, 10, 10), (4, 1, 1))] * 2
+    # one receive factor per pattern and spacing, then per chunk one QR of
+    # every assembly's T^T and the capacity kernel's one QR of [sqrt(c) g; I]
+    chunk_qrs = [shape for shape in qr_calls if len(shape) > 2]
+    assert len(qr_calls) - len(chunk_qrs) == 2 * spacings
+    assert chunk_qrs == [(3, studies._CHUNK, 81, 10), (4, spacings, studies._CHUNK, 20, 10)] * 2
 
     calls.clear()
     capacity_calls.clear()
     scn = DenselySpacedScenario(name="pd", schemes=("ni-pd", "proposed"), realizations=3)
     studies._densely_spaced_capacities(scn, 5, 3, jobs=1)
     assert len(calls) == 1
-    assert capacity_calls == [((spacings, 3, 10, 10), (2, 1, 1))]
+    assert capacity_calls == [((2, spacings, 3, 10, 10), (2, 1, 1))]
 
 
 def test_padded_stacked_rx_factors_match_per_spacing_channels():

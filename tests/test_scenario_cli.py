@@ -434,6 +434,31 @@ def test_doppler_displacement_bound_in_wavelengths():
         "time_s: the Doppler displacement |velocity_mps| x time_s reaches ")
 
 
+def test_a_huge_speed_at_time_zero_runs_as_zero_velocity(tmp_path, capsys):
+    # the Doppler phase is that of the displacement v t, so at time_s 0 it is
+    # exactly 0 whatever the speed; v / lambda alone overflows, and inf x 0
+    # made every channel nan
+    base = {"study": "near-field", "name": "n", "time_s": 0.0, "bs_elements": 4,
+            "profile_elements": 4}
+    tables = {}
+    for velocity in ([1e308, 1e308, 1e308], [0.0, 0.0, 0.0]):
+        path = tmp_path / f"{velocity[0]:g}.json"
+        path.write_text(json.dumps({**base, "velocity_mps": velocity}))
+        out = tmp_path / f"out-{velocity[0]:g}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        tables[velocity[0]] = sorted((f.name, f.read_text()) for f in out.iterdir()
+                                     if f.suffix == ".csv")
+    assert tables[1e308] == tables[0.0]
+
+
+def test_doppler_bound_reads_the_displacement_not_the_speed():
+    # |v| overflows to inf, but v t is 2.1e8 m: 4.7e9 wavelengths at 6.7 GHz
+    scn = NearFieldScenario(velocity_mps=(1.5e308, 1.5e308, 0.0), time_s=1e-300)
+    assert math.isinf(math.hypot(*scn.velocity_mps))
+    assert validate_scenario(scn) == []
+
+
 @pytest.mark.parametrize("study, overrides, field", [
     ("near-field", {"frequency_hz": 1e-300}, "frequency_hz"),
     ("em-core-validation", {"samples": 25, "region_cases": [[1e-300, 1.0]]}, "region_cases"),

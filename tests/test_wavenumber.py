@@ -726,3 +726,62 @@ def test_stacked_assemble_channel_matches_per_draw_calls():
     assert h.shape == (3, len(arr_r), len(arr_s))
     for d, h_d in zip(draws, h):
         assert np.array_equal(h_d, assemble_channel(g_r, psi_r, d, psi_s, g_s))
+
+
+def _study_variance_sets():
+    """The densely-spaced study's two variance sets at reduced quadrature
+    order: 1-wavelength receive and 2-wavelength transmit apertures."""
+    sup_r = wavenumber_support(LAM, LAM, CTX)
+    sup_s = wavenumber_support(2 * LAM, 2 * LAM, CTX)
+    iso = isotropic_mixture()
+    cdl = mixture_from_clusters(bundled_cdl_b(), "arrival", "-x")
+    return np.stack([coupling_variances(sup_r, sup_s, iso, iso, CTX, 6),
+                     coupling_variances(sup_r, sup_s, cdl, iso, CTX, 6)])
+
+
+@pytest.mark.parametrize("draws", [1, 3])
+def test_list_of_generators_equals_one_call_per_generator_bit_for_bit(draws):
+    sets = _study_variance_sets()
+    seeds = [np.random.SeedSequence([3, 1, i]) for i in range(draws)]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    h_a = sample_wavenumber_channel(sets, rngs)
+    assert h_a.shape == (2, draws) + sets.shape[1:]
+    pol = apply_polarization(h_a, 8.0, 3.0, rngs)
+    assert pol.shape == (2, draws, 2 * sets.shape[1], 2 * sets.shape[2])
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        alone = sample_wavenumber_channel(sets, rng)
+        assert np.array_equal(h_a[:, k], alone)
+        assert np.array_equal(pol[:, k], apply_polarization(alone, 8.0, 3.0, rng))
+    # seeds work in place of generators, and one list entry is the stack of one
+    assert np.array_equal(sample_wavenumber_channel(sets[1], seeds[:1])[0],
+                          sample_wavenumber_channel(sets[1], np.random.default_rng(seeds[0])))
+
+
+def test_list_of_generators_needs_one_draw_per_generator():
+    h_a = np.ones((2, 3, 4), dtype=complex)
+    with pytest.raises(ShapeError):
+        apply_polarization(h_a, 8.0, 3.0, [np.random.default_rng(0)] * 3)
+    assert apply_polarization(h_a, 8.0, 3.0, [0, 1]).shape == (2, 6, 8)
+
+
+@pytest.mark.parametrize("draws", [1, 2, 7, 8])
+def test_flat_transmit_product_equals_per_draw_product_bit_for_bit(draws):
+    # the densely-spaced study's shapes: (10, 98) polarized draws of a
+    # 1-wavelength receive and 4-wavelength transmit support, 81 elements
+    sup_r = wavenumber_support(LAM, LAM, CTX)
+    sup_s = wavenumber_support(4 * LAM, 4 * LAM, CTX)
+    psi_s = fourier_harmonics(uniform_planar_array(4 * LAM, 4 * LAM, LAM / 2, LAM / 2), sup_s,
+                              PatternSet.uniform(dipole()), CTX)
+    rng = np.random.default_rng(draws)
+    shape = (draws, 2 * len(sup_r.indices), 2 * len(sup_s.indices))
+    h_pol = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows = shape[1]
+    ones_r = EfficiencyMatrix.uniform(1.0, rows)
+    g_s = EfficiencyMatrix.uniform(0.8, psi_s.shape[0])
+    stacked = assemble_channel(ones_r, np.eye(rows), h_pol, psi_s, g_s)
+    assert stacked.shape == (draws, rows, 81)
+    weights = (psi_s.conj() * g_s.values[:, None]).T
+    for h_k, t_k in zip(h_pol, stacked):
+        assert np.array_equal(np.eye(rows) @ (h_k @ weights), t_k)
+        assert np.array_equal(assemble_channel(ones_r, np.eye(rows), h_k, psi_s, g_s), t_k)
