@@ -203,18 +203,19 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
 # bounce geometry
 
 
-def _locate_bounces(departure, arrival, delay, geom: ArrayGeometry,
-                    planar: bool) -> BounceGeometry:
-    """Bounce geometry of R rays, as in `locate_bounce_scatterers`; every
-    field carries a leading ray axis.
+def _locate_bounces(rays, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
+    """Bounce geometry of the R ``rays``, as in `locate_bounce_scatterers`;
+    every field carries a leading ray axis.
 
-    ``departure`` and ``arrival`` are (R, 2) arrays of (theta, phi) and
-    ``delay`` is (R,). Parallel rays and a leg that collapses onto its own
-    array split c*tau evenly between the legs. The planar variant keeps the
-    bounce points and extends the ray directions linearly across each array:
-    affine distances and the ray's own angles at every element.
+    Parallel rays and a leg that collapses onto its own array split c*tau
+    evenly between the legs. The planar variant keeps the bounce points and
+    extends the ray directions linearly across each array: affine distances
+    and the ray's own angles at every element.
     """
     tx, rx = geom.tx_positions, geom.rx_positions
+    departure = np.array([r.departure for r in rays])
+    arrival = np.array([r.arrival for r in rays])
+    delay = np.array([r.delay for r in rays])
     total = SPEED_OF_LIGHT * delay
     direct = float(np.linalg.norm(rx[0] - tx[0]))
     short = np.flatnonzero(total <= direct)
@@ -269,14 +270,10 @@ def _locate_bounces(departure, arrival, delay, geom: ArrayGeometry,
 
 
 def _take(bounce: BounceGeometry, index) -> BounceGeometry:
-    """The rays ``index`` selects from a ray-batched BounceGeometry."""
-    return BounceGeometry(**{f.name: getattr(bounce, f.name)[index] for f in fields(bounce)})
-
-
-def _one_ray_bounce(ray: ClusterRay, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
-    batch = _locate_bounces(np.array([ray.departure]), np.array([ray.arrival]),
-                            np.array([ray.delay]), geom, planar)
-    return _take(batch, 0)
+    """The rays ``index`` selects from a ray-batched BounceGeometry; index
+    None makes a one-ray record, even one of Python floats, a batch of one."""
+    return BounceGeometry(**{f.name: np.asarray(getattr(bounce, f.name))[index]
+                             for f in fields(bounce)})
 
 
 def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
@@ -288,7 +285,7 @@ def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
     satisfy d_tx + d_inter + d_rx = c*tau with d_inter the nonnegative
     leftover (both legs shrink proportionally when the leftover is negative).
     """
-    return _one_ray_bounce(ray, geom, planar=False)
+    return _take(_locate_bounces([ray], geom, planar=False), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +328,8 @@ def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
                      t: float, geom: ArrayGeometry, motion: MotionState,
                      ctx: WaveContext) -> complex:
     """One bounce-ray entry: pattern/XPR contraction times phase offsets."""
-    return complex(_nlos_matrix(ray, bounce, t, geom, motion, ctx)[u, s])
-
-
-def _nlos_matrix(ray: ClusterRay, bounce: BounceGeometry, t: float, geom: ArrayGeometry,
-                 motion: MotionState, ctx: WaveContext) -> np.ndarray:
-    """One ray's (n_rx, n_tx) entries from its bounce geometry."""
-    pol, amp = _ray_factors([ray])
-    batch = BounceGeometry(**{f.name: np.asarray(getattr(bounce, f.name))[None]
-                              for f in fields(bounce)})
-    return _nlos_block(pol, amp, batch, np.ones((1, geom.n_tx)), t, geom, motion, ctx)[0]
+    return complex(_nlos_block(*_ray_factors([ray]), _take(bounce, None), np.ones((1, geom.n_tx)),
+                               t, geom, motion, ctx)[0, u, s])
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +439,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
     if not rays:
         return taps
 
-    bounce = _locate_bounces(np.array([r.departure for r in rays]),
-                             np.array([r.arrival for r in rays]),
-                             np.array([r.delay for r in rays]), geom, planar)
+    bounce = _locate_bounces(rays, geom, planar)
     if visibility is None:
         alpha = np.ones((len(rays), geom.n_tx))
     else:

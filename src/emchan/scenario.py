@@ -52,6 +52,18 @@ MAX_NEAR_FIELD_WAVELENGTHS = 1e12
 # random directions, so samples must be a multiple of it.
 EM_CORE_SWEEP_POINTS = 25
 
+# Range of the em-core sweep's k0*r. The residual divides Frobenius norms,
+# each the root of a sum of squares, so a term's norm must lie within
+# [sqrt(DBL_MIN), sqrt(DBL_MAX)] = [1.5e-154, 1.3e154] for its squares to stay
+# normal floats. The 1/R^3 term G_INF spans the widest range, with norm
+# sqrt(6) k0 / (4 pi (k0 r)^3) (k0 = 98.5 rad/m at REFERENCE_FREQUENCY_HZ):
+# it stays within it for k0*r in [1.13e-51, 5.05e51], and G_RNF and G_FF,
+# falling as 1/(k0 r)^2 and 1/(k0 r), over wider spans. The bounds round that
+# range inward. Below 1.13e-51 |G| overflows and the residual reads 0, then
+# nan; from 1.3e156 the outer product r r^T overflows and it reads nan.
+EM_CORE_K0R_MIN = 1e-50
+EM_CORE_K0R_MAX = 1e50
+
 
 @dataclass(frozen=True)
 class DenselySpacedScenario:
@@ -237,7 +249,7 @@ _RULES = {
                      "ues_per_cell", "bs_ports"), _COUNT),
     **dict.fromkeys(("tx_side_wavelengths", "rx_side_wavelengths", "tx_spacing_wavelengths",
                      "aperture_m", "ue_spacing_wavelengths", "profile_aperture_m",
-                     "profile_distance_m", "k0r_min"), _POSITIVE),
+                     "profile_distance_m"), _POSITIVE),
     **dict.fromkeys(("master_seed", "xpr_sigma_db", "time_s"),
                     _must(lambda v: v >= 0, "must be nonnegative, got {v!r}")),
     **dict.fromkeys(("tx_boresight", "rx_boresight"),
@@ -262,6 +274,12 @@ _RULES = {
                      f"must be a positive multiple of {EM_CORE_SWEEP_POINTS}, "
                      "the sweep points, got {v!r}"),
     "region_cases": _each(lambda case: _REGION_CASE(case) or _carrier(case[0])),
+    "k0r_min": _must(lambda v: v >= EM_CORE_K0R_MIN,
+                     f"must be at least {EM_CORE_K0R_MIN:g}, where the field-kernel norms "
+                     "stay within the float range, got {v!r}"),
+    "k0r_max": _must(lambda v: v <= EM_CORE_K0R_MAX,
+                     f"must be at most {EM_CORE_K0R_MAX:g}, where the field-kernel norms "
+                     "stay within the float range, got {v!r}"),
 }
 
 

@@ -41,8 +41,8 @@ from emchan import nearfield
 from emchan.scenario import NearFieldScenario
 from emchan.studies import run_study
 from emchan.emcore import SPEED_OF_LIGHT
-from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _logistic, _los_matrix,
-                              _nlos_matrix)
+from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _locate_bounces, _logistic,
+                              _los_matrix, _nlos_block, _ray_factors, _take)
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
@@ -310,6 +310,12 @@ def assert_matches_oracle(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def one_ray_block(ray, bounce, t, geom, motion):
+    """The (n_rx, n_tx) unweighted entries of one ray, from the batched block."""
+    return _nlos_block(*_ray_factors([ray]), _take(bounce, None), np.ones((1, geom.n_tx)),
+                       t, geom, motion, CTX)[0]
+
+
 def test_los_matrix_matches_per_entry_oracle():
     geom = mixed_pattern_geometry()
     moving = MotionState(velocity=np.array([4.0, -2.5, 1.0]))
@@ -401,13 +407,45 @@ def test_nlos_matrix_matches_per_entry_oracle():
     rays = cluster_rays(bundled_cdl_b(), 100e-9, direct / SPEED_OF_LIGHT, rng_seed=4,
                         rays_per_cluster=2)
     assert len(rays) >= 20
-    for ray in rays:
-        for bounce in (locate_bounce_scatterers(ray, geom, CTX),
-                       nearfield._one_ray_bounce(ray, geom, planar=True)):
+    batch = _locate_bounces(rays, geom, False)
+    block = _nlos_block(*_ray_factors(rays), batch, np.ones((len(rays), geom.n_tx)),
+                        t, geom, moving, CTX)
+    for i, ray in enumerate(rays):
+        own = locate_bounce_scatterers(ray, geom, CTX)
+        for bounce in (own, _take(_locate_bounces([ray], geom, True), 0)):
             assert_matches_oracle(
-                _nlos_matrix(ray, bounce, t, geom, moving, CTX),
+                one_ray_block(ray, bounce, t, geom, moving),
                 oracle_matrix(nlos_oracle, geom, ray, bounce, t, geom, moving, CTX),
             )
+        # the per-entry functions index the batched rays; the BLAS
+        # matrix-vector products round a row by its place in the batch, so
+        # one ray alone agrees with its row to an ulp or so
+        row = _take(batch, i)
+        for f in dataclasses.fields(row):
+            np.testing.assert_allclose(getattr(own, f.name), getattr(row, f.name),
+                                       rtol=1e-14, atol=1e-14, err_msg=f.name)
+        # from the same bounce row, each entry is the batched one bit for bit
+        got = oracle_matrix(nlos_coefficient, geom, ray, row, t, geom, moving, CTX)
+        assert np.array_equal(got, block[i])
+
+
+def test_nlos_coefficient_takes_a_hand_built_bounce():
+    geom = mixed_pattern_geometry(seed=7, n_tx=3, n_rx=4)
+    rng = np.random.default_rng(11)
+    # one ray's record as a caller writes it: Python floats and lists, no ray axis
+    bounce = BounceGeometry(
+        first_bounce=[6.0, 3.0, 1.0], last_bounce=[-2.0, 4.0, 0.5], inter_distance=2.5,
+        tx_distances=rng.uniform(3.0, 4.0, geom.n_tx).tolist(),
+        rx_distances=rng.uniform(4.0, 5.0, geom.n_rx).tolist(),
+        tx_theta=rng.uniform(0.2, 3.0, geom.n_tx).tolist(),
+        tx_phi=rng.uniform(-np.pi, np.pi, geom.n_tx).tolist(),
+        rx_theta=rng.uniform(0.2, 3.0, geom.n_rx).tolist(),
+        rx_phi=rng.uniform(-np.pi, np.pi, geom.n_rx).tolist(),
+    )
+    ray = feasible_ray(geom)
+    args = (ray, bounce, 2e-3, geom, MOVING, CTX)
+    assert_matches_oracle(oracle_matrix(nlos_coefficient, geom, *args),
+                          oracle_matrix(nlos_oracle, geom, *args))
 
 
 def test_responses_make_no_per_entry_call(monkeypatch):
@@ -634,7 +672,7 @@ def test_impulse_response_tap_structure():
     assert taps[0].coefficients.shape == (3, 2)
     # both rays carry the same (cluster, ray) ids; each tap still uses its own bounce
     for tap, ray in zip(taps[1:], rays):
-        own = _nlos_matrix(ray, locate_bounce_scatterers(ray, geom, CTX), 0.0, geom, STILL, CTX)
+        own = one_ray_block(ray, locate_bounce_scatterers(ray, geom, CTX), 0.0, geom, STILL)
         assert np.allclose(tap.coefficients, own / np.sqrt(2.0), rtol=0.0, atol=1e-14)
 
     # K = 1 splits power evenly between the LOS and NLOS branches
@@ -810,16 +848,14 @@ def test_bounce_branches_match_oracle():
     }
     rays = [feasible_ray(geom, extra=extra, departure=dep, arrival=arr)
             for dep, arr, extra in cases.values()]
-    batch_args = (np.array([r.departure for r in rays]), np.array([r.arrival for r in rays]),
-                  np.array([r.delay for r in rays]), geom)
     for planar, oracle in ((False, bounce_oracle), (True, planar_bounce_oracle)):
-        batch = nearfield._locate_bounces(*batch_args, planar=planar)
+        batch = _locate_bounces(rays, geom, planar=planar)
         for i, ray in enumerate(rays):
             want = oracle(ray, geom)
             for f in dataclasses.fields(want):
                 np.testing.assert_allclose(getattr(batch, f.name)[i], getattr(want, f.name),
                                            rtol=1e-12, atol=1e-12, err_msg=f.name)
-        got = dict(zip(cases, (nearfield._take(batch, i) for i in range(len(rays)))))
+        got = dict(zip(cases, (_take(batch, i) for i in range(len(rays)))))
         for branch in ("parallel", "collapsed"):  # even split of the path length
             assert got[branch].tx_distances[0] == pytest.approx(got[branch].rx_distances[0])
             assert got[branch].inter_distance == 0.0

@@ -69,8 +69,6 @@ UNREACHED = {
     "nearfield.narrowband_channel": "benchmark",
     "nearfield.nlos_coefficient": "benchmark",
     "nearfield.planar_wave_channel": "benchmark",
-    "nearfield._nlos_matrix": "roadmap item 5",
-    "nearfield._one_ray_bounce": "roadmap item 5",
     # measured and per-element patterns for the geometric tri-pol channel
     "patterns.PatternSet.per_element": "roadmap item 6",
     "patterns.TablePattern.__init__": "roadmap item 6",

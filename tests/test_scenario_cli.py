@@ -307,7 +307,8 @@ JUST_BEYOND = {
     "ue_ports": [4, 9],
     "percentiles": [(), (0.0,), (50.0, 100.0)],
     "samples": [0, 24],
-    "k0r_min": [0.0],
+    "k0r_min": [0.0, math.nextafter(scenario.EM_CORE_K0R_MIN, 0.0)],
+    "k0r_max": [math.nextafter(scenario.EM_CORE_K0R_MAX, math.inf)],
     "region_cases": [((6.7e9, 0.0),), ((6.7e9,),), ((FREQUENCY_BEYOND, 1.0),)],
 }
 
@@ -320,7 +321,6 @@ CHECKED_WITHOUT_A_RULE = {
     "pilot_snr_db": "the dB bound",
     "include_far_field_check": "its type: either value is valid",
     "cluster_table": "the cross-field read of the table that cluster_weights is counted against",
-    "k0r_max": "the cross-field rule k0r_max > k0r_min",
 }
 
 
@@ -375,6 +375,41 @@ def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path,
     assert err.count("\n") == 1 and err.startswith(f"error: {study} run failed: ")
     assert err.endswith(" m aperture overflows a float\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides, field", [
+    ({"k0r_min": 1e-100, "k0r_max": 1.0}, "k0r_min"),
+    ({"k0r_max": 1e200}, "k0r_max"),
+], ids=["tiny", "huge"])
+def test_cli_refuses_an_em_core_sweep_beyond_the_float_range(tmp_path, capsys, command,
+                                                              overrides, field):
+    # each of these passed validation, and the run then printed overflow
+    # warnings and failed on a nan residual without naming a field
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": "em-core-validation", "name": "f", "samples": 25,
+                                **overrides}))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"invalid: {field}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("k0r_min, k0r_max", [
+    (scenario.EM_CORE_K0R_MIN, 1.0), (1.0, scenario.EM_CORE_K0R_MAX),
+], ids=["min", "max"])
+def test_em_core_sweep_at_its_bounds_runs(tmp_path, capsys, k0r_min, k0r_max):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": "em-core-validation", "name": "f", "samples": 25,
+                                "k0r_min": k0r_min, "k0r_max": k0r_max}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    table = read_result_csv(tmp_path / "o" / "f_decomposition.csv")
+    assert table.column("k0r")[::24] == [k0r_min, k0r_max]
+    residuals = np.array(table.column("relative_residual"))
+    assert residuals.size == 25 and np.all(np.isfinite(residuals))
+    assert np.all(residuals < 1e-12)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
