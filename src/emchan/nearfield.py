@@ -233,8 +233,9 @@ def _locate_bounces(rays, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
     denom = 1.0 - dot * dot
     parallel = denom < 1e-12
     denom = np.where(parallel, 1.0, denom)
-    wa = u_dep @ w
-    wb = u_arr @ w
+    # row-wise sums: a BLAS product rounds a row by its place in the batch
+    wa = np.sum(u_dep * w, axis=1)
+    wb = np.sum(u_arr * w, axis=1)
     a = np.maximum((dot * wb - wa) / denom, 0.0)
     b = np.maximum((wb - dot * wa) / denom, 0.0)
     even = parallel | (a <= 0.0) | (b <= 0.0)
@@ -249,8 +250,10 @@ def _locate_bounces(rays, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
     last = rx[0] + b[:, None] * u_arr
 
     if planar:
-        tx_dist = np.linalg.norm(first - tx[0], axis=1)[:, None] - u_dep @ (tx - tx[0]).T
-        rx_dist = np.linalg.norm(last - rx[0], axis=1)[:, None] - u_arr @ (rx - rx[0]).T
+        tx_dist = (np.linalg.norm(first - tx[0], axis=1)[:, None]
+                   - np.sum(u_dep[:, None] * (tx - tx[0]), axis=-1))
+        rx_dist = (np.linalg.norm(last - rx[0], axis=1)[:, None]
+                   - np.sum(u_arr[:, None] * (rx - rx[0]), axis=-1))
         tx_theta, tx_phi = (np.broadcast_to(x[:, None], tx_dist.shape) for x in departure.T)
         rx_theta, rx_phi = (np.broadcast_to(x[:, None], rx_dist.shape) for x in arrival.T)
     else:

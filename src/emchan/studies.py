@@ -63,13 +63,13 @@ def __getattr__(name: str):
     return value
 
 
-# Realizations (or trials) per chunk. A chunk of either Monte Carlo study
-# runs as one stacked pass: the densely-spaced study makes one
-# assemble_channel call per (variance set, pattern), then one QR call and
-# one capacity_equal_power call for every (scheme, rx spacing, realization);
-# the tri-pol study builds, estimates and water-fills all of its trials at
-# once. Results do not depend on it. Chunks of 16 and 32 ran no faster
-# (capacity-mc, 2 vCPU) and held 1.4 and 3.0 MB more peak RSS.
+# Realizations (or trials) per chunk; results do not depend on it. A chunk
+# runs as one stacked pass: per (variance set, pattern) one assemble_channel
+# call, then one QR and one capacity_equal_power call (densely-spaced), or
+# all trials built, estimated and water-filled at once (tri-pol). Chunks of
+# 16 and 32 ran capacity-mc's studies in 147 and 144 ms against 159 ms,
+# inside the runs' spread (medians of 30 alternating fresh runs, 2 vCPU),
+# and held 1.5 and 3.5 MB more peak RSS.
 _CHUNK = 8
 
 # thread-count functions of OpenBLAS builds: {prefix}_get_num_threads{suffix}
@@ -178,55 +178,52 @@ def _metadata(scn, seed: int, scale: float) -> dict:
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Assembly:
     """A variance set and a pattern, shared by the schemes that differ only
-    in efficiency: one transmit product per chunk (_transmit_factors)."""
+    in efficiency: one product M = E_R H_pol Psi~_S^H per chunk. A uniform
+    pattern's harmonics are Psi = Phi [D_theta D_phi] = Q R [D_theta D_phi]
+    (_phase_factors), so Psi_R H_pol Psi_S^H = Q_R R_R M Q_S^H, and R_R M,
+    with B_r rows, has the singular values of the full channel."""
 
     variance_set: int  # index into the variance sets of the shared draw
-    psi_s: np.ndarray  # [Psi_S^theta Psi_S^phi]
-    rx: np.ndarray  # R stacked over the rx spacings, from _rx_factors
+    psi_s: np.ndarray  # Psi~_S = R_S [D_theta D_phi], (B_s, 2 B_s)
+    e_r: np.ndarray  # E_R = [D_theta D_phi], (B_r, 2 B_r)
 
 
-def _rx_factors(harmonics) -> np.ndarray:
-    """R of the thin QR [Psi_R^theta Psi_R^phi] = Q R of each receive array,
-    zero-padded to 2B rows for B support indices and stacked on a leading
-    axis.
+def _gain_block(factor: np.ndarray, support, patterns, ctx) -> np.ndarray:
+    """factor [D_theta D_phi] for the (B,) gains D of a uniform pattern set
+    toward each support index."""
+    gains = patterns.element_gains(*wavenumber._plane_waves(support, ctx)[1])
+    return np.hstack([factor * gains[:, 0], factor * gains[:, 1]])
 
-    Q has orthonormal columns, so with a uniform Gamma_R the channel built on
-    R in place of the harmonics has the singular values of the full channel,
-    on 2B rows instead of n_r. Zero rows leave R^H R, and so the nonzero
-    singular values, unchanged. The chunk does the same per draw on the
-    transmit side: T = H_pol Psi_S^H with T^T = Q R has T T^H = R^T conj(R),
-    so R_j R^T has the singular values of R_j T on min(n_t, 2B) columns.
-    """
-    cols = harmonics[0].shape[1]
-    r = np.zeros((len(harmonics), cols, cols), dtype=complex)
-    for j, psi in enumerate(harmonics):
-        r[j, : min(psi.shape)] = np.linalg.qr(psi, mode="r")
+
+def _phase_factors(arrays, support, ctx) -> np.ndarray:
+    """R of the thin QR Phi = Q R of each array's (n, B) plane-wave phases (a
+    vertical element's theta harmonics), zero-padded to B rows where n < B
+    and stacked: zero rows leave R^H R, and so the singular values, unchanged."""
+    b = len(support.indices)
+    r = np.zeros((len(arrays), b, b), dtype=complex)
+    for j, array in enumerate(arrays):
+        phases = fourier_harmonics(array, support, PatternSet.uniform(vertical()), ctx)[:, :b]
+        r[j, : min(phases.shape)] = np.linalg.qr(phases, mode="r")
     return r
-
-
-def _transmit_factors(h_pol: np.ndarray, assemblies) -> np.ndarray:
-    """R^T for T^T = Q R of T = H_pol Psi_S^H (see _rx_factors), shaped
-    (assembly, draw, 2B, 2B): one QR call for every assembly and draw."""
-    rows = h_pol.shape[-2]
-    t = np.stack([assemble_channel(EfficiencyMatrix.uniform(1.0, rows), np.eye(rows),
-                                   h_pol[a.variance_set], a.psi_s,
-                                   EfficiencyMatrix.uniform(1.0, a.psi_s.shape[0]))
-                  for a in assemblies])
-    return np.linalg.qr(t.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
 
 
 def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
     """Capacities of realizations [start, stop), one column per (scheme, rx spacing)."""
     _bind_study(sc.DENSELY_SPACED)  # a spawned worker starts with none bound
-    seed, study_id, mu, sigma, snr, variances, schemes, assemblies = payload
+    seed, study_id, mu, sigma, snr, variances, r_r, schemes, assemblies = payload
     # one draw per realization (noise, phases, XPR), shared by every scheme
     rngs = [realization_rng(seed, study_id, i) for i in range(start, stop)]
-    r_t = _transmit_factors(
-        apply_polarization(sample_wavenumber_channel(variances, rngs), mu, sigma, rngs),
-        assemblies)
-    # g[s, j, k]: scheme s, rx spacing j, realization k
+    h_pol = apply_polarization(sample_wavenumber_channel(variances, rngs), mu, sigma, rngs)
+    ones_r, ones_s = (EfficiencyMatrix.uniform(1.0, len(x))
+                      for x in (assemblies[0].e_r, assemblies[0].psi_s))
+    m = np.stack([assemble_channel(ones_r, a.e_r, h_pol[a.variance_set], a.psi_s, ones_s)
+                  for a in assemblies])
+    # M = F Q^T with F = R^T of M^T = Q R, so F F^H = M M^H: one QR call
+    # for every assembly and draw, (assembly, draw, B_r, min(B_s, B_r))
+    f = np.linalg.qr(m.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    # g[s, j, k] = R_R,j F: scheme s, rx spacing j, realization k
     which, efficiencies = (np.array(column) for column in zip(*schemes))
-    g = np.stack([a.rx for a in assemblies])[which, :, None] @ r_t[which, None]
+    g = r_r[:, None] @ f[which, None]
     # amplitude sqrt(efficiency) on every element of both sides scales H
     # by the efficiency, so H H^H and the power by its square; one call
     # scores every scheme, with P/K = SNR on g's columns
@@ -259,14 +256,10 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
 
     element_patterns = {"unit": PatternSet.uniform(unit_gain()),
                         "dipole": PatternSet.uniform(dipole())}
-    tx_array = uniform_planar_array(l_s, l_s, scn.tx_spacing_wavelengths * lam,
-                                    scn.tx_spacing_wavelengths * lam)
-    psi_s = {p: fourier_harmonics(tx_array, sup_s, pattern, ctx)
-             for p, pattern in element_patterns.items()}
-    rx_arrays = [uniform_planar_array(l_r, l_r, spacing * lam, spacing * lam)
-                 for spacing in scn.rx_spacing_wavelengths]
-    r_r = {p: _rx_factors([fourier_harmonics(arr, sup_r, pattern, ctx) for arr in rx_arrays])
-           for p, pattern in element_patterns.items()}
+    d_s = scn.tx_spacing_wavelengths * lam
+    r_s = _phase_factors([uniform_planar_array(l_s, l_s, d_s, d_s)], sup_s, ctx)[0]
+    r_r = _phase_factors([uniform_planar_array(l_r, l_r, d * lam, d * lam)
+                          for d in scn.rx_spacing_wavelengths], sup_r, ctx)
 
     # scheme: (variance set, element pattern, element efficiency)
     scheme_defs = {
@@ -280,10 +273,13 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
     for name in scn.schemes:
         var, pat, eff = scheme_defs[name]
         schemes.append((shared.setdefault((var, pat), len(shared)), float(eff)))
-    assemblies = tuple(_Assembly(variance_set=var, psi_s=psi_s[pat], rx=r_r[pat])
+    eye_r = np.eye(len(sup_r.indices))
+    assemblies = tuple(_Assembly(variance_set=var,
+                                 psi_s=_gain_block(r_s, sup_s, element_patterns[pat], ctx),
+                                 e_r=_gain_block(eye_r, sup_r, element_patterns[pat], ctx))
                        for var, pat in shared)
     payload = (seed, STUDY_IDS[sc.DENSELY_SPACED], scn.xpr_mu_db, scn.xpr_sigma_db,
-               10.0 ** (scn.snr_db / 10.0), variances, tuple(schemes), assemblies)
+               10.0 ** (scn.snr_db / 10.0), variances, r_r, tuple(schemes), assemblies)
     caps = _map_chunks(functools.partial(_densely_spaced_chunk, payload=payload), count, jobs)
     return [(name, spacing) for name in scn.schemes for spacing in scn.rx_spacing_wavelengths], caps
 

@@ -386,14 +386,9 @@ def uniform_planar_array(length_x: float, length_y: float, spacing_x: float,
     return np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))], axis=1)
 
 
-def fourier_harmonics(positions, support: WavenumberSupport,
-                      patterns: PatternSet, ctx: WaveContext) -> np.ndarray:
-    """[Psi^theta Psi^phi], shape (n, 2B): pattern-weighted plane-wave
-    steering columns at the (n, 3) element positions, one per support index
-    and polarization."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-        raise ShapeError("element positions must have shape (n, 3)")
+def _plane_waves(support: WavenumberSupport, ctx: WaveContext):
+    """((k_x, k_y, k_z), (theta, phi)): the wave vector and the direction of
+    each support index's plane wave, each a (B,) array."""
     k0 = ctx.wavenumber
     idx = np.asarray(support.indices, dtype=float)
     k_x = 2.0 * np.pi * idx[:, 0] / support.length_x
@@ -402,8 +397,18 @@ def fourier_harmonics(positions, support: WavenumberSupport,
     if np.any(gamma_sq < -1e-9 * k0**2):
         raise DomainError("support contains an evanescent index")
     gamma = np.sqrt(np.maximum(gamma_sq, 0.0))
-    theta = np.arccos(np.clip(gamma / k0, -1.0, 1.0))
-    phi = np.arctan2(k_y, k_x)
+    return (k_x, k_y, gamma), (np.arccos(np.clip(gamma / k0, -1.0, 1.0)), np.arctan2(k_y, k_x))
+
+
+def fourier_harmonics(positions, support: WavenumberSupport,
+                      patterns: PatternSet, ctx: WaveContext) -> np.ndarray:
+    """[Psi^theta Psi^phi] = Phi [D_theta D_phi], shape (n, 2B): the (n, B)
+    plane-wave phases Phi at the (n, 3) element positions (see _plane_waves),
+    weighted by each element's pattern gains D toward each support index."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
+        raise ShapeError("element positions must have shape (n, 3)")
+    (k_x, k_y, gamma), (theta, phi) = _plane_waves(support, ctx)
     phase = np.exp(
         1j * (np.outer(pos[:, 0], k_x) + np.outer(pos[:, 1], k_y) + np.outer(pos[:, 2], gamma))
     ) / np.sqrt(len(pos))
@@ -446,19 +451,15 @@ def assemble_channel(gamma_r: EfficiencyMatrix, psi_r: np.ndarray, h_pol: np.nda
                      psi_s: np.ndarray, gamma_s: EfficiencyMatrix) -> np.ndarray:
     """H = Gamma_R [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H Gamma_S.
 
-    ``h_pol`` may carry leading stack axes, and so may the receive harmonics
-    (say one set per receive array, padded to one row count). H then carries
-    the harmonics' axes followed by the polarized channel's axes, one channel
-    per index pair. The transmit side is multiplied first, as one product of
-    every row of H_pol's stack with the shared (Psi_S^* Gamma_S)^T, so every
-    set of receive harmonics reuses it; each draw's rows come out as that
-    draw alone gives them.
+    ``h_pol`` may carry leading stack axes, and H then carries them too. The
+    transmit side is multiplied first, as one product of every row of H_pol's
+    stack with the shared (Psi_S^* Gamma_S)^T; each draw's rows come out as
+    that draw alone gives them.
     """
-    if psi_r.shape[-1] != h_pol.shape[-2] or psi_s.shape[1] != h_pol.shape[-1]:
+    if psi_r.ndim != 2 or psi_r.shape[1] != h_pol.shape[-2] or psi_s.shape[1] != h_pol.shape[-1]:
         raise ShapeError("harmonic and polarization block shapes do not conform")
     if gamma_r.count != psi_r.shape[-2] or gamma_s.count != psi_s.shape[0]:
         raise ShapeError("efficiency diagonals must match element counts")
     weights = (psi_s.conj() * gamma_s.values[:, None]).T
     tx = (h_pol.reshape(-1, h_pol.shape[-1]) @ weights).reshape(h_pol.shape[:-1] + (-1,))
-    rx = gamma_r.values[:, None] * psi_r
-    return rx.reshape(rx.shape[:-2] + (1,) * (h_pol.ndim - 2) + rx.shape[-2:]) @ tx
+    return (gamma_r.values[:, None] * psi_r) @ tx

@@ -19,10 +19,10 @@ from emchan import (DenselySpacedScenario, EmCoreValidationScenario, NearFieldSc
                     write_results)
 from emchan import scenario as sc
 from emchan.cdl import bundled_cdl_b, mixture_from_clusters
-from emchan.capacity import capacity_waterfilling
+from emchan.capacity import capacity_equal_power, capacity_waterfilling
 from emchan.emcore import WaveContext
 from emchan.errors import NumericalError
-from emchan.patterns import PatternSet, dipole, unit_gain
+from emchan.patterns import PatternSet, dipole, unit_gain, vertical
 from emchan.seeds import STUDY_IDS, realization_rng
 from emchan.tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
                            simulate_tripol_channel)
@@ -96,6 +96,52 @@ def test_engine_matches_per_realization_oracle():
     want = densely_spaced_oracle(scn, 5, count)
     assert caps.shape == want.shape == (count, 12)
     assert np.allclose(caps, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("tx_spacing, rx_spacings", [
+    (0.5, (0.5, 0.25, 0.125)),
+    (1.0, (1.0, 0.5)),  # 9 tx elements for B_s = 13, 4 rx elements for B_r = 5
+])
+def test_chunk_matches_capacity_of_full_element_space_channels(tx_spacing, rx_spacings):
+    """Every scheme's capacities equal capacity_equal_power of the full
+    (n_r, n_t) channel Gamma_R Psi_R H_pol Psi_S^H Gamma_S of the same draw."""
+    scn = DenselySpacedScenario(name="small", tx_side_wavelengths=2.0,
+                                tx_spacing_wavelengths=tx_spacing,
+                                rx_spacing_wavelengths=rx_spacings, quadrature_order=8)
+    count = 4
+    studies._bind_study(sc.DENSELY_SPACED)  # as load_scenario binds it
+    _, caps = studies._densely_spaced_capacities(scn, 3, count, jobs=1)
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
+    lam = ctx.wavelength
+    sup_s = wavenumber_support(2 * lam, 2 * lam, ctx)
+    sup_r = wavenumber_support(lam, lam, ctx)
+    mix_dep, mix_arr = (mixture_from_clusters(bundled_cdl_b(), side, boresight)
+                        for side, boresight in (("departure", "+x"), ("arrival", "-x")))
+    iso = isotropic_mixture()
+    variances = {"ideal": coupling_variances(sup_r, sup_s, iso, iso, ctx, 8)}
+    variances["ni"] = variances["ni-pd"] = variances["proposed"] = coupling_variances(
+        sup_r, sup_s, mix_arr, mix_dep, ctx, 8)
+    patterns = {"ideal": unit_gain(), "ni": unit_gain(), "ni-pd": dipole(), "proposed": dipole()}
+    tx_array = uniform_planar_array(2 * lam, 2 * lam, tx_spacing * lam, tx_spacing * lam)
+    rx_arrays = [uniform_planar_array(lam, lam, d * lam, d * lam) for d in rx_spacings]
+    assert len(tx_array) == (25 if tx_spacing == 0.5 else 9) and len(sup_s.indices) == 13
+    want = []
+    for name in scn.schemes:
+        pats = PatternSet.uniform(patterns[name])
+        amplitude = np.sqrt(scn.element_efficiency if name == "proposed" else 1.0)
+        rngs = [realization_rng(3, STUDY_IDS[sc.DENSELY_SPACED], i) for i in range(count)]
+        pol = apply_polarization(sample_wavenumber_channel(variances[name], rngs),
+                                 scn.xpr_mu_db, scn.xpr_sigma_db, rngs)
+        psi_s = fourier_harmonics(tx_array, sup_s, pats, ctx)
+        for rx_array in rx_arrays:
+            psi_r = fourier_harmonics(rx_array, sup_r, pats, ctx)
+            h = assemble_channel(EfficiencyMatrix.uniform(amplitude, len(rx_array)), psi_r, pol,
+                                 psi_s, EfficiencyMatrix.uniform(amplitude, len(tx_array)))
+            # P/(K sigma^2) = SNR for K = n_t streams
+            want.append(capacity_equal_power(h, 10.0 ** (scn.snr_db / 10.0) * len(tx_array), 1.0))
+    want = np.array(want).T
+    assert caps.shape == want.shape == (count, 4 * len(rx_spacings))
+    np.testing.assert_allclose(caps, want, rtol=1e-12, atol=0.0)
 
 
 def householder_row_space_capacity(h: np.ndarray, estimate: np.ndarray, power: float):
@@ -522,55 +568,99 @@ def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     # three assemblies per chunk, and one capacity call for all four schemes
     assert len(calls) == 2 * 3
     assert len(capacity_calls) == 2
-    # T = H_pol Psi_S^H is assembled once per assembly and chunk, with the
-    # identity for the receive side, and every rx spacing's channel is 2B x 2B
-    # (B = 5 on 1 wavelength)
-    for rx, draws in calls:
-        assert np.array_equal(rx, np.eye(10)) and draws == (studies._CHUNK, 10, 98)
-    assert capacity_calls == [((4, spacings, studies._CHUNK, 10, 10), (4, 1, 1))] * 2
-    # one receive factor per pattern and spacing, then per chunk one QR of
-    # every assembly's T^T and the capacity kernel's one QR of [sqrt(c) g; I]
+    # M = E_R H_pol Psi~_S^H is assembled once per assembly and chunk, with the
+    # pattern's gain block E_R = [D_theta D_phi] for the receive side, and
+    # every rx spacing's factor is B x B (B = 5 on 1 wavelength): the
+    # harmonics of one element at the origin are its gains [D_theta D_phi]
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
+    sup_r = wavenumber_support(ctx.wavelength, ctx.wavelength, ctx)
+    e_r = {}
+    for name, pattern in (("unit", unit_gain()), ("dipole", dipole())):
+        gains = fourier_harmonics(np.zeros((1, 3)), sup_r, PatternSet.uniform(pattern), ctx)
+        e_r[name] = np.hstack([np.diag(gains[0, :5]), np.diag(gains[0, 5:])])
+    assert np.array_equal(e_r["unit"], np.hstack([np.eye(5), np.eye(5)]))
+    for (rx, draws), pattern in zip(calls, ["unit", "unit", "dipole"] * 2):
+        assert np.array_equal(rx, e_r[pattern]) and draws == (studies._CHUNK, 10, 98)
+    assert capacity_calls == [((4, spacings, studies._CHUNK, 5, 5), (4, 1, 1))] * 2
+    # one phase factor for the tx array and one per rx spacing, then per chunk
+    # one QR of every assembly's M^T (B_s = 49) and the capacity kernel's one
+    # QR of [sqrt(c) g; I]
     chunk_qrs = [shape for shape in qr_calls if len(shape) > 2]
-    assert len(qr_calls) - len(chunk_qrs) == 2 * spacings
-    assert chunk_qrs == [(3, studies._CHUNK, 81, 10), (4, spacings, studies._CHUNK, 20, 10)] * 2
+    assert len(qr_calls) - len(chunk_qrs) == 1 + spacings
+    assert chunk_qrs == [(3, studies._CHUNK, 49, 5), (4, spacings, studies._CHUNK, 10, 5)] * 2
 
     calls.clear()
     capacity_calls.clear()
     scn = DenselySpacedScenario(name="pd", schemes=("ni-pd", "proposed"), realizations=3)
     studies._densely_spaced_capacities(scn, 5, 3, jobs=1)
     assert len(calls) == 1
-    assert capacity_calls == [((2, spacings, 3, 10, 10), (2, 1, 1))]
+    assert capacity_calls == [((2, spacings, 3, 5, 5), (2, 1, 1))]
+
+
+@pytest.mark.parametrize("pattern", [unit_gain(), dipole()], ids=lambda p: p.name)
+def test_harmonics_factor_into_phases_and_per_index_gains(pattern):
+    """[Psi^theta Psi^phi] = Phi [D_theta D_phi] bit for bit, with Phi the
+    theta half of a vertical element's harmonics, and the compressed
+    R [D_theta D_phi] keeps the Gram matrix of the harmonics."""
+    studies._bind_study(sc.DENSELY_SPACED)  # as load_scenario binds it
+    ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
+    lam = ctx.wavelength
+    pats = PatternSet.uniform(pattern)
+    for side, spacing in ((4.0, 0.5), (1.0, 1.0), (1.0, 0.5), (1.0, 0.25), (1.0, 0.125)):
+        support = wavenumber_support(side * lam, side * lam, ctx)
+        b = len(support.indices)
+        array = uniform_planar_array(side * lam, side * lam, spacing * lam, spacing * lam)
+        vertical_harmonics = fourier_harmonics(array, support, PatternSet.uniform(vertical()), ctx)
+        assert not np.any(vertical_harmonics[:, b:])
+        phases = vertical_harmonics[:, :b]
+        gains = pats.element_gains(*wavenumber._plane_waves(support, ctx)[1])
+        assert gains.shape == (b, 2)
+        psi = fourier_harmonics(array, support, pats, ctx)
+        assert np.array_equal(psi, np.hstack([phases * gains[:, 0], phases * gains[:, 1]]))
+        compressed = studies._gain_block(studies._phase_factors([array], support, ctx)[0],
+                                         support, pats, ctx)
+        assert compressed.shape == (b, 2 * b)
+        np.testing.assert_allclose(compressed.conj().T @ compressed, psi.conj().T @ psi,
+                                   rtol=0.0, atol=1e-13)
 
 
 def test_padded_stacked_rx_factors_match_per_spacing_channels():
+    studies._bind_study(sc.DENSELY_SPACED)  # as load_scenario binds it
     ctx = WaveContext.from_frequency(sc.REFERENCE_FREQUENCY_HZ)
     lam = ctx.wavelength
     sup_r = wavenumber_support(lam, lam, ctx)
     sup_s = wavenumber_support(2 * lam, 2 * lam, ctx)
+    b_r, b_s = len(sup_r.indices), len(sup_s.indices)
     pats = PatternSet.uniform(dipole())
-    psi_s = fourier_harmonics(uniform_planar_array(2 * lam, 2 * lam, lam / 2, lam / 2),
-                              sup_s, pats, ctx)
-    harmonics = [fourier_harmonics(uniform_planar_array(lam, lam, d * lam, d * lam),
-                                   sup_r, pats, ctx) for d in (0.5, 0.25, 0.125)]
-    r = studies._rx_factors(harmonics)
-    rows = 2 * len(sup_r.indices)
-    assert r.shape == (3, rows, rows)
+    tx_array = uniform_planar_array(2 * lam, 2 * lam, lam / 2, lam / 2)
+    psi_s = fourier_harmonics(tx_array, sup_s, pats, ctx)
+    psi_s_factor = studies._gain_block(studies._phase_factors([tx_array], sup_s, ctx)[0],
+                                       sup_s, pats, ctx)
+    e_r = studies._gain_block(np.eye(b_r), sup_r, pats, ctx)
+    # 4 elements at a 1-wavelength spacing, fewer than B_r = 5: one padded row
+    arrays = [uniform_planar_array(lam, lam, d * lam, d * lam) for d in (1.0, 0.5, 0.25, 0.125)]
+    r = studies._phase_factors(arrays, sup_r, ctx)
+    assert r.shape == (4, b_r, b_r)
     rng = np.random.default_rng(8)
-    shape = (2, len(sup_r.indices), len(sup_s.indices))  # two draws
+    shape = (2, b_r, b_s)  # two draws
     pol = apply_polarization(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                              8.0, 3.0, rng)
+    m = assemble_channel(EfficiencyMatrix.uniform(1.0, b_r), e_r, pol, psi_s_factor,
+                         EfficiencyMatrix.uniform(1.0, b_s))
+    stacked = r[:, None] @ m
+    assert stacked.shape == (4, 2, b_r, b_s)
     ones_s = EfficiencyMatrix.uniform(1.0, psi_s.shape[0])
-    stacked = assemble_channel(EfficiencyMatrix.uniform(1.0, rows), r, pol, psi_s, ones_s)
-    assert stacked.shape == (3, 2, rows, psi_s.shape[0])
-    for j, psi in enumerate(harmonics):
-        factor = np.linalg.qr(psi, mode="r")
-        n = factor.shape[0]
-        alone = assemble_channel(EfficiencyMatrix.uniform(1.0, n), factor, pol, psi_s, ones_s)
-        np.testing.assert_allclose(stacked[j, :, :n], alone, rtol=1e-13, atol=0)
-        assert not np.any(stacked[j, :, n:])
-        # the factor keeps the singular values of the full receive harmonics
+    for j, array in enumerate(arrays):
+        n = min(len(array), b_r)
+        phases = fourier_harmonics(array, sup_r, PatternSet.uniform(vertical()), ctx)[:, :b_r]
+        assert np.array_equal(r[j, :n], np.linalg.qr(phases, mode="r"))
+        assert not np.any(r[j, n:])
+        # the factor keeps the singular values of the full receive harmonics,
+        # whose rank is at most B_r
+        psi = fourier_harmonics(array, sup_r, pats, ctx)
         full = assemble_channel(EfficiencyMatrix.uniform(1.0, psi.shape[0]), psi, pol, psi_s,
                                 ones_s)
         sv_full = np.linalg.svd(full, compute_uv=False)
         np.testing.assert_allclose(np.linalg.svd(stacked[j], compute_uv=False)[:, :n],
                                    sv_full[:, :n], rtol=1e-10, atol=1e-12 * sv_full.max())
+        assert np.all(sv_full[:, n:] <= 1e-12 * sv_full.max())

@@ -408,22 +408,23 @@ def test_nlos_matrix_matches_per_entry_oracle():
                         rays_per_cluster=2)
     assert len(rays) >= 20
     batch = _locate_bounces(rays, geom, False)
+    planar_batch = _locate_bounces(rays, geom, True)
     block = _nlos_block(*_ray_factors(rays), batch, np.ones((len(rays), geom.n_tx)),
                         t, geom, moving, CTX)
     for i, ray in enumerate(rays):
         own = locate_bounce_scatterers(ray, geom, CTX)
-        for bounce in (own, _take(_locate_bounces([ray], geom, True), 0)):
+        planar = _take(_locate_bounces([ray], geom, True), 0)
+        for bounce in (own, planar):
             assert_matches_oracle(
                 one_ray_block(ray, bounce, t, geom, moving),
                 oracle_matrix(nlos_oracle, geom, ray, bounce, t, geom, moving, CTX),
             )
-        # the per-entry functions index the batched rays; the BLAS
-        # matrix-vector products round a row by its place in the batch, so
-        # one ray alone agrees with its row to an ulp or so
+        # the per-entry functions index the batched rays, and one ray alone
+        # is its row of the batch bit for bit, exact and planar
         row = _take(batch, i)
-        for f in dataclasses.fields(row):
-            np.testing.assert_allclose(getattr(own, f.name), getattr(row, f.name),
-                                       rtol=1e-14, atol=1e-14, err_msg=f.name)
+        for alone, batched in ((own, row), (planar, _take(planar_batch, i))):
+            for f in dataclasses.fields(row):
+                assert np.array_equal(getattr(alone, f.name), getattr(batched, f.name)), f.name
         # from the same bounce row, each entry is the batched one bit for bit
         got = oracle_matrix(nlos_coefficient, geom, ray, row, t, geom, moving, CTX)
         assert np.array_equal(got, block[i])

@@ -57,7 +57,7 @@ def _examples():
         tripol.NormalizationRecord(amplitude=np.ones(2), phase=np.zeros(2)),
         tripol.estimate_joint(channel, grouping, np.inf, np.inf, 0),
         EfficiencyMatrix.uniform(0.5, 3),
-        studies._Assembly(variance_set=0, psi_s=np.ones((2, 2)), rx=np.ones((1, 2, 2))),
+        studies._Assembly(variance_set=0, psi_s=np.ones((1, 2)), e_r=np.ones((1, 2))),
     ]
 
 

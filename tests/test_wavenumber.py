@@ -32,6 +32,7 @@ from emchan import (
     sample_wavenumber_channel,
     uniform_planar_array,
     unit_gain,
+    vertical,
     vmf_pdf,
     wavenumber_support,
 )
@@ -692,6 +693,10 @@ def test_efficiency_matrix_domain():
         pol = apply_polarization(rng.normal(size=(5, 5)) + 0j, 8.0, 3.0, rng)
         assemble_channel(EfficiencyMatrix.uniform(1.0, 3), psi, pol, psi,
                          EfficiencyMatrix.uniform(1.0, 9))
+    # one set of receive harmonics: a stack of them is refused, not broadcast
+    with pytest.raises(ShapeError):
+        assemble_channel(EfficiencyMatrix.uniform(1.0, 9), np.stack([psi, psi]), pol, psi,
+                         EfficiencyMatrix.uniform(1.0, 9))
 
 
 def test_shared_draw_equals_one_draw_per_variance_set_bit_for_bit():
@@ -768,20 +773,26 @@ def test_list_of_generators_needs_one_draw_per_generator():
 @pytest.mark.parametrize("draws", [1, 2, 7, 8])
 def test_flat_transmit_product_equals_per_draw_product_bit_for_bit(draws):
     # the densely-spaced study's shapes: (10, 98) polarized draws of a
-    # 1-wavelength receive and 4-wavelength transmit support, 81 elements
+    # 1-wavelength receive and 4-wavelength transmit support, the (5, 10)
+    # receive gain block E_R = [D_theta D_phi] and the (49, 98) compressed
+    # transmit harmonics R [D_theta D_phi] of 81 elements
     sup_r = wavenumber_support(LAM, LAM, CTX)
     sup_s = wavenumber_support(4 * LAM, 4 * LAM, CTX)
-    psi_s = fourier_harmonics(uniform_planar_array(4 * LAM, 4 * LAM, LAM / 2, LAM / 2), sup_s,
-                              PatternSet.uniform(dipole()), CTX)
+    pats = PatternSet.uniform(dipole())
+    phases = fourier_harmonics(uniform_planar_array(4 * LAM, 4 * LAM, LAM / 2, LAM / 2), sup_s,
+                               PatternSet.uniform(vertical()), CTX)[:, :49]
+    r = np.linalg.qr(phases, mode="r")
+    d_s, d_r = (pats.element_gains(*wavenumber._plane_waves(sup, CTX)[1]) for sup in (sup_s, sup_r))
+    psi_s = np.hstack([r * d_s[:, 0], r * d_s[:, 1]])
+    e_r = np.hstack([np.diag(d_r[:, 0]), np.diag(d_r[:, 1])])
     rng = np.random.default_rng(draws)
     shape = (draws, 2 * len(sup_r.indices), 2 * len(sup_s.indices))
     h_pol = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rows = shape[1]
-    ones_r = EfficiencyMatrix.uniform(1.0, rows)
+    ones_r = EfficiencyMatrix.uniform(1.0, len(e_r))
     g_s = EfficiencyMatrix.uniform(0.8, psi_s.shape[0])
-    stacked = assemble_channel(ones_r, np.eye(rows), h_pol, psi_s, g_s)
-    assert stacked.shape == (draws, rows, 81)
+    stacked = assemble_channel(ones_r, e_r, h_pol, psi_s, g_s)
+    assert stacked.shape == (draws, 5, 49)
     weights = (psi_s.conj() * g_s.values[:, None]).T
     for h_k, t_k in zip(h_pol, stacked):
-        assert np.array_equal(np.eye(rows) @ (h_k @ weights), t_k)
-        assert np.array_equal(assemble_channel(ones_r, np.eye(rows), h_k, psi_s, g_s), t_k)
+        assert np.array_equal(e_r @ (h_k @ weights), t_k)
+        assert np.array_equal(assemble_channel(ones_r, e_r, h_k, psi_s, g_s), t_k)
