@@ -41,8 +41,8 @@ _EXPORTS = {name: module for module, names in {
     "errors": ("DomainError", "EmchanError", "GeometryError", "NumericalError", "ShapeError",
                "SingularityError", "ValidationError"),
     "geometry": ("angles_from_vector", "panel_frame", "to_local_angles", "unit_vector"),
-    "nearfield": ("ArrayGeometry", "BounceGeometry", "ClusterRay", "MotionState", "Tap",
-                  "VisibilityModel", "attenuation_factor", "channel_impulse_response",
+    "nearfield": ("ArrayGeometry", "BounceGeometry", "ClusterRay", "MotionState", "RaySet",
+                  "Tap", "VisibilityModel", "attenuation_factor", "channel_impulse_response",
                   "cluster_rays", "locate_bounce_scatterers", "los_coefficient",
                   "narrowband_channel", "nlos_coefficient", "planar_wave_channel",
                   "spatial_correlation", "visibility_probability"),

@@ -106,6 +106,9 @@ def _cmd_run(args) -> int:
     except EmchanError as exc:
         print(f"error: {scn.study} run failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: {scn.study} run failed: out of memory", file=sys.stderr)
+        return 2
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,8 @@ wavefront-mismatch correlation studies.
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -74,6 +76,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class ClusterRay:
+    """One ray, as a `RaySet` row: Python numbers and tuples."""
+
     cluster: int
     ray: int
     power: float  # cluster power P_n, linear
@@ -85,14 +89,74 @@ class ClusterRay:
     phases: tuple[float, float, float, float]  # theta-theta, theta-phi, phi-theta, phi-phi
 
     def __post_init__(self):
-        if self.power < 0.0:
-            raise DomainError("cluster power must be nonnegative")
-        if self.xpr <= 0.0:
-            raise DomainError("cross-polarization ratio must be positive")
-        if self.delay < 0.0:
-            raise DomainError("delay must be nonnegative")
-        if self.ray_count < 1:
-            raise DomainError("ray_count must be at least 1")
+        values = (self.power, self.delay, self.xpr, *self.departure, *self.arrival, *self.phases)
+        if not all(map(math.isfinite, values)):
+            raise DomainError(_NON_FINITE_RAY)
+        for name, bad, message in _RAY_RULES:
+            if bad(getattr(self, name)):
+                raise DomainError(message)
+
+
+_NON_FINITE_RAY = "ray power, delay, xpr, angles and phases must be finite"
+# (field, test of a bad value, message) of a ray, and of each RaySet row
+_RAY_RULES = (("power", lambda x: x < 0.0, "cluster power must be nonnegative"),
+              ("xpr", lambda x: x <= 0.0, "cross-polarization ratio must be positive"),
+              ("delay", lambda x: x < 0.0, "delay must be nonnegative"),
+              ("ray_count", lambda x: x < 1, "ray_count must be at least 1"))
+
+# RaySet column -> (dtype, per-ray shape)
+_RAY_COLUMNS = {"cluster": (int, ()), "ray": (int, ()), "power": (float, ()),
+                "ray_count": (int, ()), "delay": (float, ()), "departure": (float, (2,)),
+                "arrival": (float, (2,)), "xpr": (float, ()), "phases": (float, (4,))}
+
+
+class RaySet(Sequence):
+    """R rays as read-only columns: the `ClusterRay` fields with a leading ray
+    axis, shaped as `_RAY_COLUMNS` gives. As a sequence, an integer index
+    gives that row's `ClusterRay`, and a slice, an index array or a mask
+    gives a `RaySet`. A plain class, not a frozen dataclass: the generated
+    methods of one take about a millisecond to build at import."""
+
+    def __init__(self, cluster, ray, power, ray_count, delay, departure, arrival, xpr, phases):
+        values = (cluster, ray, power, ray_count, delay, departure, arrival, xpr, phases)
+        rows = np.shape(cluster) if np.ndim(cluster) == 1 else ("R",)
+        for (name, (dtype, shape)), value in zip(_RAY_COLUMNS.items(), values):
+            column = np.array(value, dtype=dtype)
+            if column.shape != (*rows, *shape):
+                raise ShapeError(f"ray column {name} has shape {column.shape}, "
+                                 f"not {(*rows, *shape)}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        finite = (self.power, self.delay, self.xpr, self.departure, self.arrival, self.phases)
+        if not all(np.isfinite(column).all() for column in finite):
+            raise DomainError(_NON_FINITE_RAY)
+        for name, bad, message in _RAY_RULES:
+            if bad(getattr(self, name)).any():
+                raise DomainError(message)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a RaySet is read-only: cannot set {name!r}")
+
+    @classmethod
+    def stack(cls, rays) -> RaySet:
+        """``rays`` as one RaySet: a RaySet as it is, ClusterRay entries stacked."""
+        if isinstance(rays, RaySet):
+            return rays
+        rays = list(rays)
+        return cls(*(np.array([getattr(r, name) for r in rays], dtype).reshape(len(rays), *shape)
+                     for name, (dtype, shape) in _RAY_COLUMNS.items()))
+
+    def __len__(self) -> int:
+        return len(self.cluster)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]  # bounds and negative indices as a list has them
+            return ClusterRay(int(self.cluster[i]), int(self.ray[i]), float(self.power[i]),
+                              int(self.ray_count[i]), float(self.delay[i]),
+                              tuple(self.departure[i].tolist()), tuple(self.arrival[i].tolist()),
+                              float(self.xpr[i]), tuple(self.phases[i].tolist()))
+        return RaySet(*(getattr(self, name)[index] for name in _RAY_COLUMNS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +267,7 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
 # bounce geometry
 
 
-def _locate_bounces(rays, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
+def _locate_bounces(rays: RaySet, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
     """Bounce geometry of the R ``rays``, as in `locate_bounce_scatterers`;
     every field carries a leading ray axis.
 
@@ -213,9 +277,7 @@ def _locate_bounces(rays, geom: ArrayGeometry, planar: bool) -> BounceGeometry:
     and the ray's own angles at every element.
     """
     tx, rx = geom.tx_positions, geom.rx_positions
-    departure = np.array([r.departure for r in rays])
-    arrival = np.array([r.arrival for r in rays])
-    delay = np.array([r.delay for r in rays])
+    departure, arrival, delay = rays.departure, rays.arrival, rays.delay
     total = SPEED_OF_LIGHT * delay
     direct = float(np.linalg.norm(rx[0] - tx[0]))
     short = np.flatnonzero(total <= direct)
@@ -288,7 +350,7 @@ def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
     satisfy d_tx + d_inter + d_rx = c*tau with d_inter the nonnegative
     leftover (both legs shrink proportionally when the leftover is negative).
     """
-    return _take(_locate_bounces([ray], geom, planar=False), 0)
+    return _take(_locate_bounces(RaySet.stack([ray]), geom, planar=False), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +380,21 @@ def _nlos_block(pol: np.ndarray, amp: np.ndarray, bounce: BounceGeometry, tx_wei
     return rx_side @ tx_side.transpose(0, 2, 1)
 
 
-def _ray_factors(rays) -> tuple[np.ndarray, np.ndarray]:
+def _ray_factors(rays: RaySet) -> tuple[np.ndarray, np.ndarray]:
     """(R, 2, 2) XPR/phase matrices and (R,) amplitudes sqrt(P_n / M)."""
-    pol = np.exp(1j * np.array([r.phases for r in rays], dtype=float)).reshape(-1, 2, 2)
-    inv = 1.0 / np.sqrt(np.array([r.xpr for r in rays]))
+    pol = np.exp(1j * rays.phases).reshape(-1, 2, 2)
+    inv = 1.0 / np.sqrt(rays.xpr)
     pol[:, 0, 1] *= inv
     pol[:, 1, 0] *= inv
-    return pol, np.sqrt(np.array([r.power / r.ray_count for r in rays]))
+    return pol, np.sqrt(rays.power / rays.ray_count)
 
 
 def nlos_coefficient(u: int, s: int, ray: ClusterRay, bounce: BounceGeometry,
                      t: float, geom: ArrayGeometry, motion: MotionState,
                      ctx: WaveContext) -> complex:
     """One bounce-ray entry: pattern/XPR contraction times phase offsets."""
-    return complex(_nlos_block(*_ray_factors([ray]), _take(bounce, None), np.ones((1, geom.n_tx)),
-                               t, geom, motion, ctx)[0, u, s])
+    return complex(_nlos_block(*_ray_factors(RaySet.stack([ray])), _take(bounce, None),
+                               np.ones((1, geom.n_tx)), t, geom, motion, ctx)[0, u, s])
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +444,24 @@ def _element_attenuation(tx_distances: np.ndarray, d_min, d_max, visibility,
     return _logistic(-(norm - visibility) * rolloff)
 
 
-def _cluster_attenuation(rays, tx_distances: np.ndarray, model: VisibilityModel,
+def _cluster_attenuation(rays: RaySet, tx_distances: np.ndarray, model: VisibilityModel,
                          visibility_seed: int) -> np.ndarray:
     """(R, n_tx) attenuation of each ray at each transmit element.
 
-    One visibility draw per cluster, seeded by (visibility_seed, cluster),
-    and one distance span per cluster across its rays and the elements.
+    One visibility draw per cluster, seeded by (visibility_seed, cluster)
+    with the power of the cluster's first ray, and one distance span per
+    cluster across its rays and the elements.
     """
-    members = {}
-    for i, ray in enumerate(rays):
-        members.setdefault(ray.cluster, []).append(i)
-    max_power = max(rays[idx[0]].power for idx in members.values())
-    v, d_min, d_max = np.empty((3, len(rays), 1))
-    for n, idx in sorted(members.items()):
-        v[idx] = _seeded_visibility(rays[idx[0]].power, max_power, model,
-                                    int(visibility_seed), int(n))
-        span = tx_distances[idx]
-        d_min[idx], d_max[idx] = span.min(), span.max()
-    return _element_attenuation(tx_distances, d_min, d_max, v, model.rolloff)
+    clusters, first, member = np.unique(rays.cluster, return_index=True, return_inverse=True)
+    powers = rays.power[first].tolist()
+    max_power, seed = max(powers), int(visibility_seed)
+    v = np.array([_seeded_visibility(p, max_power, model, seed, n)
+                  for p, n in zip(powers, clusters.tolist())])
+    d_min, d_max = np.full(len(clusters), np.inf), np.full(len(clusters), -np.inf)
+    np.minimum.at(d_min, member, tx_distances.min(axis=1))
+    np.maximum.at(d_max, member, tx_distances.max(axis=1))
+    return _element_attenuation(tx_distances, d_min[member, None], d_max[member, None],
+                                v[member, None], model.rolloff)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +483,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
     if ctx is None:
         raise DomainError("a WaveContext is required")
     w_los, w_nlos = _k_weights(k_factor)
-    rays = list(rays) if rays is not None else []
+    rays = RaySet.stack(rays if rays is not None else ())
 
     d_ref = float(np.linalg.norm(geom.tx_positions[0] - geom.rx_positions[0]))
     los = _los_matrix(geom, t, motion, ctx, planar=planar)[0]
@@ -449,7 +511,7 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
         alpha = _cluster_attenuation(rays, bounce.tx_distances, visibility, visibility_seed)
     if drop_below > 0.0:
         keep = np.flatnonzero(alpha.max(axis=1) > drop_below)
-        rays = [rays[i] for i in keep]
+        rays = rays[keep]
         bounce = _take(bounce, keep)
         alpha = alpha[keep]
     weight = w_nlos * alpha
@@ -458,7 +520,8 @@ def _assemble_taps(geom: ArrayGeometry, rays, k_factor: float,
     for block in _row_blocks(len(rays), geom.n_rx * geom.n_tx, _BLOCK_ENTRIES):
         coeff = _nlos_block(pol[block], amp[block], _take(bounce, block), weight[block],
                             t, geom, motion, ctx)
-        taps.extend(Tap(delay=ray.delay, coefficients=c) for ray, c in zip(rays[block], coeff))
+        taps.extend(Tap(delay=d, coefficients=c)
+                    for d, c in zip(rays.delay[block].tolist(), coeff))
     return taps
 
 
@@ -511,8 +574,8 @@ def spatial_correlation(h_planar, h_spherical) -> float:
 
 def cluster_rays(table: ClusterTable, delay_spread: float, los_delay: float,
                  rng_seed, rays_per_cluster: int = 20,
-                 delay_margin: float = 5e-9) -> list[ClusterRay]:
-    """Expand a cluster table into per-ray parameters.
+                 delay_margin: float = 5e-9) -> RaySet:
+    """Expand a cluster table into per-ray parameters, cluster by cluster.
 
     Cluster powers are normalized to unit total. Each cluster's delay is
     los_delay + delay_margin + delay_norm * delay_spread, so every ray is
@@ -520,34 +583,36 @@ def cluster_rays(table: ClusterTable, delay_spread: float, los_delay: float,
     by the fixed grid scaled with the per-side spreads, with the azimuth and
     zenith offset orders decoupled per cluster.
     """
-    if rays_per_cluster < 2 or rays_per_cluster % 2 != 0 or rays_per_cluster > 2 * RAY_OFFSETS.size:
+    m = rays_per_cluster
+    if m < 2 or m % 2 != 0 or m > 2 * RAY_OFFSETS.size:
         raise DomainError(f"rays_per_cluster must be even and at most {2 * RAY_OFFSETS.size}")
+    if not all(map(math.isfinite, (delay_spread, los_delay, delay_margin))):
+        raise DomainError("delay_spread, los_delay and delay_margin must be finite")
     if delay_spread < 0.0 or los_delay < 0.0 or delay_margin <= 0.0:
         raise DomainError("delays must be nonnegative and the margin positive")
     rng = np.random.default_rng(rng_seed)
-    half = RAY_OFFSETS[: rays_per_cluster // 2]
+    half = RAY_OFFSETS[: m // 2]
     offsets = np.concatenate([half, -half])
     asd, asa, zsd, zsa = np.radians(table.spreads_deg)
     scale = np.array([asd, zsd, asa, zsa])[:, None]  # rows: aod, zod, aoa, zoa
-    powers = table.normalized_powers().tolist()
-    rays = []
-    for n, (row, p_n) in enumerate(zip(table.rows, powers), start=1):
-        delay = float(los_delay + delay_margin + row.delay_norm * delay_spread)
-        perm = np.stack([rng.permutation(rays_per_cluster) for _ in range(4)])
-        xpr_db = rng.normal(table.xpr_mu_db, table.xpr_sigma_db, size=rays_per_cluster).tolist()
-        phases = rng.uniform(-np.pi, np.pi, size=(rays_per_cluster, 4)).tolist()
-        means = np.radians([row.aod_deg, row.zod_deg, row.aoa_deg, row.zoa_deg])[:, None]
-        angles = means + scale * offsets[perm]
-        angles[1::2] = np.clip(angles[1::2], 1e-6, np.pi - 1e-6)
-        aod, zod, aoa, zoa = angles.tolist()
-        rays.extend(
-            ClusterRay(
-                cluster=n, ray=m, power=p_n, ray_count=rays_per_cluster, delay=delay,
-                departure=(zod[m], aod[m]), arrival=(zoa[m], aoa[m]),
-                # scalar power: an array ** may differ in the last bit
-                xpr=10.0 ** (xpr_db[m] / 10.0),
-                phases=tuple(phases[m]),
-            )
-            for m in range(rays_per_cluster)
-        )
-    return rays
+    n, order = table.count, np.tile(np.arange(m), (4, 1))
+    perm, xpr_db, phases = np.empty((n, 4, m), dtype=int), np.empty((n, m)), np.empty((n, m, 4))
+    for c in range(n):
+        # one permuted call draws what four permutation calls would
+        perm[c] = rng.permuted(order, axis=1)
+        xpr_db[c] = rng.normal(table.xpr_mu_db, table.xpr_sigma_db, size=m)
+        phases[c] = rng.uniform(-np.pi, np.pi, size=(m, 4))
+    means = np.radians([[r.aod_deg, r.zod_deg, r.aoa_deg, r.zoa_deg] for r in table.rows])
+    angles = means[:, :, None] + scale * offsets[perm]
+    angles[:, 1::2] = np.clip(angles[:, 1::2], 1e-6, np.pi - 1e-6)
+    aod, zod, aoa, zoa = angles.transpose(1, 0, 2).reshape(4, -1)
+    delay = los_delay + delay_margin + np.array([r.delay_norm for r in table.rows]) * delay_spread
+    return RaySet(
+        cluster=np.repeat(np.arange(1, n + 1), m), ray=np.tile(np.arange(m), n),
+        power=np.repeat(table.normalized_powers(), m), ray_count=np.full(n * m, m),
+        delay=np.repeat(delay, m), departure=np.stack([zod, aod], axis=1),
+        arrival=np.stack([zoa, aoa], axis=1),
+        # scalar power: an array ** may differ in the last bit
+        xpr=[10.0 ** (x / 10.0) for x in xpr_db.ravel().tolist()],
+        phases=phases.reshape(-1, 4),
+    )

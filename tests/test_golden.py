@@ -39,8 +39,9 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 
-def nlos_summary() -> ResultTable:
-    """Seeded CDL-B response with visibility, per-element dipoles and motion."""
+def nlos_summary(as_views: bool = False) -> ResultTable:
+    """Seeded CDL-B response with visibility, per-element dipoles and motion,
+    from the drawn RaySet or, with ``as_views``, from the list of its rows."""
     ctx = WaveContext.from_frequency(6.7e9)
     n_tx, n_rx = 16, 2
     tx = np.stack([np.zeros(n_tx), np.linspace(-0.5, 0.5, n_tx), np.zeros(n_tx)], axis=1)
@@ -54,6 +55,8 @@ def nlos_summary() -> ResultTable:
     direct = float(np.linalg.norm(tx[0] - rx[0]))
     rays = cluster_rays(bundled_cdl_b(), 100e-9, direct / SPEED_OF_LIGHT, rng_seed=11,
                         rays_per_cluster=4)
+    if as_views:
+        rays = list(rays)
     kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), t=2e-3,
                   motion=MotionState(velocity=np.array([3.0, -1.0, 0.5])), ctx=ctx,
                   visibility_seed=5)
@@ -147,6 +150,13 @@ def test_matches_golden(fresh, tmp_path, filename):
     for i, (row_got, row_want) in enumerate(zip(got.rows, want.rows)):
         for column, a, b in zip(want.columns, row_got, row_want):
             assert _cells_match(a, b), f"{filename} row {i} {column.name}: {a!r} != {b!r}"
+
+
+def test_nlos_summary_from_ray_views_is_the_same_table(fresh, tmp_path):
+    tables = (fresh["nearfield-nlos_summary.csv"], nlos_summary(as_views=True))
+    written = [write_results(table, tmp_path / f"{i}.csv").read_bytes()
+               for i, table in enumerate(tables)]
+    assert written[0] == written[1]
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from emchan import (
     GeometryError,
     MotionState,
     PatternSet,
+    RaySet,
     ShapeError,
     Tap,
     VisibilityModel,
@@ -41,8 +43,8 @@ from emchan import nearfield
 from emchan.scenario import NearFieldScenario
 from emchan.studies import run_study
 from emchan.emcore import SPEED_OF_LIGHT
-from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _locate_bounces, _logistic,
-                              _los_matrix, _nlos_block, _ray_factors, _take)
+from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _RAY_COLUMNS, _locate_bounces,
+                              _logistic, _los_matrix, _nlos_block, _ray_factors, _take)
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
@@ -312,8 +314,8 @@ def assert_matches_oracle(got, want):
 
 def one_ray_block(ray, bounce, t, geom, motion):
     """The (n_rx, n_tx) unweighted entries of one ray, from the batched block."""
-    return _nlos_block(*_ray_factors([ray]), _take(bounce, None), np.ones((1, geom.n_tx)),
-                       t, geom, motion, CTX)[0]
+    return _nlos_block(*_ray_factors(RaySet.stack([ray])), _take(bounce, None),
+                       np.ones((1, geom.n_tx)), t, geom, motion, CTX)[0]
 
 
 def test_los_matrix_matches_per_entry_oracle():
@@ -413,7 +415,7 @@ def test_nlos_matrix_matches_per_entry_oracle():
                         t, geom, moving, CTX)
     for i, ray in enumerate(rays):
         own = locate_bounce_scatterers(ray, geom, CTX)
-        planar = _take(_locate_bounces([ray], geom, True), 0)
+        planar = _take(_locate_bounces(RaySet.stack([ray]), geom, True), 0)
         for bounce in (own, planar):
             assert_matches_oracle(
                 one_ray_block(ray, bounce, t, geom, moving),
@@ -850,7 +852,7 @@ def test_bounce_branches_match_oracle():
     rays = [feasible_ray(geom, extra=extra, departure=dep, arrival=arr)
             for dep, arr, extra in cases.values()]
     for planar, oracle in ((False, bounce_oracle), (True, planar_bounce_oracle)):
-        batch = _locate_bounces(rays, geom, planar=planar)
+        batch = _locate_bounces(RaySet.stack(rays), geom, planar=planar)
         for i, ray in enumerate(rays):
             want = oracle(ray, geom)
             for f in dataclasses.fields(want):
@@ -985,3 +987,131 @@ def test_dataclass_validation():
         ClusterRay(1, 0, 1.0, 1, 1e-7, (0.1, 0.0), (0.1, 0.0), 0.0, (0, 0, 0, 0))
     with pytest.raises(DomainError):
         ClusterRay(1, 0, 1.0, 0, 1e-7, (0.1, 0.0), (0.1, 0.0), 1.0, (0, 0, 0, 0))
+
+
+def test_cluster_rays_builds_no_ray_objects(monkeypatch):
+    built = []
+    check = ClusterRay.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ClusterRay, "__post_init__", counted)
+    rays = cluster_rays(bundled_cdl_b(), 100e-9, 1e-7, 3)
+    assert isinstance(rays, RaySet) and len(rays) == 460 and built == []
+    assert rays[7] == built[0]  # an integer index builds the one view it returns
+
+
+def test_ray_set_indexing_and_iteration():
+    table = bundled_cdl_b()
+    rays = cluster_rays(table, 100e-9, 1e-7, 3, rays_per_cluster=4)
+    want = cluster_rays_oracle(table, 100e-9, 1e-7, 3, rays_per_cluster=4)
+    assert len(rays) == len(want) == 92
+    assert isinstance(rays, collections.abc.Sequence)
+    # a view holds Python numbers and tuples of floats, as a hand-built ray does
+    view = rays[5]
+    assert [type(v) for v in dataclasses.astuple(view)] == [
+        int, int, float, int, float, tuple, tuple, float, tuple]
+    assert {type(x) for x in view.departure + view.arrival + view.phases} == {float}
+    assert view == want[5]
+    assert rays[np.int64(5)] == want[5]
+    assert rays[-1] == want[-1] and rays[np.int32(-92)] == want[0]
+    for index in (92, -93, np.int64(92)):
+        with pytest.raises(IndexError):
+            rays[index]
+    selections = {
+        "slice": (slice(3, 20, 4), want[3:20:4]),
+        "index array": (np.array([7, 0, 7]), [want[7], want[0], want[7]]),
+        "mask": (rays.cluster == 2, [r for r in want if r.cluster == 2]),
+    }
+    for name, (index, expected) in selections.items():
+        picked = rays[index]
+        assert isinstance(picked, RaySet), name
+        assert [dataclasses.astuple(r) for r in picked] == [
+            dataclasses.astuple(r) for r in expected], name
+    assert [dataclasses.astuple(r) for r in rays] == [dataclasses.astuple(r) for r in want]
+    assert list(reversed(rays))[0] == want[-1]
+    # read-only columns; stacking a RaySet returns it, stacking its views rebuilds it
+    with pytest.raises(ValueError):
+        rays.power[0] = 1.0
+    with pytest.raises(AttributeError):
+        rays.power = np.zeros(len(rays))
+    assert RaySet.stack(rays) is rays
+    stacked = RaySet.stack(list(rays))
+    for name in _RAY_COLUMNS:
+        got, expected = getattr(stacked, name), getattr(rays, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    empty = RaySet.stack([])
+    assert len(empty) == 0 and empty.departure.shape == (0, 2) and list(empty) == []
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_responses_from_a_ray_set_and_its_views_are_bit_identical(planar):
+    geom = mixed_pattern_geometry(seed=3)
+    rays = cdl_rays(geom, seed=9)
+    response = planar_wave_channel if planar else channel_impulse_response
+    kwargs = dict(k_factor=1.0, visibility=LOW_VISIBILITY, t=2e-3, motion=MOVING, ctx=CTX,
+                  visibility_seed=4, drop_below=0.9)
+    got = response(geom, rays, **kwargs)
+    assert 1 < len(got) < len(rays) + 1  # some rays dropped, some kept
+    assert_same_taps(got, response(geom, list(rays), **kwargs))
+
+
+def _ray_columns(rays):
+    return {name: np.array(getattr(rays, name)) for name in _RAY_COLUMNS}
+
+
+@pytest.mark.parametrize("name, cut", [
+    ("power", lambda c: c[:-1]),
+    ("cluster", lambda c: c[:-1]),
+    ("cluster", lambda c: c[0]),
+    ("departure", lambda c: c[:, :1]),
+    ("phases", lambda c: c.reshape(-1, 2, 2)),
+])
+def test_ray_set_columns_of_mismatched_shape_are_refused(name, cut):
+    columns = _ray_columns(cluster_rays(bundled_cdl_b(), 100e-9, 1e-7, 1, rays_per_cluster=2))
+    columns[name] = cut(columns[name])
+    with pytest.raises(ShapeError, match="ray column"):
+        RaySet(**columns)
+
+
+@pytest.mark.parametrize("name", ["delay_spread", "los_delay", "delay_margin"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cluster_rays_refuse_non_finite_delays(name, value):
+    args = dict(delay_spread=100e-9, los_delay=1e-7, delay_margin=5e-9)
+    with pytest.raises(DomainError, match="finite"):
+        cluster_rays(bundled_cdl_b(), rng_seed=0, **{**args, name: value})
+
+
+NON_FINITE_FIELDS = ["power", "delay", "xpr", "departure", "arrival", "phases"]
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FIELDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cluster_ray_refuses_non_finite_values(name, value):
+    ray = feasible_ray(bs_ue_geometry(n_bs=2, aperture=0.2))
+    old = getattr(ray, name)
+    new = (value, *old[1:]) if isinstance(old, tuple) else value
+    with pytest.raises(DomainError, match="finite"):
+        dataclasses.replace(ray, **{name: new})
+
+
+@pytest.mark.parametrize("name", NON_FINITE_FIELDS)
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_ray_set_refuses_non_finite_values(name, value):
+    columns = _ray_columns(cluster_rays(bundled_cdl_b(), 100e-9, 1e-7, 1, rays_per_cluster=2))
+    columns[name][-1] = value  # the last ray; the last angle row's first entry
+    with pytest.raises(DomainError, match="finite"):
+        RaySet(**columns)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("power", -1.0, "power"), ("xpr", 0.0, "cross-polarization"), ("delay", -1e-9, "delay"),
+    ("ray_count", 0, "ray_count"),
+])
+def test_ray_set_refuses_what_a_ray_refuses(name, value, message):
+    columns = _ray_columns(cluster_rays(bundled_cdl_b(), 100e-9, 1e-7, 1, rays_per_cluster=2))
+    columns[name][3] = value
+    with pytest.raises(DomainError, match=message):
+        RaySet(**columns)

@@ -20,8 +20,8 @@ EXPORTED_NAMES = frozenset("""
     ClusterRow ClusterTable Column DenselySpacedScenario DomainError EfficiencyMatrix
     EmCoreValidationScenario EmchanError FAR GeometryError MotionState NearFieldScenario
     NormalizationRecord NumericalError Pattern PatternSet PortFunction PortGrouping RADIATING_NEAR
-    REACTIVE_NEAR ResultTable SPEED_OF_LIGHT STUDY_IDS ShapeError SingularityError TablePattern Tap
-    TriPolChannel TriPolEstimate TriPolScenario VACUUM_PERMEABILITY VERSION ValidationError
+    REACTIVE_NEAR RaySet ResultTable SPEED_OF_LIGHT STUDY_IDS ShapeError SingularityError
+    TablePattern Tap TriPolChannel TriPolEstimate TriPolScenario VACUUM_PERMEABILITY VERSION ValidationError
     VisibilityModel VmfCluster VmfMixture WaveContext WavenumberSupport angles_from_vector
     apply_polarization assemble_channel assemble_em_channel attenuation_factor axes_note
     benchmark_uplink_only bundled_cdl_b capacity_equal_power capacity_waterfilling

@@ -51,6 +51,11 @@ UNREACHED = {
     # the NLOS ray path: bench/child.py's cdl_response runs it, and its
     # install_tracing patches the per-entry functions
     "nearfield.ClusterRay.__post_init__": "benchmark",
+    "nearfield.RaySet.__getitem__": "benchmark",
+    "nearfield.RaySet.__init__": "benchmark",
+    "nearfield.RaySet.__len__": "benchmark",
+    "nearfield.RaySet.__setattr__": "user API",
+    "nearfield.RaySet.stack": "benchmark",
     "nearfield.VisibilityModel.__post_init__": "benchmark",
     "nearfield._assemble_taps": "benchmark",
     "nearfield._cluster_attenuation": "benchmark",

@@ -33,7 +33,7 @@ from emchan import (
     validate_scenario,
     write_results,
 )
-from emchan import scenario, studies
+from emchan import cli, scenario, studies
 from emchan.cli import main
 from emchan.emcore import SPEED_OF_LIGHT
 
@@ -374,6 +374,19 @@ def test_cli_run_of_a_region_boundary_beyond_the_float_range_exits_two(tmp_path,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {study} run failed: ")
     assert err.endswith(" m aperture overflows a float\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_run_out_of_memory_is_one_error_line_with_exit_two(tmp_path, capsys, monkeypatch):
+    # a stand-in for a run too large for the machine: none is started
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_study", exhausted)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"study": "tri-pol", "name": "s"}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: tri-pol run failed: out of memory\n"
     assert not (tmp_path / "o").exists()
 
 
