@@ -58,11 +58,11 @@ _EXPORTS = {name: module for module, names in {
     "tripol": ("NormalizationRecord", "PortGrouping", "TriPolChannel", "TriPolEstimate",
                "benchmark_uplink_only", "combining_reference", "estimate_joint",
                "group_ports", "scalar_aligned", "simulate_tripol_channel"),
-    "wavenumber": ("EfficiencyMatrix", "VmfCluster", "VmfMixture", "WavenumberSupport",
-                   "apply_polarization", "assemble_channel", "cell_power_fractions",
-                   "coupling_variances", "fourier_harmonics", "hannan_efficiency",
-                   "isotropic_mixture", "sample_wavenumber_channel", "uniform_planar_array",
-                   "vmf_pdf", "wavenumber_support"),
+    "wavenumber": ("VmfCluster", "VmfMixture", "WavenumberSupport", "apply_polarization",
+                   "assemble_channel", "cell_power_fractions", "coupling_variances",
+                   "fourier_harmonics", "hannan_efficiency", "isotropic_mixture",
+                   "sample_wavenumber_channel", "uniform_planar_array", "vmf_pdf",
+                   "wavenumber_support"),
 }.items() for name in names}
 # submodules reachable as attributes, as `import emchan.<module>` would make them
 _SUBMODULES = frozenset(_EXPORTS.values())

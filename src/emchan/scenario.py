@@ -184,12 +184,21 @@ def _problem(value, like) -> str | None:
     return None
 
 
-def _from_json(value, default):
-    """A JSON value as the field holds it: lists as tuples, and an integer as a
-    float where the default is one (validate_scenario reports one too large)."""
+def _like(field):
+    """The value whose type a field's values must have: its default, or for a
+    default of None its _OPTIONAL_TYPES entry."""
+    return _OPTIONAL_TYPES[field.name] if field.default is None else field.default
+
+
+def _from_json(value, like):
+    """A JSON value as the field holds it: lists as tuples, each entry read as
+    like[0] (in nested lists too), and an integer as a float where like is one
+    (validate_scenario reports one too large). So [20, 35] and [20.0, 35.0]
+    give one scenario and one hash."""
     if isinstance(value, list):
-        return tuple(_from_json(v, None) for v in value)
-    if isinstance(default, float) and type(value) is int:
+        entry = like[0] if isinstance(like, tuple) and like else None
+        return tuple(_from_json(v, entry) for v in value)
+    if isinstance(like, float) and type(value) is int:
         with contextlib.suppress(OverflowError):
             return float(value)
     return value
@@ -338,7 +347,7 @@ def validate_scenario(scn) -> list[str]:
         value = getattr(scn, f.name)
         if value is None and f.default is None:
             continue
-        problem = _problem(value, _OPTIONAL_TYPES[f.name] if f.default is None else f.default)
+        problem = _problem(value, _like(f))
         if not problem and f.name.endswith("_db") and not -MAX_ABS_DB <= value <= MAX_ABS_DB:
             problem = f"must lie within +-{MAX_ABS_DB:g} dB, got {value!r}"
         if problem:
@@ -394,7 +403,7 @@ def scenario_from_dict(payload: dict) -> object:
         if key not in fields:
             errors.append(f"{key}: unknown field for study {study!r}")
             continue
-        kwargs[key] = _from_json(value, fields[key].default)
+        kwargs[key] = _from_json(value, _like(fields[key]))
     scn = cls(**kwargs)
     errors.extend(validate_scenario(scn))
     if errors:

@@ -214,10 +214,7 @@ def _densely_spaced_chunk(start: int, stop: int, payload) -> np.ndarray:
     # one draw per realization (noise, phases, XPR), shared by every scheme
     rngs = [realization_rng(seed, study_id, i) for i in range(start, stop)]
     h_pol = apply_polarization(sample_wavenumber_channel(variances, rngs), mu, sigma, rngs)
-    ones_r, ones_s = (EfficiencyMatrix.uniform(1.0, len(x))
-                      for x in (assemblies[0].e_r, assemblies[0].psi_s))
-    m = np.stack([assemble_channel(ones_r, a.e_r, h_pol[a.variance_set], a.psi_s, ones_s)
-                  for a in assemblies])
+    m = np.stack([assemble_channel(a.e_r, h_pol[a.variance_set], a.psi_s) for a in assemblies])
     # M = F Q^T with F = R^T of M^T = Q R, so F F^H = M M^H: one QR call
     # for every assembly and draw, (assembly, draw, B_r, min(B_s, B_r))
     f = np.linalg.qr(m.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
@@ -246,8 +243,11 @@ def _densely_spaced_capacities(scn: sc.DenselySpacedScenario, seed: int, count: 
     mix_dep = mixture_from_clusters(table, "departure", scn.tx_boresight)
     mix_arr = mixture_from_clusters(table, "arrival", scn.rx_boresight)
     if scn.cluster_weights is not None:
+        # validation allows a sum within 1e-6 of 1, VmfMixture 1e-12; the
+        # division is exact where the sum is 1.0
+        total = sum(scn.cluster_weights)
         mix_dep, mix_arr = (dataclasses.replace(m, clusters=tuple(
-            dataclasses.replace(c, weight=float(w))
+            dataclasses.replace(c, weight=w / total)
             for w, c in zip(scn.cluster_weights, m.clusters))) for m in (mix_dep, mix_arr))
     iso = isotropic_mixture()
     order = scn.quadrature_order

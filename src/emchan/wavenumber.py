@@ -4,7 +4,7 @@ Pipeline: enumerate the propagating plane-wave lattice for each aperture,
 integrate a directional power spectrum over the lattice cells to get coupling
 variances, draw complex-Gaussian wavenumber coefficients, split them into
 polarization blocks, and project onto element space through pattern-weighted
-Fourier harmonics and per-element efficiency factors.
+Fourier harmonics.
 """
 
 from __future__ import annotations
@@ -424,42 +424,16 @@ def hannan_efficiency(spacing_x: float, spacing_y: float, ctx: WaveContext) -> f
     return min(1.0, np.pi * spacing_x * spacing_y / ctx.wavelength**2)
 
 
-@dataclass(frozen=True, eq=False)
-class EfficiencyMatrix:
-    """Diagonal per-element amplitude efficiencies in (0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ShapeError("efficiency values must form a 1-D array")
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise DomainError("efficiencies must lie in (0, 1]")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def uniform(cls, value: float, count: int) -> "EfficiencyMatrix":
-        return cls(values=np.full(count, float(value)))
-
-    @property
-    def count(self) -> int:
-        return self.values.size
-
-
-def assemble_channel(gamma_r: EfficiencyMatrix, psi_r: np.ndarray, h_pol: np.ndarray,
-                     psi_s: np.ndarray, gamma_s: EfficiencyMatrix) -> np.ndarray:
-    """H = Gamma_R [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H Gamma_S.
+def assemble_channel(psi_r: np.ndarray, h_pol: np.ndarray, psi_s: np.ndarray) -> np.ndarray:
+    """H = [Psi_R^t Psi_R^p] H_pol [Psi_S^t Psi_S^p]^H.
 
     ``h_pol`` may carry leading stack axes, and H then carries them too. The
     transmit side is multiplied first, as one product of every row of H_pol's
-    stack with the shared (Psi_S^* Gamma_S)^T; each draw's rows come out as
-    that draw alone gives them.
+    stack with the shared Psi_S^H; each draw's rows come out as that draw
+    alone gives them. Per-element amplitude weights go in as scaled rows of
+    Psi_R and Psi_S.
     """
     if psi_r.ndim != 2 or psi_r.shape[1] != h_pol.shape[-2] or psi_s.shape[1] != h_pol.shape[-1]:
         raise ShapeError("harmonic and polarization block shapes do not conform")
-    if gamma_r.count != psi_r.shape[-2] or gamma_s.count != psi_s.shape[0]:
-        raise ShapeError("efficiency diagonals must match element counts")
-    weights = (psi_s.conj() * gamma_s.values[:, None]).T
-    tx = (h_pol.reshape(-1, h_pol.shape[-1]) @ weights).reshape(h_pol.shape[:-1] + (-1,))
-    return (gamma_r.values[:, None] * psi_r) @ tx
+    tx = (h_pol.reshape(-1, h_pol.shape[-1]) @ psi_s.conj().T).reshape(h_pol.shape[:-1] + (-1,))
+    return psi_r @ tx

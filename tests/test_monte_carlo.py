@@ -26,10 +26,9 @@ from emchan.patterns import PatternSet, dipole, unit_gain, vertical
 from emchan.seeds import STUDY_IDS, realization_rng
 from emchan.tripol import (benchmark_uplink_only, estimate_joint, group_ports, scalar_aligned,
                            simulate_tripol_channel)
-from emchan.wavenumber import (EfficiencyMatrix, apply_polarization, assemble_channel,
-                               coupling_variances, fourier_harmonics, isotropic_mixture,
-                               sample_wavenumber_channel, uniform_planar_array,
-                               wavenumber_support)
+from emchan.wavenumber import (apply_polarization, assemble_channel, coupling_variances,
+                               fourier_harmonics, isotropic_mixture, sample_wavenumber_channel,
+                               uniform_planar_array, wavenumber_support)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -64,7 +63,6 @@ def densely_spaced_oracle(scn, seed: int, count: int) -> np.ndarray:
         "ni-pd": (var_cdl, "dipole", 1.0),
         "proposed": (var_cdl, "dipole", scn.element_efficiency),
     }
-    n_tx = len(tx_array)
     coef = 10.0 ** (scn.snr_db / 10.0)  # P / (K sigma^2) with P = K * SNR
     rows = []
     for i in range(count):
@@ -75,11 +73,10 @@ def densely_spaced_oracle(scn, seed: int, count: int) -> np.ndarray:
             rng = realization_rng(seed, STUDY_IDS[sc.DENSELY_SPACED], i)
             h_a = sample_wavenumber_channel(variances, rng)
             pol = apply_polarization(h_a, scn.xpr_mu_db, scn.xpr_sigma_db, rng)
-            gamma_s = EfficiencyMatrix.uniform(amplitude, n_tx)
             for spacing in scn.rx_spacing_wavelengths:
-                harmonics = psi_r[(spacing, pattern)]
-                gamma_r = EfficiencyMatrix.uniform(amplitude, harmonics.shape[0])
-                h = assemble_channel(gamma_r, harmonics, pol, psi_s[pattern], gamma_s)
+                # amplitude sqrt(efficiency) on every element of both sides
+                h = assemble_channel(amplitude * psi_r[(spacing, pattern)], pol,
+                                     amplitude * psi_s[pattern])
                 sv = np.linalg.svd(h, compute_uv=False)
                 row.append(float(np.sum(np.log2(1.0 + coef * sv**2))))
         rows.append(row)
@@ -104,7 +101,8 @@ def test_engine_matches_per_realization_oracle():
 ])
 def test_chunk_matches_capacity_of_full_element_space_channels(tx_spacing, rx_spacings):
     """Every scheme's capacities equal capacity_equal_power of the full
-    (n_r, n_t) channel Gamma_R Psi_R H_pol Psi_S^H Gamma_S of the same draw."""
+    (n_r, n_t) channel Psi_R H_pol Psi_S^H of the same draw, with every
+    element's harmonics scaled by the amplitude sqrt(efficiency)."""
     scn = DenselySpacedScenario(name="small", tx_side_wavelengths=2.0,
                                 tx_spacing_wavelengths=tx_spacing,
                                 rx_spacing_wavelengths=rx_spacings, quadrature_order=8)
@@ -135,8 +133,7 @@ def test_chunk_matches_capacity_of_full_element_space_channels(tx_spacing, rx_sp
         psi_s = fourier_harmonics(tx_array, sup_s, pats, ctx)
         for rx_array in rx_arrays:
             psi_r = fourier_harmonics(rx_array, sup_r, pats, ctx)
-            h = assemble_channel(EfficiencyMatrix.uniform(amplitude, len(rx_array)), psi_r, pol,
-                                 psi_s, EfficiencyMatrix.uniform(amplitude, len(tx_array)))
+            h = assemble_channel(amplitude * psi_r, pol, amplitude * psi_s)
             # P/(K sigma^2) = SNR for K = n_t streams
             want.append(capacity_equal_power(h, 10.0 ** (scn.snr_db / 10.0) * len(tx_array), 1.0))
     want = np.array(want).T
@@ -547,7 +544,7 @@ def test_one_assembly_per_variance_set_and_pattern_per_chunk(monkeypatch):
     real_qr = np.linalg.qr
 
     def counted(*args):
-        calls.append((args[1], args[2].shape))  # receive side, polarized draws
+        calls.append((args[0], args[1].shape))  # receive side, polarized draws
         return real(*args)
 
     def counted_capacity(g, power, noise_power):
@@ -645,11 +642,9 @@ def test_padded_stacked_rx_factors_match_per_spacing_channels():
     shape = (2, b_r, b_s)  # two draws
     pol = apply_polarization(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                              8.0, 3.0, rng)
-    m = assemble_channel(EfficiencyMatrix.uniform(1.0, b_r), e_r, pol, psi_s_factor,
-                         EfficiencyMatrix.uniform(1.0, b_s))
+    m = assemble_channel(e_r, pol, psi_s_factor)
     stacked = r[:, None] @ m
     assert stacked.shape == (4, 2, b_r, b_s)
-    ones_s = EfficiencyMatrix.uniform(1.0, psi_s.shape[0])
     for j, array in enumerate(arrays):
         n = min(len(array), b_r)
         phases = fourier_harmonics(array, sup_r, PatternSet.uniform(vertical()), ctx)[:, :b_r]
@@ -658,8 +653,7 @@ def test_padded_stacked_rx_factors_match_per_spacing_channels():
         # the factor keeps the singular values of the full receive harmonics,
         # whose rank is at most B_r
         psi = fourier_harmonics(array, sup_r, pats, ctx)
-        full = assemble_channel(EfficiencyMatrix.uniform(1.0, psi.shape[0]), psi, pol, psi_s,
-                                ones_s)
+        full = assemble_channel(psi, pol, psi_s)
         sv_full = np.linalg.svd(full, compute_uv=False)
         np.testing.assert_allclose(np.linalg.svd(stacked[j], compute_uv=False)[:, :n],
                                    sv_full[:, :n], rtol=1e-10, atol=1e-12 * sv_full.max())

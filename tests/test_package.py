@@ -14,10 +14,12 @@ from emchan import studies
 # Every public name of `emchan` from when `import emchan` loaded all of its
 # modules at once; none may be lost. Names leave only on purpose: the tri-pol
 # single-channel steps, `scalar_green`, `wavenumber_to_angles` and
-# `em_channel_entry` moved into the tests as oracles.
+# `em_channel_entry` moved into the tests as oracles, and `EfficiencyMatrix`
+# went because element efficiency acts once, on the densely-spaced study's
+# power, and per-element weights are scaled rows of the harmonics.
 EXPORTED_NAMES = frozenset("""
     Aperture ArrayGeometry BounceGeometry CDL_B_SPREADS_DEG CDL_B_XPR_DB CapacityResult ClusterRay
-    ClusterRow ClusterTable Column DenselySpacedScenario DomainError EfficiencyMatrix
+    ClusterRow ClusterTable Column DenselySpacedScenario DomainError
     EmCoreValidationScenario EmchanError FAR GeometryError MotionState NearFieldScenario
     NormalizationRecord NumericalError Pattern PatternSet PortFunction PortGrouping RADIATING_NEAR
     REACTIVE_NEAR RaySet ResultTable SPEED_OF_LIGHT STUDY_IDS ShapeError SingularityError

@@ -18,7 +18,6 @@ import pytest
 from emchan import nearfield, studies, tripol
 from emchan.capacity import capacity_waterfilling
 from emchan.emcore import delta_aperture, delta_ports
-from emchan.wavenumber import EfficiencyMatrix
 
 
 def _package_dataclasses(modules):
@@ -56,7 +55,6 @@ def _examples():
         grouping,
         tripol.NormalizationRecord(amplitude=np.ones(2), phase=np.zeros(2)),
         tripol.estimate_joint(channel, grouping, np.inf, np.inf, 0),
-        EfficiencyMatrix.uniform(0.5, 3),
         studies._Assembly(variance_set=0, psi_s=np.ones((1, 2)), e_r=np.ones((1, 2))),
     ]
 

@@ -222,6 +222,29 @@ def test_cluster_weights_counted_against_the_table_the_run_loads(tmp_path):
     assert exc.value.messages[0].startswith("cluster_table: cannot read ")
 
 
+def test_cluster_weights_within_the_validation_tolerance_run_as_normalized(tmp_path, capsys):
+    # validation allows a sum within 1e-6 of 1; the run divides by the sum
+    n = bundled_cdl_b().count
+    weights = [1.0 / n] * n
+    weights[0] += 5e-7
+    total = sum(weights)
+    assert 1e-12 < total - 1.0 < 1e-6
+    tables = []
+    for tag, ws in (("given", weights), ("by_hand", [w / total for w in weights])):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({"study": "densely-spaced", "name": "w", "realizations": 5,
+                                    "quadrature_order": 8, "cluster_weights": ws}))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / tag)]) == 0
+        tables.append(read_result_csv(tmp_path / tag / "w_capacity.csv"))
+    capsys.readouterr()
+    given, by_hand = tables
+    assert given.columns == by_hand.columns
+    assert [row[:2] for row in given.rows] == [row[:2] for row in by_hand.rows]
+    np.testing.assert_allclose([row[2:] for row in given.rows],
+                               [row[2:] for row in by_hand.rows], rtol=1e-12, atol=0.0)
+
+
 def test_quadrature_order_bound():
     base = {"study": "densely-spaced", "name": "d"}
     assert scenario_from_dict({**base, "quadrature_order": 1000}).quadrature_order == 1000
@@ -604,6 +627,34 @@ def test_serialize_roundtrip_and_hash(tmp_path):
     other = scenario_from_dict({"study": "near-field", "name": "nf",
                                 "frequency_hz": 6.7e9, "aperture_m": 1.4})
     assert scenario_hash(other) != scenario_hash(scn)
+
+
+@pytest.mark.parametrize("study, field, ints, floats", [
+    ("near-field", "drop_distances_m", [20, 35], [20.0, 35.0]),
+    ("near-field", "velocity_mps", [0, 1, 0], [0.0, 1.0, 0.0]),
+    ("densely-spaced", "rx_spacing_wavelengths", [1, 0.5], [1.0, 0.5]),
+    ("densely-spaced", "cluster_weights", [1] + [0] * (bundled_cdl_b().count - 1),
+     [1.0] + [0.0] * (bundled_cdl_b().count - 1)),
+    ("tri-pol", "percentiles", [5, 50, 95], [5.0, 50.0, 95.0]),
+    ("em-core-validation", "region_cases", [[6700000000, 2]], [[6.7e9, 2.0]]),
+])
+def test_list_entries_spelled_as_integers_give_one_scenario_and_hash(study, field, ints, floats):
+    a, b = (scenario_from_dict({"study": study, "name": "s", field: value})
+            for value in (ints, floats))
+    assert a == b
+    assert scenario_hash(a) == scenario_hash(b)
+    assert serialize_scenario(a) == serialize_scenario(b)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("densely_spaced", "24bf3e98429abda5"),
+    ("emcore_validation", "24650f442a13ddb8"),
+    ("nearfield_15ghz", "f211a2727871351c"),
+    ("nearfield_6p7ghz", "5196d41774ffc248"),
+    ("tripol", "9c8a66f7570c8954"),
+])
+def test_reference_scenario_hashes_are_pinned(name, digest):
+    assert scenario_hash(load_scenario(SCENARIOS / f"{name}.json")) == digest
 
 
 def test_load_scenario_parse_errors(tmp_path):

@@ -11,7 +11,6 @@ from numpy.polynomial.legendre import leggauss
 
 from emchan import (
     DomainError,
-    EfficiencyMatrix,
     Pattern,
     PatternSet,
     ShapeError,
@@ -643,8 +642,7 @@ def test_assemble_channel_block_oracle():
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
     h_tt, h_tp, h_pt, h_pp = pol[:5, :5], pol[:5, 5:], pol[5:, :5], pol[5:, 5:]
     c_r, c_s = 0.9, 0.7
-    h = assemble_channel(EfficiencyMatrix.uniform(c_r, len(arr_r)), psi_r, pol,
-                         psi_s, EfficiencyMatrix.uniform(c_s, len(arr_s)))
+    h = assemble_channel(c_r * psi_r, pol, c_s * psi_s)
     assert h.shape == (len(arr_r), len(arr_s))
     for u in (0, 5):
         for v in (0, 11):
@@ -659,7 +657,7 @@ def test_assemble_channel_block_oracle():
             assert abs(h[u, v] - want) < 1e-12 * max(1.0, abs(want))
 
 
-def test_assemble_channel_efficiency_scaling_and_linearity():
+def test_assemble_channel_linearity():
     rng = np.random.default_rng(13)
     sup = wavenumber_support(LAM, LAM, CTX)
     arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
@@ -667,36 +665,23 @@ def test_assemble_channel_efficiency_scaling_and_linearity():
     psi = fourier_harmonics(arr, sup, pats, CTX)
     h_a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     pol = apply_polarization(h_a, 8.0, 3.0, rng)
-    ones = EfficiencyMatrix.uniform(1.0, len(arr))
-    h1 = assemble_channel(ones, psi, pol, psi, ones)
-    c = np.sqrt(0.8)
-    eff = EfficiencyMatrix.uniform(c, len(arr))
-    h2 = assemble_channel(eff, psi, pol, psi, eff)
-    assert np.allclose(h2, 0.8 * h1, rtol=1e-12, atol=0)
+    h1 = assemble_channel(psi, pol, psi)
 
     # doubling H_a doubles each block, so the assembled channel doubles
-    h3 = assemble_channel(ones, psi, 2 * pol, psi, ones)
-    assert np.allclose(h3, 2 * h1, rtol=1e-12, atol=0)
+    h2 = assemble_channel(psi, 2 * pol, psi)
+    assert np.allclose(h2, 2 * h1, rtol=1e-12, atol=0)
 
 
-def test_efficiency_matrix_domain():
-    with pytest.raises(DomainError):
-        EfficiencyMatrix.uniform(0.0, 4)
-    with pytest.raises(DomainError):
-        EfficiencyMatrix.uniform(1.2, 4)
-    with pytest.raises(ShapeError):
-        sup = wavenumber_support(LAM, LAM, CTX)
-        arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
-        pats = PatternSet.uniform(unit_gain())
-        psi = fourier_harmonics(arr, sup, pats, CTX)
-        rng = np.random.default_rng(1)
-        pol = apply_polarization(rng.normal(size=(5, 5)) + 0j, 8.0, 3.0, rng)
-        assemble_channel(EfficiencyMatrix.uniform(1.0, 3), psi, pol, psi,
-                         EfficiencyMatrix.uniform(1.0, 9))
+def test_assemble_channel_refuses_stacked_receive_harmonics():
+    sup = wavenumber_support(LAM, LAM, CTX)
+    arr = uniform_planar_array(LAM, LAM, LAM / 2, LAM / 2)
+    pats = PatternSet.uniform(unit_gain())
+    psi = fourier_harmonics(arr, sup, pats, CTX)
+    rng = np.random.default_rng(1)
+    pol = apply_polarization(rng.normal(size=(5, 5)) + 0j, 8.0, 3.0, rng)
     # one set of receive harmonics: a stack of them is refused, not broadcast
     with pytest.raises(ShapeError):
-        assemble_channel(EfficiencyMatrix.uniform(1.0, 9), np.stack([psi, psi]), pol, psi,
-                         EfficiencyMatrix.uniform(1.0, 9))
+        assemble_channel(np.stack([psi, psi]), pol, psi)
 
 
 def test_shared_draw_equals_one_draw_per_variance_set_bit_for_bit():
@@ -723,14 +708,13 @@ def test_stacked_assemble_channel_matches_per_draw_calls():
     pats = PatternSet.uniform(dipole())
     psi_r = fourier_harmonics(arr_r, sup, pats, CTX)
     psi_s = fourier_harmonics(arr_s, sup, pats, CTX)
-    g_r = EfficiencyMatrix.uniform(0.9, len(arr_r))
-    g_s = EfficiencyMatrix.uniform(0.9, len(arr_s))
+    psi_r, psi_s = 0.9 * psi_r, 0.9 * psi_s  # per-element amplitude weights
     draws = [apply_polarization(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
                                 8.0, 3.0, rng) for _ in range(3)]
-    h = assemble_channel(g_r, psi_r, np.stack(draws), psi_s, g_s)
+    h = assemble_channel(psi_r, np.stack(draws), psi_s)
     assert h.shape == (3, len(arr_r), len(arr_s))
     for d, h_d in zip(draws, h):
-        assert np.array_equal(h_d, assemble_channel(g_r, psi_r, d, psi_s, g_s))
+        assert np.array_equal(h_d, assemble_channel(psi_r, d, psi_s))
 
 
 def _study_variance_sets():
@@ -783,16 +767,13 @@ def test_flat_transmit_product_equals_per_draw_product_bit_for_bit(draws):
                                PatternSet.uniform(vertical()), CTX)[:, :49]
     r = np.linalg.qr(phases, mode="r")
     d_s, d_r = (pats.element_gains(*wavenumber._plane_waves(sup, CTX)[1]) for sup in (sup_s, sup_r))
-    psi_s = np.hstack([r * d_s[:, 0], r * d_s[:, 1]])
+    psi_s = 0.8 * np.hstack([r * d_s[:, 0], r * d_s[:, 1]])  # with per-element weights
     e_r = np.hstack([np.diag(d_r[:, 0]), np.diag(d_r[:, 1])])
     rng = np.random.default_rng(draws)
     shape = (draws, 2 * len(sup_r.indices), 2 * len(sup_s.indices))
     h_pol = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ones_r = EfficiencyMatrix.uniform(1.0, len(e_r))
-    g_s = EfficiencyMatrix.uniform(0.8, psi_s.shape[0])
-    stacked = assemble_channel(ones_r, e_r, h_pol, psi_s, g_s)
+    stacked = assemble_channel(e_r, h_pol, psi_s)
     assert stacked.shape == (draws, 5, 49)
-    weights = (psi_s.conj() * g_s.values[:, None]).T
     for h_k, t_k in zip(h_pol, stacked):
-        assert np.array_equal(e_r @ (h_k @ weights), t_k)
-        assert np.array_equal(assemble_channel(ones_r, e_r, h_k, psi_s, g_s), t_k)
+        assert np.array_equal(e_r @ (h_k @ psi_s.conj().T), t_k)
+        assert np.array_equal(assemble_channel(e_r, h_k, psi_s), t_k)
