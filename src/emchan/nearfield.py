@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,17 +159,46 @@ class RaySet(Sequence):
         return RaySet(*(getattr(self, name)[index] for name in _RAY_COLUMNS))
 
 
-@dataclass(frozen=True, eq=False)
+# BounceGeometry fields, in the order of its constructor
+_BOUNCE_FIELDS = ("first_bounce", "last_bounce", "inter_distance", "tx_distances",
+                  "rx_distances", "tx_directions", "rx_directions")
+
+
 class BounceGeometry:
-    first_bounce: np.ndarray
-    last_bounce: np.ndarray
-    inter_distance: float
-    tx_distances: np.ndarray
-    rx_distances: np.ndarray
-    tx_theta: np.ndarray
-    tx_phi: np.ndarray
-    rx_theta: np.ndarray
-    rx_phi: np.ndarray
+    """One ray's bounce points and its paths to every element: ``first_bounce``
+    and ``last_bounce`` (3,), the ``inter_distance`` between them, the path
+    lengths ``tx_distances`` (n_tx,) and ``rx_distances`` (n_rx,), and
+    ``tx_directions`` (n_tx, 3) and ``rx_directions`` (n_rx, 3), which point
+    from each element toward its bounce point at any nonzero length. A
+    ray-batched record puts a leading ray axis on every field. ``tx_theta``,
+    ``tx_phi``, ``rx_theta`` and ``rx_phi`` are the directions' angles. A
+    plain read-only class, as `RaySet` is."""
+
+    def __init__(self, first_bounce, last_bounce, inter_distance, tx_distances, rx_distances,
+                 tx_directions, rx_directions):
+        values = (first_bounce, last_bounce, inter_distance, tx_distances, rx_distances,
+                  tx_directions, rx_directions)
+        for name, value in zip(_BOUNCE_FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a BounceGeometry is read-only: cannot set {name!r}")
+
+    @property
+    def tx_theta(self) -> np.ndarray:
+        return angles_from_vector(self.tx_directions)[0]
+
+    @property
+    def tx_phi(self) -> np.ndarray:
+        return angles_from_vector(self.tx_directions)[1]
+
+    @property
+    def rx_theta(self) -> np.ndarray:
+        return angles_from_vector(self.rx_directions)[0]
+
+    @property
+    def rx_phi(self) -> np.ndarray:
+        return angles_from_vector(self.rx_directions)[1]
 
 
 @dataclass(frozen=True)
@@ -203,9 +232,31 @@ class Tap:
 # LOS
 
 
+def _moving(motion: MotionState, t: float) -> bool:
+    """Whether the arrays have moved by time t. Where they have not, the
+    Doppler factor is exp(0j) = 1, and it is not applied."""
+    return bool((motion.velocity * t).any())
+
+
 def _doppler(direction: np.ndarray, motion: MotionState, t: float, ctx: WaveContext):
     # v t first: the phase is 0 at t = 0 at any speed, where v / lam may overflow
     return np.exp((2j * np.pi / ctx.wavelength) * (direction @ (motion.velocity * t)))
+
+
+def _gains(patterns: PatternSet, directions: np.ndarray, element_axis: int) -> np.ndarray:
+    """`PatternSet.gains_toward` of ``directions`` whose axis ``element_axis``
+    is the element index, the gains on the same axes; a constant (2,) pair
+    as it is."""
+    gains = patterns.gains_toward(directions.swapaxes(0, element_axis))
+    return gains if gains.ndim == 1 else gains.swapaxes(0, element_axis)
+
+
+def _los_gain(fr: np.ndarray, ft: np.ndarray):
+    """The contraction fr P ftᵀ over the last axis, the rest broadcast; one
+    complex number if both sides are constant (2,) pairs."""
+    if fr.ndim == ft.ndim == 1:
+        return complex(fr @ LOS_POLARIZATION @ ft)
+    return np.einsum("...i,ij,...j->...", fr, LOS_POLARIZATION, ft)
 
 
 def los_coefficient(u: int, s: int, t: float, geom: ArrayGeometry,
@@ -227,7 +278,6 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
     d_ref = np.array([float(np.linalg.norm(p[0] - rx[0])) for p in tx])
     anchor = np.array([np.exp(-2j * np.pi * d / lam) for d in d_ref.tolist()])
     out = np.empty((len(tx), geom.n_rx, geom.n_tx), dtype=complex)
-    # element_gains wants the element index on axis 0, hence the transposes
     for c in _row_blocks(len(tx), geom.n_rx * geom.n_tx, _BLOCK_ENTRIES):
         if planar:
             # expansion directions from the array centroids, absolute phase
@@ -241,25 +291,22 @@ def _los_matrix(geom: ArrayGeometry, t: float, motion: MotionState, ctx: WaveCon
             lin_t = (tx[c] - tx[c, :1]) @ -arr_dir[:, :, None]  # (C, n_tx, 1)
             phase = anchor[c, None, None] * np.exp(
                 2j * np.pi * (lin + lin_t.transpose(0, 2, 1)) / lam)
-            th_r, ph_r = angles_from_vector(np.broadcast_to(arr_dir, (geom.n_rx,) + axis.shape))
-            th_t, ph_t = angles_from_vector(np.broadcast_to(-arr_dir, (geom.n_tx,) + axis.shape))
-            fr = geom.rx_patterns.element_gains(th_r, ph_r).transpose(1, 0, 2)
-            ft = geom.tx_patterns.element_gains(th_t, ph_t).transpose(1, 2, 0)
-            gain = fr @ (LOS_POLARIZATION @ ft)
+            # one direction per placement, which all its elements share
             arr_dir = arr_dir[:, None, None]
+            fr = _gains(geom.rx_patterns, arr_dir, 1)
+            ft = _gains(geom.tx_patterns, -arr_dir, 2)
         else:
             sep = tx[c, None] - rx[:, None]  # (C, n_rx, n_tx, 3)
             d_us = np.linalg.norm(sep, axis=-1)
             if np.any(d_us == 0.0):
                 raise DomainError("coincident transmit and receive elements")
-            arr_dir = sep / d_us[..., None]
-            fr = geom.rx_patterns.element_gains(*angles_from_vector(arr_dir.transpose(1, 0, 2, 3)))
-            ft = geom.tx_patterns.element_gains(*angles_from_vector(-arr_dir.transpose(2, 0, 1, 3)))
-            gain = np.einsum("...i,ij,...j->...", fr.transpose(1, 0, 2, 3), LOS_POLARIZATION,
-                             ft.transpose(1, 2, 0, 3))
+            fr = _gains(geom.rx_patterns, sep, 1)
+            ft = _gains(geom.tx_patterns, -sep, 2)
             phase = anchor[c, None, None] * np.exp(
                 2j * np.pi * (d_ref[c, None, None] - d_us) / lam)
-        out[c] = gain * phase * _doppler(arr_dir, motion, t, ctx)
+        out[c] = _los_gain(fr, ft) * phase
+        if _moving(motion, t):
+            out[c] *= _doppler(arr_dir if planar else sep / d_us[..., None], motion, t, ctx)
     return out
 
 
@@ -316,8 +363,8 @@ def _locate_bounces(rays: RaySet, geom: ArrayGeometry, planar: bool) -> BounceGe
                    - np.sum(u_dep[:, None] * (tx - tx[0]), axis=-1))
         rx_dist = (np.linalg.norm(last - rx[0], axis=1)[:, None]
                    - np.sum(u_arr[:, None] * (rx - rx[0]), axis=-1))
-        tx_theta, tx_phi = (np.broadcast_to(x[:, None], tx_dist.shape) for x in departure.T)
-        rx_theta, rx_phi = (np.broadcast_to(x[:, None], rx_dist.shape) for x in arrival.T)
+        tx_vec = np.broadcast_to(u_dep[:, None], tx_dist.shape + (3,))
+        rx_vec = np.broadcast_to(u_arr[:, None], rx_dist.shape + (3,))
     else:
         tx_vec = first[:, None, :] - tx
         rx_vec = last[:, None, :] - rx
@@ -325,20 +372,14 @@ def _locate_bounces(rays: RaySet, geom: ArrayGeometry, planar: bool) -> BounceGe
         rx_dist = np.linalg.norm(rx_vec, axis=-1)
         if np.any(tx_dist == 0.0) or np.any(rx_dist == 0.0):
             raise GeometryError("bounce point coincides with an array element")
-        tx_theta, tx_phi = angles_from_vector(tx_vec)
-        rx_theta, rx_phi = angles_from_vector(rx_vec)
-    return BounceGeometry(
-        first_bounce=first, last_bounce=last, inter_distance=inter,
-        tx_distances=tx_dist, rx_distances=rx_dist,
-        tx_theta=tx_theta, tx_phi=tx_phi, rx_theta=rx_theta, rx_phi=rx_phi,
-    )
+    return BounceGeometry(first, last, inter, tx_dist, rx_dist, tx_vec, rx_vec)
 
 
 def _take(bounce: BounceGeometry, index) -> BounceGeometry:
     """The rays ``index`` selects from a ray-batched BounceGeometry; index
     None makes a one-ray record, even one of Python floats, a batch of one."""
-    return BounceGeometry(**{f.name: np.asarray(getattr(bounce, f.name))[index]
-                             for f in fields(bounce)})
+    return BounceGeometry(*(np.asarray(getattr(bounce, name))[index]
+                            for name in _BOUNCE_FIELDS))
 
 
 def locate_bounce_scatterers(ray: ClusterRay, geom: ArrayGeometry,
@@ -366,16 +407,20 @@ def _nlos_block(pol: np.ndarray, amp: np.ndarray, bounce: BounceGeometry, tx_wei
     phase offsets and the Doppler factor, times the amplitude ``amp``. The
     transmit columns are scaled by ``tx_weight`` (R, n_tx). The per-element
     factors scale fr and ft before the contraction, so no temporary has an
-    (R, n_rx, n_tx) shape.
+    (R, n_rx, n_tx) shape. A constant pattern pair is one (2,) row that
+    every ray and element shares.
     """
-    # element_gains wants the element index on axis 0
-    fr = geom.rx_patterns.element_gains(bounce.rx_theta.T, bounce.rx_phi.T).transpose(1, 0, 2)
-    ft = geom.tx_patterns.element_gains(bounce.tx_theta.T, bounce.tx_phi.T).transpose(1, 0, 2)
+    fr = _gains(geom.rx_patterns, bounce.rx_directions, 1)
+    ft = _gains(geom.tx_patterns, bounce.tx_directions, 1)
     lam = ctx.wavelength
     phase_rx = np.exp(2j * np.pi * (bounce.rx_distances[:, :1] - bounce.rx_distances) / lam)
     phase_tx = np.exp(2j * np.pi * (bounce.tx_distances[:, :1] - bounce.tx_distances) / lam)
-    doppler = _doppler(unit_vector(bounce.rx_theta, bounce.rx_phi), motion, t, ctx)
-    rx_side = (fr @ pol) * (amp[:, None] * phase_rx * doppler)[..., None]
+    rx_factor = amp[:, None] * phase_rx
+    if _moving(motion, t):
+        arr_dir = bounce.rx_directions
+        rx_factor *= _doppler(arr_dir / np.linalg.norm(arr_dir, axis=-1, keepdims=True),
+                              motion, t, ctx)
+    rx_side = (fr @ pol).reshape(len(pol), -1, 2) * rx_factor[..., None]
     tx_side = ft * (phase_tx * tx_weight)[..., None]
     return rx_side @ tx_side.transpose(0, 2, 1)
 

@@ -14,15 +14,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .geometry import angles_from_vector
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """Directivity gains as a pair of broadcastable callables."""
+    """Directivity gains as a pair of broadcastable callables. ``constant``
+    states the gain pair of a pattern that does not depend on direction, so
+    that `PatternSet.gains_toward` need not evaluate it; None for any other."""
 
     name: str
     _f_theta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _f_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    constant: tuple[complex, complex] | None = None
 
     def gains(self, theta, phi) -> tuple[np.ndarray, np.ndarray]:
         theta = np.asarray(theta, dtype=float)
@@ -40,12 +44,13 @@ class Pattern:
 def unit_gain() -> Pattern:
     """F_theta = F_phi = 1 everywhere (idealized isotropic element)."""
     one = lambda th, ph: np.ones_like(th)
-    return Pattern("unit", one, one)
+    return Pattern("unit", one, one, constant=(1.0, 1.0))
 
 
 def vertical() -> Pattern:
     """Pure-theta unit element: (F_theta, F_phi) = (1, 0)."""
-    return Pattern("vertical", lambda th, ph: np.ones_like(th), lambda th, ph: np.zeros_like(th))
+    return Pattern("vertical", lambda th, ph: np.ones_like(th), lambda th, ph: np.zeros_like(th),
+                   constant=(1.0, 0.0))
 
 
 def dipole(axis="x") -> Pattern:
@@ -175,6 +180,22 @@ class PatternSet:
 
     def count(self) -> int | None:
         return None if self.shared else len(self.patterns)
+
+    def gains_toward(self, directions) -> np.ndarray:
+        """(F_theta, F_phi) toward each direction (..., 3), of any nonzero
+        length, on a new last axis; axis 0 of the directions is the element
+        index, or has length 1 for directions every element shares. A shared
+        pattern that states a constant pair returns that pair, of shape (2,),
+        without reading the directions; any other set takes the angles once
+        and calls `element_gains`."""
+        pattern = self.patterns[0]
+        if self.shared and pattern.constant is not None:
+            return np.array(pattern.constant, dtype=complex)
+        theta, phi = angles_from_vector(directions)
+        if not self.shared and len(theta) == 1:
+            theta, phi = (np.broadcast_to(x, (len(self.patterns), *x.shape[1:]))
+                          for x in (theta, phi))
+        return self.element_gains(theta, phi)
 
     def element_gains(self, theta, phi) -> np.ndarray:
         """(F_theta, F_phi) on a new last axis; axis 0 of the angles is the element

@@ -437,7 +437,9 @@ def load_scenario(path) -> object:
 
 
 def serialize_scenario(scn) -> dict:
-    """JSON-ready dict with every field explicit; loads back to an equal scenario."""
+    """JSON-ready dict with every field explicit; loads back to an equal scenario.
+    Each value is written as _from_json reads it, so a scenario built in code
+    with 1 for 1.0 serializes, and hashes, as its file does."""
 
     def plain(v):
         if isinstance(v, tuple):
@@ -446,7 +448,7 @@ def serialize_scenario(scn) -> dict:
 
     payload = {"study": scn.study}
     for f in dataclasses.fields(scn):
-        payload[f.name] = plain(getattr(scn, f.name))
+        payload[f.name] = plain(_from_json(plain(getattr(scn, f.name)), _like(f)))
     return payload
 
 

@@ -51,6 +51,45 @@ def test_install_tracing_wraps_live_names_and_restores_them(monkeypatch):
         assert {k: v for k, v in vars(owner).items() if k in names} == names, owner.__name__
 
 
+def test_install_tracing_sees_the_near_field_workload(monkeypatch):
+    """The near-field studies and the CDL-B response, traced as the
+    nearfield-cdl workload traces them: the response entry points and the
+    ray draw record calls, and the bench's `nearfield.entries` is nonzero."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = BENCH_MODULES + ("gate", "run")
+    loaded = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    try:
+        import child
+        import run
+        import spans
+        import workloads
+
+        wl = workloads.WORKLOADS["nearfield-cdl"]
+        scenarios = [load_scenario(ROOT / "scenarios" / name) for name, _ in wl.scenarios]
+        assert {scn.study for scn in scenarios} == {"near-field"}
+        recorder = spans.SpanRecorder()
+        child.install_tracing(recorder)
+        try:
+            traced_run_study = recorder.wrap("studies.run_study", run_study)
+            for scn, (_, scale) in zip(scenarios, wl.scenarios):
+                traced_run_study(scn, seed=0, scale=scale, jobs=1)
+            child.cdl_response(scenarios[0], workloads.program_seed(0), wl.cdl_rays)
+        finally:
+            recorder.restore()
+        layers = recorder.layers()
+        report = {"t_import": 0.0, "t_imported": 0.0, "layers": layers,
+                  "counters": recorder.counters, "realizations": 0}
+        values = run.layer_values(run.Run(out=ROOT, report=report))
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(loaded)
+    for name in ("nearfield.channel_impulse_response", "nearfield.planar_wave_channel",
+                 "cdl.cluster_rays"):
+        assert layers.get(name, {}).get("calls", 0) > 0, name
+    assert values["nearfield.entries"] > 0
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cdl_response_passes_the_benchmark_gate(seed, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))

@@ -15,6 +15,7 @@ from emchan import (
     DomainError,
     GeometryError,
     MotionState,
+    Pattern,
     PatternSet,
     RaySet,
     ShapeError,
@@ -35,16 +36,18 @@ from emchan import (
     planar_wave_channel,
     rayleigh_distance,
     spatial_correlation,
+    unit_gain,
     unit_vector,
     vertical,
     visibility_probability,
 )
-from emchan import nearfield
+from emchan import nearfield, patterns
 from emchan.scenario import NearFieldScenario
 from emchan.studies import run_study
 from emchan.emcore import SPEED_OF_LIGHT
-from emchan.nearfield import (LOS_POLARIZATION, RAY_OFFSETS, _RAY_COLUMNS, _locate_bounces,
-                              _logistic, _los_matrix, _nlos_block, _ray_factors, _take)
+from emchan.nearfield import (_BOUNCE_FIELDS, LOS_POLARIZATION, RAY_OFFSETS, _RAY_COLUMNS,
+                              _locate_bounces, _logistic, _los_matrix, _nlos_block, _ray_factors,
+                              _take)
 
 CTX = WaveContext.from_frequency(6.7e9)
 LAM = CTX.wavelength
@@ -161,6 +164,21 @@ def closest_ray_points_oracle(origin_a, dir_a, origin_b, dir_b):
     return max(a, 0.0), max(b, 0.0)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class BounceOracle:
+    """A bounce record as the oracles build it: angles, not directions."""
+
+    first_bounce: np.ndarray
+    last_bounce: np.ndarray
+    inter_distance: float
+    tx_distances: np.ndarray
+    rx_distances: np.ndarray
+    tx_theta: np.ndarray
+    tx_phi: np.ndarray
+    rx_theta: np.ndarray
+    rx_phi: np.ndarray
+
+
 def bounce_oracle(ray, geom):
     """First/last bounce points of one ray and its paths to every element."""
     tx0 = geom.tx_positions[0]
@@ -191,7 +209,7 @@ def bounce_oracle(ray, geom):
     rx_vec = last - geom.rx_positions
     tx_theta, tx_phi = angles_from_vector(tx_vec)
     rx_theta, rx_phi = angles_from_vector(rx_vec)
-    return BounceGeometry(
+    return BounceOracle(
         first_bounce=first, last_bounce=last, inter_distance=inter,
         tx_distances=np.linalg.norm(tx_vec, axis=1), rx_distances=np.linalg.norm(rx_vec, axis=1),
         tx_theta=tx_theta, tx_phi=tx_phi, rx_theta=rx_theta, rx_phi=rx_phi,
@@ -425,8 +443,8 @@ def test_nlos_matrix_matches_per_entry_oracle():
         # is its row of the batch bit for bit, exact and planar
         row = _take(batch, i)
         for alone, batched in ((own, row), (planar, _take(planar_batch, i))):
-            for f in dataclasses.fields(row):
-                assert np.array_equal(getattr(alone, f.name), getattr(batched, f.name)), f.name
+            for name in _BOUNCE_FIELDS:
+                assert np.array_equal(getattr(alone, name), getattr(batched, name)), name
         # from the same bounce row, each entry is the batched one bit for bit
         got = oracle_matrix(nlos_coefficient, geom, ray, row, t, geom, moving, CTX)
         assert np.array_equal(got, block[i])
@@ -440,10 +458,10 @@ def test_nlos_coefficient_takes_a_hand_built_bounce():
         first_bounce=[6.0, 3.0, 1.0], last_bounce=[-2.0, 4.0, 0.5], inter_distance=2.5,
         tx_distances=rng.uniform(3.0, 4.0, geom.n_tx).tolist(),
         rx_distances=rng.uniform(4.0, 5.0, geom.n_rx).tolist(),
-        tx_theta=rng.uniform(0.2, 3.0, geom.n_tx).tolist(),
-        tx_phi=rng.uniform(-np.pi, np.pi, geom.n_tx).tolist(),
-        rx_theta=rng.uniform(0.2, 3.0, geom.n_rx).tolist(),
-        rx_phi=rng.uniform(-np.pi, np.pi, geom.n_rx).tolist(),
+        tx_directions=unit_vector(rng.uniform(0.2, 3.0, geom.n_tx),
+                                  rng.uniform(-np.pi, np.pi, geom.n_tx)).tolist(),
+        rx_directions=unit_vector(rng.uniform(0.2, 3.0, geom.n_rx),
+                                  rng.uniform(-np.pi, np.pi, geom.n_rx)).tolist(),
     )
     ray = feasible_ray(geom)
     args = (ray, bounce, 2e-3, geom, MOVING, CTX)
@@ -466,6 +484,105 @@ def test_responses_make_no_per_entry_call(monkeypatch):
     for response in (channel_impulse_response, planar_wave_channel):
         taps = response(geom, rays, **kwargs)
         assert len(taps) == len(rays) + 1
+
+
+def test_constant_patterns_at_rest_form_no_angles_gains_einsum_or_doppler(monkeypatch):
+    """vertical() states its gain pair and an array at rest has no Doppler
+    phase, so neither the LOS stack nor a response forms an angle or a gain
+    array, contracts an einsum or applies a Doppler factor; a moving one does."""
+    counts = collections.Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((patterns, "angles_from_vector"), (nearfield, "angles_from_vector"),
+                        (PatternSet, "element_gains"), (np, "einsum"),
+                        (nearfield, "_doppler")):
+        count(owner, name)
+    geom = bs_ue_geometry(n_bs=16, aperture=0.5, dist=12.0, n_ue=4)
+    rays = cdl_rays(geom, seed=5)
+    kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), ctx=CTX)
+    # at rest: no velocity, or no time to move
+    for motion, t in ((STILL, 2e-3), (MOVING, 0.0)):
+        for planar in (False, True):
+            _los_matrix(geom, t, motion, CTX, planar, shifts=PLACEMENTS)
+        for response in (channel_impulse_response, planar_wave_channel):
+            response(geom, rays, t=t, motion=motion, **kwargs)
+    assert counts == {}
+
+    for planar in (False, True):
+        still = _los_matrix(geom, 2e-3, STILL, CTX, planar, shifts=PLACEMENTS)
+        moving = _los_matrix(geom, 2e-3, MOVING, CTX, planar, shifts=PLACEMENTS)
+        assert counts == {"_doppler": 1}
+        assert not np.allclose(moving, still)
+        assert np.allclose(np.abs(moving), np.abs(still), rtol=1e-12, atol=0.0)
+        counts.clear()
+    for response in (channel_impulse_response, planar_wave_channel):
+        still = response(geom, rays, t=2e-3, motion=STILL, **kwargs)
+        moving = response(geom, rays, t=2e-3, motion=MOVING, **kwargs)
+        # the LOS tap and the one block of NLOS rays
+        assert counts == {"_doppler": 2}
+        for a, b in zip(moving, still):
+            assert not np.allclose(a.coefficients, b.coefficients)
+        counts.clear()
+
+
+def stating_no_constant(pattern):
+    """The same callables in a Pattern that states no constant pair."""
+    return Pattern(pattern.name, pattern._f_theta, pattern._f_phi)
+
+
+@pytest.mark.parametrize("rx_pattern, tx_pattern", [
+    (vertical, vertical), (unit_gain, unit_gain), (vertical, unit_gain), (unit_gain, vertical),
+])
+def test_constant_patterns_give_the_entries_of_their_callables(rx_pattern, tx_pattern):
+    """The constant path and the evaluated path give the same LOS and NLOS
+    entries bit for bit, exact and planar, at rest and moving, on all 460
+    CDL-B rays."""
+    base = bs_ue_geometry(n_bs=32, aperture=0.9, dist=15.0, n_ue=4)
+
+    def geometry(wrap):
+        return ArrayGeometry(tx_positions=base.tx_positions, rx_positions=base.rx_positions,
+                             tx_patterns=PatternSet.uniform(wrap(tx_pattern())),
+                             rx_patterns=PatternSet.uniform(wrap(rx_pattern())))
+
+    constant, evaluated = geometry(lambda p: p), geometry(stating_no_constant)
+    rays = cdl_rays(base, seed=11, rays_per_cluster=20)
+    assert len(rays) == 460
+    for motion in (STILL, MOVING):
+        for planar in (False, True):
+            got, want = (_los_matrix(g, 2e-3, motion, CTX, planar, shifts=PLACEMENTS)
+                         for g in (constant, evaluated))
+            assert np.array_equal(got, want)
+        kwargs = dict(k_factor=1.0, visibility=VisibilityModel(), t=2e-3, motion=motion,
+                      ctx=CTX, visibility_seed=3)
+        for response in (channel_impulse_response, planar_wave_channel):
+            assert_same_taps(response(constant, rays, **kwargs),
+                             response(evaluated, rays, **kwargs))
+
+
+def test_bounce_geometry_is_read_only_and_reads_angles_from_its_directions():
+    geom = mixed_pattern_geometry(seed=2)
+    rays = cdl_rays(geom, seed=4)
+    for planar in (False, True):
+        batch = _locate_bounces(rays, geom, planar)
+        assert batch.tx_directions.shape == (len(rays), geom.n_tx, 3)
+        assert batch.rx_directions.shape == (len(rays), geom.n_rx, 3)
+        for side in ("tx", "rx"):
+            theta, phi = angles_from_vector(getattr(batch, f"{side}_directions"))
+            assert np.array_equal(getattr(batch, f"{side}_theta"), theta)
+            assert np.array_equal(getattr(batch, f"{side}_phi"), phi)
+        with pytest.raises(AttributeError, match="read-only"):
+            batch.tx_distances = batch.rx_distances
+    # the planar directions are the rays' own, at every element
+    planar = _locate_bounces(rays, geom, True)
+    assert np.array_equal(planar.tx_directions[:, -1], unit_vector(*rays.departure.T))
+    assert np.array_equal(planar.rx_directions[:, -1], unit_vector(*rays.arrival.T))
 
 
 def test_per_element_pattern_count_must_match_elements():

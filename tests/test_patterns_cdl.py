@@ -7,6 +7,7 @@ from emchan import (
     ClusterRow,
     ClusterTable,
     DomainError,
+    Pattern,
     PatternSet,
     ShapeError,
     TablePattern,
@@ -177,6 +178,36 @@ def test_pattern_set_modes():
     assert not per.shared and per.patterns[1].name == "dipole-x"
     with pytest.raises(DomainError):
         PatternSet.per_element([])
+
+
+def test_gains_toward_states_constants_and_evaluates_the_rest():
+    rng = np.random.default_rng(4)
+    directions = rng.normal(size=(3, 5, 3)) * rng.uniform(0.5, 4.0, size=(3, 5, 1))
+    theta, phi = angles_from_vector(directions)
+    for pattern, pair in ((vertical(), (1.0, 0.0)), (unit_gain(), (1.0, 1.0))):
+        assert pattern.constant == pair
+        got = PatternSet.uniform(pattern).gains_toward(directions)
+        assert got.shape == (2,) and np.array_equal(got, pair)
+        # the same callables, stating no constant, give that pair everywhere
+        plain = PatternSet.uniform(Pattern(pattern.name, pattern._f_theta, pattern._f_phi))
+        assert np.array_equal(plain.gains_toward(directions),
+                              np.broadcast_to(np.array(pair, dtype=complex), (3, 5, 2)))
+    for pattern in (dipole("y"), patch(90.0)):
+        assert pattern.constant is None
+        shared = PatternSet.uniform(pattern)
+        assert np.array_equal(shared.gains_toward(directions),
+                              shared.element_gains(theta, phi))
+    # per-element sets read axis 0 as the element; length 1 is shared by all
+    per = PatternSet.per_element([dipole("x"), unit_gain(), patch(70.0)])
+    assert np.array_equal(per.gains_toward(directions), per.element_gains(theta, phi))
+    one = per.gains_toward(directions[:1])
+    assert one.shape == (3, 5, 2)
+    assert np.array_equal(one, per.element_gains(np.broadcast_to(theta[:1], (3, 5)),
+                                                 np.broadcast_to(phi[:1], (3, 5))))
+    with pytest.raises(ShapeError):
+        per.gains_toward(directions[:2])
+    with pytest.raises(DomainError):
+        PatternSet.uniform(dipole("x")).gains_toward(np.zeros((1, 3)))
 
 
 def test_bundled_table_contents():

@@ -50,6 +50,12 @@ UNREACHED = {
     "nearfield.visibility_probability": "criterion 8",
     # the NLOS ray path: bench/child.py's cdl_response runs it, and its
     # install_tracing patches the per-entry functions
+    "nearfield.BounceGeometry.__init__": "benchmark",
+    "nearfield.BounceGeometry.__setattr__": "user API",
+    "nearfield.BounceGeometry.rx_phi": "user API",
+    "nearfield.BounceGeometry.rx_theta": "user API",
+    "nearfield.BounceGeometry.tx_phi": "user API",
+    "nearfield.BounceGeometry.tx_theta": "user API",
     "nearfield.ClusterRay.__post_init__": "benchmark",
     "nearfield.RaySet.__getitem__": "benchmark",
     "nearfield.RaySet.__init__": "benchmark",
@@ -59,6 +65,9 @@ UNREACHED = {
     "nearfield.VisibilityModel.__post_init__": "benchmark",
     "nearfield._assemble_taps": "benchmark",
     "nearfield._cluster_attenuation": "benchmark",
+    # no reference scenario moves its arrays: the Doppler factor of a
+    # scenario's velocity_mps and time_s applies only where they do
+    "nearfield._doppler": "user API",
     "nearfield._element_attenuation": "benchmark",
     "nearfield._k_weights": "benchmark",
     "nearfield._locate_bounces": "benchmark",

@@ -48,8 +48,7 @@ def _examples():
         delta_ports(2, "combining"),
         nearfield.MotionState(),
         geom,
-        nearfield.BounceGeometry(pts[0], pts[1], 1.0, np.ones(2), np.ones(2), np.zeros(2),
-                                 np.zeros(2), np.zeros(2), np.zeros(2)),
+        nearfield.BounceGeometry(pts[0], pts[1], 1.0, np.ones(2), np.ones(2), pts, pts),
         nearfield.Tap(delay=0.0, coefficients=np.ones((2, 2), dtype=complex)),
         channel,
         grouping,
@@ -61,7 +60,9 @@ def _examples():
 
 def test_every_array_record_has_an_example(package_modules):
     holders = {cls for cls in _package_dataclasses(package_modules) if _holds_arrays(cls)}
-    assert holders == {type(x) for x in _examples()}
+    # the examples also hold plain read-only records, which no generated
+    # method compares
+    assert holders == {type(x) for x in _examples() if dataclasses.is_dataclass(x)}
 
 
 @pytest.mark.parametrize("record", _examples(), ids=lambda x: type(x).__name__)

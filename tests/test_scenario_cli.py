@@ -646,6 +646,20 @@ def test_list_entries_spelled_as_integers_give_one_scenario_and_hash(study, fiel
     assert serialize_scenario(a) == serialize_scenario(b)
 
 
+def test_scenarios_built_in_code_hash_as_their_files_do():
+    """A scenario built with integers where its fields hold floats equals
+    the one spelled with floats, and hashes as it does."""
+    ints = DenselySpacedScenario(name="x", rx_spacing_wavelengths=(1, 0.5), snr_db=0)
+    floats = DenselySpacedScenario(name="x", rx_spacing_wavelengths=(1.0, 0.5), snr_db=0.0)
+    assert ints == floats
+    assert serialize_scenario(ints) == serialize_scenario(floats)
+    assert scenario_hash(ints) == scenario_hash(floats)
+    assert scenario_hash(ints) == scenario_hash(scenario_from_dict(serialize_scenario(ints)))
+    nested = EmCoreValidationScenario(name="x", region_cases=((6700000000, 2),))
+    assert (scenario_hash(nested)
+            == scenario_hash(dataclasses.replace(nested, region_cases=((6.7e9, 2.0),))))
+
+
 @pytest.mark.parametrize("name, digest", [
     ("densely_spaced", "24bf3e98429abda5"),
     ("emcore_validation", "24650f442a13ddb8"),
